@@ -22,7 +22,6 @@ from .bounds import (
     half_complementary_weight,
     index_variance,
     pair_index_coefficient,
-    pair_index_sq_coefficient,
 )
 from .conditions import (
     ConditionReport,
@@ -58,7 +57,6 @@ from .jensen import (
     ConvexOracle,
     JensenReport,
     ORACLE_FACTORIES,
-    convexity_probe,
     get_oracle,
     gradient_check,
     jensen_gap,
@@ -115,7 +113,6 @@ __all__ = [
     "check_ball",
     "check_box",
     "check_scalar_disc",
-    "convexity_probe",
     "equal_weight_coefficients",
     "extremal_thm23",
     "fit_enclosure",
@@ -131,7 +128,6 @@ __all__ = [
     "mad",
     "norm",
     "pair_index_coefficient",
-    "pair_index_sq_coefficient",
     "pair_scale",
     "pairing_gap",
     "reverse_jensen",

@@ -10,6 +10,10 @@ Chains are tagged with the equation identifiers used throughout reports:
 families, and "1.6"/"1.8" for the forward-difference families whose final
 links carry the classical tags "1.2", "1.4", "1.5".
 
+:data:`CHAINS` maps every tag accepted by ``bound --which`` to the inputs
+its chain needs and to an adapter that calls the builder; the CLI and the
+sharpness search both dispatch through it.
+
 Hypotheses (ball condition on sequences, disc condition on scalars) are
 verified by default; builders raise :class:`HypothesisError` on failure.
 With ``check=False`` the chain is still evaluated and the reports recorded,
@@ -20,7 +24,8 @@ hypothesis, because the inequalities are false in general without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -253,14 +258,6 @@ def pair_index_coefficient(p: ProbabilityVector) -> float:
     return float((np.outer(w, w) * np.where(gaps > 0, gaps, 0.0)).sum())
 
 
-def pair_index_sq_coefficient(p: ProbabilityVector) -> float:
-    """sum_{j<i} p_i p_j (i - j)^2; equals index_variance for every p."""
-    i = np.arange(1, len(p) + 1, dtype=np.float64)
-    gaps = i[:, None] - i[None, :]
-    w = p.weights
-    return float((np.outer(w, w) * np.where(gaps > 0, gaps * gaps, 0.0)).sum())
-
-
 def half_complementary_weight(p: ProbabilityVector) -> float:
     """(1/2) sum_i p_i (1 - p_i)."""
     w = p.weights
@@ -353,3 +350,84 @@ def bound_forward_difference_self(
         links=_difference_links(cx, cx, p, holder_p, squared_label=True),
         ordered=False,
     )
+
+
+@dataclass(frozen=True)
+class ChainSpec:
+    """The inputs one chain tag needs and the adapter that runs its builder.
+
+    ``build(space, p, seqs, encls, disc, check, holder_p)`` receives the
+    sequences named in ``sequences`` keyed as the :class:`WeightedSequence`
+    fields ("xs", "ys", "alphas"), the enclosures named in ``enclosures``
+    keyed "x"/"y", the scalar disc ``(a, A)`` when ``disc`` is set (else
+    None), the hypothesis switch, and the Holder exponent, which only the
+    chains flagged ``holder`` read. ``uniform`` tags are the equal-weight
+    specializations and reject any other weights.
+    """
+
+    build: Callable[..., BoundChain]
+    sequences: tuple[str, ...]
+    enclosures: tuple[str, ...] = ()
+    disc: bool = False
+    uniform: bool = False
+    holder: bool = False
+
+
+def _ws(space: Space, p: ProbabilityVector, seqs: dict) -> WeightedSequence:
+    return WeightedSequence(space, p, **seqs)
+
+
+_CHEBYSHEV = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_chebyshev(e["x"], _ws(sp, p, s), check=check),
+    ("xs", "ys"),
+    ("x",),
+)
+_CHEBYSHEV_GRUSS = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_chebyshev_gruss(e["x"], e["y"], _ws(sp, p, s), check=check),
+    ("xs", "ys"),
+    ("x", "y"),
+)
+_VARIANCE = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_variance(e["x"], p, s["xs"], check=check),
+    ("xs",),
+    ("x",),
+)
+_SCALAR_WEIGHTED = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_scalar_weighted(e["x"], _ws(sp, p, s), disc=disc, check=check),
+    ("xs", "alphas"),
+    ("x",),
+)
+_FORWARD_DIFFERENCE = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_forward_difference(_ws(sp, p, s), holder_p=hp),
+    ("xs", "ys"),
+    holder=True,
+)
+_FORWARD_DIFFERENCE_SELF = ChainSpec(
+    lambda sp, p, s, e, disc, check, hp: bound_forward_difference_self(sp, p, s["xs"], holder_p=hp),
+    ("xs",),
+    holder=True,
+)
+_SCALAR_WEIGHTED_DISC = replace(_SCALAR_WEIGHTED, disc=True)
+
+#: Every ``bound --which`` tag, in the order the CLI lists them. A classical
+#: single-bound tag runs the chain that carries it as final link; "1.7" and
+#: "1.9" are the uniform-weight specializations of "1.6" and "1.8".
+CHAINS: dict[str, ChainSpec] = {
+    "1.2": _SCALAR_WEIGHTED_DISC,
+    "1.4": _CHEBYSHEV_GRUSS,
+    "1.5": _VARIANCE,
+    "1.6": _FORWARD_DIFFERENCE,
+    "1.7": replace(_FORWARD_DIFFERENCE, uniform=True),
+    "1.8": _FORWARD_DIFFERENCE_SELF,
+    "1.9": replace(_FORWARD_DIFFERENCE_SELF, uniform=True),
+    "2.3": _CHEBYSHEV,
+    "2.7": _CHEBYSHEV_GRUSS,
+    "2.8": _VARIANCE,
+    "2.9": _SCALAR_WEIGHTED,
+    "2.11": _SCALAR_WEIGHTED_DISC,
+    "R2.7": ChainSpec(
+        lambda sp, p, s, e, disc, check, hp: bound_complex_sequence(disc[0], disc[1], p, s["alphas"], check=check),
+        ("alphas",),
+        disc=True,
+    ),
+}

@@ -22,17 +22,8 @@ import sys
 import numpy as np
 
 from . import instancefile
-from .bounds import (
-    BoundChain,
-    bound_chebyshev,
-    bound_chebyshev_gruss,
-    bound_complex_sequence,
-    bound_forward_difference,
-    bound_forward_difference_self,
-    bound_scalar_weighted,
-    bound_variance,
-)
-from .conditions import Enclosure, check_ball, check_box, check_scalar_disc, fit_enclosure
+from .bounds import CHAINS, BoundChain
+from .conditions import check_ball, check_box, check_scalar_disc, fit_enclosure
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -42,16 +33,13 @@ from .errors import (
     InstanceFormatError,
     SoundnessError,
 )
-from .functionals import WeightedSequence
 from .instancefile import Instance, instance_document
 from .jensen import ORACLE_FACTORIES, get_oracle, gradient_check, reverse_jensen
 from .sharpness import TARGETS, search
 from .space import Space
 
-#: Tags accepted by ``bound --which``; classical single-bound tags run the
-#: chain that carries them as final link, equal-weight tags validate weights.
-TAG_ALIASES = {"1.2": "2.11", "1.4": "2.7", "1.5": "2.8", "1.7": "1.6", "1.9": "1.8"}
-BOUND_TAGS = ("1.2", "1.4", "1.5", "1.6", "1.7", "1.8", "1.9", "2.3", "2.7", "2.8", "2.9", "2.11", "R2.7")
+#: The sequence each enclosure (or the scalar disc) of an instance bounds.
+_ENCLOSED_SEQUENCE = {"x": "xs", "y": "ys", "z": "zs", "disc": "alphas"}
 
 GRADIENT_CHECK_H = 1e-5
 GRADIENT_CHECK_MAX_ERR = 1e-6
@@ -88,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate one bound chain against its functional")
     p.add_argument("file")
-    p.add_argument("--which", required=True, metavar="TAG", help=f"one of: {', '.join(BOUND_TAGS)}")
+    p.add_argument("--which", required=True, metavar="TAG", help=f"one of: {', '.join(CHAINS)}")
     p.add_argument("--fit", action="store_true", help="fit enclosures/discs missing from the file")
     p.add_argument("--unchecked", action="store_true", help="evaluate even if the hypothesis fails")
     p.add_argument("--holder-p", type=_holder_arg, default=None, help="Holder exponent (> 1 or 'inf')")
@@ -117,7 +105,7 @@ def _load(path: str) -> tuple[Instance, str]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
     return instancefile.loads(text), instancefile.sha256_hex(text)
 
@@ -126,6 +114,16 @@ def _fit_disc(alphas: np.ndarray) -> tuple[complex, complex]:
     pts = np.asarray(alphas, dtype=np.complex128)[:, None]
     encl = fit_enclosure(Space(1, "complex"), pts)
     return complex(encl.lo[0]), complex(encl.hi[0])
+
+
+def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
+    """The file's enclosure (or disc) ``name``; if absent and ``fit`` is set, a fit recorded in ``fitted``."""
+    found = inst.disc if name == "disc" else inst.enclosures.get(name)
+    if found is None and fit:
+        seq = getattr(inst, _ENCLOSED_SEQUENCE[name])
+        found = _fit_disc(seq) if name == "disc" else fit_enclosure(inst.space, seq)
+        fitted[name] = found
+    return found
 
 
 def _echo_document(inst: Instance, fitted: dict, disc) -> dict:
@@ -166,22 +164,16 @@ def cmd_check(args) -> int:
     inst, digest = _load(args.file)
     conditions: list = []
     fitted: dict = {}
-    for name, seq in (("x", inst.xs), ("y", inst.ys), ("z", inst.zs)):
-        if seq is None:
-            continue
-        encl = inst.enclosures.get(name)
-        if encl is None and args.fit:
-            encl = fit_enclosure(inst.space, seq)
-            fitted[name] = encl
+    for name in ("x", "y", "z"):
+        seq = getattr(inst, _ENCLOSED_SEQUENCE[name])
+        encl = None if seq is None else _fit_missing(inst, name, args.fit, fitted)
         if encl is None:
             continue
         conditions.append((f"ball({name})", check_ball(encl, seq)))
         conditions.append((f"box({name})", check_box(encl, seq)))
     disc = inst.disc
     if inst.alphas is not None:
-        if disc is None and args.fit:
-            disc = _fit_disc(inst.alphas)
-            fitted["disc"] = disc
+        disc = _fit_missing(inst, "disc", args.fit, fitted)
         if disc is not None:
             conditions.append(("disc(alpha)", check_scalar_disc(disc[0], disc[1], inst.alphas)))
     if not conditions:
@@ -219,74 +211,35 @@ def cmd_check(args) -> int:
 
 
 def evaluate_tag(inst: Instance, which: str, fit: bool, check: bool, holder_p: float | None):
-    """Run the chain selected by ``which``; returns (chain, fitted, disc, conditions)."""
-    if which not in BOUND_TAGS:
-        raise ContractViolationError(f"unknown tag {which!r}; valid tags: {', '.join(BOUND_TAGS)}")
-    tag = TAG_ALIASES.get(which, which)
+    """Run the chain selected by ``which``; returns (chain, fitted, disc).
+
+    Inputs are checked in a fixed order, so the first missing one is the
+    one reported: tag, weights, uniform weights, sequences, disc, enclosures.
+    """
+    spec = CHAINS.get(which)
+    if spec is None:
+        raise ContractViolationError(f"unknown tag {which!r}; valid tags: {', '.join(CHAINS)}")
     if inst.weights is None:
         raise InstanceFormatError("instance needs a weights array")
-    hp = holder_p if holder_p is not None else (inst.holder_p if inst.holder_p is not None else 2.0)
-    fitted: dict = {}
-
-    def need(seq, name):
+    w = inst.weights.weights
+    if spec.uniform and float(np.max(np.abs(w * len(w) - 1.0))) > 1e-9:
+        raise ContractViolationError(f"tag {which} requires uniform weights")
+    seqs = {name: getattr(inst, name) for name in spec.sequences}
+    for name, seq in seqs.items():
         if seq is None:
             raise InstanceFormatError(f"tag {which} needs sequences.{name}")
-        return seq
+    fitted: dict = {}
 
-    def encl_for(name, seq):
-        encl = inst.enclosures.get(name)
-        if encl is None:
-            if not fit:
-                raise InstanceFormatError(
-                    f"tag {which} needs the {name!r} enclosure; supply it or pass --fit"
-                )
-            encl = fit_enclosure(inst.space, seq)
-            fitted[name] = encl
-        return encl
+    def supplied_or_fitted(name: str, what: str):
+        found = _fit_missing(inst, name, fit, fitted)
+        if found is None:
+            raise InstanceFormatError(f"tag {which} needs {what}; supply it or pass --fit")
+        return found
 
-    def disc_for(alphas):
-        disc = inst.disc
-        if disc is None:
-            if not fit:
-                raise InstanceFormatError(f"tag {which} needs the scalar disc a/A; supply it or pass --fit")
-            disc = _fit_disc(alphas)
-            fitted["disc"] = disc
-        return disc
-
-    def require_uniform():
-        w = inst.weights.weights
-        if float(np.max(np.abs(w * len(w) - 1.0))) > 1e-9:
-            raise ContractViolationError(f"tag {which} requires uniform weights")
-
-    disc = None
-    if tag == "2.3":
-        ws = WeightedSequence(inst.space, inst.weights, xs=need(inst.xs, "xs"), ys=need(inst.ys, "ys"))
-        chain = bound_chebyshev(encl_for("x", ws.xs), ws, check=check)
-    elif tag == "2.7":
-        ws = WeightedSequence(inst.space, inst.weights, xs=need(inst.xs, "xs"), ys=need(inst.ys, "ys"))
-        chain = bound_chebyshev_gruss(encl_for("x", ws.xs), encl_for("y", ws.ys), ws, check=check)
-    elif tag == "2.8":
-        xs = need(inst.xs, "xs")
-        chain = bound_variance(encl_for("x", xs), inst.weights, xs, check=check)
-    elif tag in ("2.9", "2.11"):
-        ws = WeightedSequence(
-            inst.space, inst.weights, xs=need(inst.xs, "xs"), alphas=need(inst.alphas, "alphas")
-        )
-        disc = disc_for(ws.alphas) if tag == "2.11" else None
-        chain = bound_scalar_weighted(encl_for("x", ws.xs), ws, disc=disc, check=check)
-    elif tag == "R2.7":
-        alphas = need(inst.alphas, "alphas")
-        disc = disc_for(alphas)
-        chain = bound_complex_sequence(disc[0], disc[1], inst.weights, alphas, check=check)
-    elif tag == "1.6":
-        if which == "1.7":
-            require_uniform()
-        ws = WeightedSequence(inst.space, inst.weights, xs=need(inst.xs, "xs"), ys=need(inst.ys, "ys"))
-        chain = bound_forward_difference(ws, holder_p=hp)
-    else:  # "1.8"
-        if which == "1.9":
-            require_uniform()
-        chain = bound_forward_difference_self(inst.space, inst.weights, need(inst.xs, "xs"), holder_p=hp)
+    disc = supplied_or_fitted("disc", "the scalar disc a/A") if spec.disc else None
+    encls = {name: supplied_or_fitted(name, f"the {name!r} enclosure") for name in spec.enclosures}
+    hp = holder_p if holder_p is not None else (inst.holder_p if inst.holder_p is not None else 2.0)
+    chain = spec.build(inst.space, inst.weights, seqs, encls, disc, check, hp)
     return chain, fitted, disc
 
 

@@ -35,6 +35,9 @@ COND_TOL = 1e-10
 #: Hard cap on the post-fit inflation factor of fit_enclosure.
 MAX_INFLATION = 1.5
 
+#: Cap on the Ritter expansion passes of fit_enclosure.
+MAX_SWEEPS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class Enclosure:
@@ -191,68 +194,46 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
     )
 
 
-def fit_enclosure(space: Space, xs, mode: str = "bounding_sphere", max_sweeps: int = 200) -> Enclosure:
+def fit_enclosure(space: Space, xs) -> Enclosure:
     """Fit an enclosure whose ball condition holds for every input point.
 
-    ``bounding_sphere`` seeds a ball on the farthest-point pair, runs Ritter
-    expansion passes (at most ``max_sweeps``), tightens the radius to the
-    exact maximal distance, and returns antipodes along the seed-pair
-    direction. ``antipodal_pair`` returns the exact diameter-realizing pair
-    of input points (O(n^2) scan).
+    Seeds a ball on the farthest-point pair, runs Ritter expansion passes
+    (at most ``MAX_SWEEPS``), tightens the radius to the exact maximal
+    distance, and returns antipodes along the seed-pair direction.
 
-    Either way the result is validated with :func:`check_ball` and inflated
-    about its center by the minimal factor needed to cover all points; a
-    required factor above ``MAX_INFLATION`` raises ``EnclosureFitError``.
-    ``bounding_sphere`` never needs inflation (its radius is already the max
-    distance); ``antipodal_pair`` can need up to sqrt(3) (e.g. an equilateral
-    triangle, whose apex is d*sqrt(3)/2 from the pair midpoint) and then
-    fails, which is the intended contract for that mode.
+    The result is validated with :func:`check_ball` and inflated about its
+    center by the minimal factor needed to cover all points, which absorbs
+    the rounding of the antipode construction; a required factor above
+    ``MAX_INFLATION`` raises ``EnclosureFitError``.
     """
     xs = space.matrix(xs)
-    n = xs.shape[0]
     d0 = row_norms(space, xs - xs[0][None, :])
     if float(d0.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
 
-    if mode == "bounding_sphere":
-        i1 = int(np.argmax(d0))
-        d1 = row_norms(space, xs - xs[i1][None, :])
-        i2 = int(np.argmax(d1))
-        center = (xs[i1] + xs[i2]) / 2.0
-        radius = float(d1[i2]) / 2.0
-        for _ in range(max_sweeps):
-            dists = row_norms(space, xs - center[None, :])
-            far = int(np.argmax(dists))
-            dmax = float(dists[far])
-            if dmax <= radius:
-                break
-            new_radius = (radius + dmax) / 2.0
-            center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
-            radius = new_radius
-        radius = float(row_norms(space, xs - center[None, :]).max())
-        u = xs[i2] - xs[i1]
-        u = u / norm(space, u)
-        # canonical sign/phase: make the first nonzero component positive real
-        k = int(np.argmax(np.abs(u) > 0.0))
-        pivot = u[k]
-        u = u * (np.conj(pivot) / abs(pivot)) if space.is_complex else u * np.sign(np.real(pivot))
-        lo = center - radius * u
-        hi = center + radius * u
-    elif mode == "antipodal_pair":
-        diffs = xs[:, None, :] - xs[None, :, :]
-        sq = (diffs.real * diffs.real + diffs.imag * diffs.imag) if space.is_complex else diffs * diffs
-        if space.metric is not None:
-            sq = sq * space.metric
-        dist2 = sq.sum(axis=2)
-        flat = int(np.argmax(dist2))
-        i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
-        lo, hi = xs[i], xs[j]
-    else:
-        raise ContractViolationError(f"unknown fit mode {mode!r}; use 'bounding_sphere' or 'antipodal_pair'")
+    i1 = int(np.argmax(d0))
+    d1 = row_norms(space, xs - xs[i1][None, :])
+    i2 = int(np.argmax(d1))
+    center = (xs[i1] + xs[i2]) / 2.0
+    radius = float(d1[i2]) / 2.0
+    for _ in range(MAX_SWEEPS):
+        dists = row_norms(space, xs - center[None, :])
+        far = int(np.argmax(dists))
+        dmax = float(dists[far])
+        if dmax <= radius:
+            break
+        new_radius = (radius + dmax) / 2.0
+        center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
+        radius = new_radius
+    radius = float(row_norms(space, xs - center[None, :]).max())
+    u = xs[i2] - xs[i1]
+    u = u / norm(space, u)
+    # canonical sign/phase: make the first nonzero component positive real
+    k = int(np.argmax(np.abs(u) > 0.0))
+    pivot = u[k]
+    u = u * (np.conj(pivot) / abs(pivot)) if space.is_complex else u * np.sign(np.real(pivot))
 
-    encl = Enclosure(space, lo, hi)
+    encl = Enclosure(space, center - radius * u, center + radius * u)
     dists = row_norms(space, xs - encl.center[None, :])
     factor = float(dists.max()) / encl.radius
     if factor > MAX_INFLATION:

@@ -173,10 +173,6 @@ def gruss_scale(ws: WeightedSequence) -> float:
     return max(1.0, float(ws.p.weights @ (np.abs(al) * row_norms(ws.space, ws.xs))))
 
 
-def alpha_mean(p: ProbabilityVector, alphas: np.ndarray) -> complex:
-    return complex((p.weights * alphas).sum())
-
-
 def alpha_abs_deviation(p: ProbabilityVector, alphas: np.ndarray) -> float:
     """sum_i p_i |a_i - abar|."""
     abar = (p.weights * alphas).sum()

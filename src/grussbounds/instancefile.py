@@ -125,8 +125,8 @@ def _parse_space(node, path: str) -> Space:
         if not isinstance(raw, list) or len(raw) != dim:
             _fail(f"{path}.metric", f"expected an array of {dim} positive weights")
         for k, v in enumerate(raw):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-                _fail(f"{path}.metric[{k}]", "metric weights must be positive numbers")
+            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
+                _fail(f"{path}.metric[{k}]", "metric weights must be positive finite numbers")
         metric = np.array(raw, dtype=np.float64)
     return Space(dim, fld, metric)
 
@@ -245,6 +245,8 @@ def loads(text: str) -> Instance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise InstanceFormatError("$: invalid JSON: arrays or objects nested too deeply") from None
     return parse_document(doc)
 
 

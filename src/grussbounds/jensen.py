@@ -177,20 +177,6 @@ def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5)
     return worst
 
 
-def convexity_probe(space: Space, oracle: ConvexOracle, samples) -> float:
-    """Min slack of F(u) - F(v) - <grad(v), u - v> over all sample pairs (>= 0 if convex)."""
-    _require_real(space)
-    samples = space.matrix(samples)
-    worst = math.inf
-    for v in samples:
-        gv = oracle.grad(v)
-        fv = oracle.eval(v)
-        for u in samples:
-            slack = oracle.eval(u) - fv - float(np.real(inner(space, gv, u - v)))
-            worst = min(worst, slack)
-    return worst
-
-
 def _normalized(space: Space, q, zs) -> tuple[ProbabilityVector, np.ndarray]:
     _require_real(space)
     zs = space.matrix(zs)

@@ -25,13 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    BoundChain,
-    bound_chebyshev,
-    bound_chebyshev_gruss,
-    bound_forward_difference,
-    bound_scalar_weighted,
-)
+from .bounds import CHAINS, BoundChain, bound_chebyshev
 from .conditions import Enclosure
 from .errors import ContractViolationError, SoundnessError
 from .functionals import WeightedSequence, chebyshev_centered, vector_gruss_centered
@@ -44,24 +38,26 @@ RESTART_SIZE = 500
 #: A ratio above 1 + this aborts the search (inequality violated).
 RATIO_GUARD = 1e-9
 
+#: Holder exponent of the forward-difference chains the search evaluates.
+HOLDER_P = 2.0
+
 
 @dataclass(frozen=True)
 class TargetInfo:
     constant: float  # the constant baked into the denominator link
     equation: str  # report tag of the chain the ratio comes from
     link_index: int  # which link is the denominator
-    free_weights: bool
-    uses_ys: bool
-    uses_alphas: bool
-    constrain_ys: bool
 
 
+#: Each target's candidates carry the sequences its chain reads, free
+#: weights unless the chain requires uniform ones, and a y-enclosure when
+#: the chain needs one (see :data:`bounds.CHAINS`).
 TARGETS: dict[str, TargetInfo] = {
-    "thm23_first": TargetInfo(0.5, "2.3", 0, True, True, False, False),
-    "thm23_second": TargetInfo(0.5, "2.3", 1, True, True, False, False),
-    "rem24_final": TargetInfo(0.25, "2.7", 2, True, True, False, True),
-    "thm25_first": TargetInfo(0.5, "2.9", 0, True, False, True, False),
-    "fd_equal_weights_max": TargetInfo(1.0 / 12.0, "1.7", 0, False, True, False, False),
+    "thm23_first": TargetInfo(0.5, "2.3", 0),
+    "thm23_second": TargetInfo(0.5, "2.3", 1),
+    "rem24_final": TargetInfo(0.25, "2.7", 2),
+    "thm25_first": TargetInfo(0.5, "2.9", 0),
+    "fd_equal_weights_max": TargetInfo(1.0 / 12.0, "1.7", 0),
 }
 
 
@@ -110,6 +106,7 @@ class _Problem:
 
     def __init__(self, target: str, n: int, dim: int):
         self.info = TARGETS[target]
+        self.spec = CHAINS[self.info.equation]
         self.target = target
         self.n = n
         self.dim = dim
@@ -117,14 +114,10 @@ class _Problem:
         e = np.zeros(dim)
         e[0] = 1.0
         self.encl_x = Enclosure(self.space, -e, e)
-        self.encl_y = Enclosure(self.space, -e, e) if self.info.constrain_ys else None
+        self.encl_y = Enclosure(self.space, -e, e) if "y" in self.spec.enclosures else None
+        self.enclosures = {k: v for k, v in (("x", self.encl_x), ("y", self.encl_y)) if v is not None}
         self.uniform = ProbabilityVector.uniform(n)
-        blocks = ["xs"]
-        if self.info.uses_ys:
-            blocks.append("ys")
-        if self.info.uses_alphas:
-            blocks.append("alphas")
-        self.vector_blocks = blocks
+        self.vector_blocks = self.spec.sequences
 
     # -- candidate construction -------------------------------------------
 
@@ -161,22 +154,22 @@ class _Problem:
 
     def initial(self, rng: np.random.Generator) -> dict:
         cand: dict = {}
-        if self.info.free_weights:
+        if not self.spec.uniform:
             w = rng.exponential(size=self.n)
             cand["p"] = w / w.sum()
         cand["xs"] = np.array([self._ball_point(rng) for _ in range(self.n)])
-        if self.info.uses_ys:
+        if "ys" in self.vector_blocks:
             ys = rng.standard_normal((self.n, self.dim))
-            if self.info.constrain_ys:
+            if self.encl_y is not None:
                 ys = np.array([self._project(row, self.encl_y) for row in ys])
             cand["ys"] = ys
-        if self.info.uses_alphas:
+        if "alphas" in self.vector_blocks:
             cand["alphas"] = rng.standard_normal(self.n)
         return self._normalize(cand)
 
     def propose(self, rng: np.random.Generator, cand: dict, sigma: float) -> dict:
         new = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in cand.items()}
-        if self.info.free_weights and rng.random() < 0.35:
+        if not self.spec.uniform and rng.random() < 0.35:
             w = new["p"] * np.exp(sigma * rng.standard_normal(self.n))
             new["p"] = w / w.sum()
             return new
@@ -188,7 +181,7 @@ class _Problem:
         row = new[block][i] + sigma * rng.standard_normal(self.dim)
         if block == "xs":
             row = self._project(row, self.encl_x)
-        elif self.info.constrain_ys:
+        elif self.encl_y is not None:
             row = self._project(row, self.encl_y)
         new[block][i] = row
         return self._normalize(new)
@@ -196,21 +189,11 @@ class _Problem:
     # -- evaluation ---------------------------------------------------------
 
     def _weights(self, cand: dict) -> ProbabilityVector:
-        return ProbabilityVector(cand["p"]) if self.info.free_weights else self.uniform
+        return self.uniform if self.spec.uniform else ProbabilityVector(cand["p"])
 
     def chain(self, cand: dict) -> BoundChain:
-        p = self._weights(cand)
-        if self.target in ("thm23_first", "thm23_second"):
-            ws = WeightedSequence(self.space, p, xs=cand["xs"], ys=cand["ys"])
-            return bound_chebyshev(self.encl_x, ws)
-        if self.target == "rem24_final":
-            ws = WeightedSequence(self.space, p, xs=cand["xs"], ys=cand["ys"])
-            return bound_chebyshev_gruss(self.encl_x, self.encl_y, ws)
-        if self.target == "thm25_first":
-            ws = WeightedSequence(self.space, p, xs=cand["xs"], alphas=cand["alphas"])
-            return bound_scalar_weighted(self.encl_x, ws)
-        ws = WeightedSequence(self.space, p, xs=cand["xs"], ys=cand["ys"])
-        return bound_forward_difference(ws, holder_p=2.0)
+        seqs = {name: cand[name] for name in self.vector_blocks}
+        return self.spec.build(self.space, self._weights(cand), seqs, self.enclosures, None, True, HOLDER_P)
 
     def _stable_functional(self, cand: dict) -> float:
         # re-centered evaluation at the enclosure center: same value as the
@@ -220,7 +203,7 @@ class _Problem:
         # push the ratio past 1
         p = self._weights(cand)
         c = self.encl_x.center
-        if self.info.uses_alphas:
+        if "alphas" in self.vector_blocks:
             ws = WeightedSequence(self.space, p, xs=cand["xs"], alphas=cand["alphas"])
             return norm(self.space, vector_gruss_centered(ws, center=c))
         ws = WeightedSequence(self.space, p, xs=cand["xs"], ys=cand["ys"])
@@ -249,18 +232,14 @@ class _Problem:
         return value
 
     def witness(self, cand: dict) -> dict:
-        p = self._weights(cand)
-        enclosures = {"x": self.encl_x}
-        if self.encl_y is not None:
-            enclosures["y"] = self.encl_y
         return instance_document(
             self.space,
-            weights=p,
+            weights=self._weights(cand),
             xs=cand["xs"],
             ys=cand.get("ys"),
             alphas=cand.get("alphas"),
-            enclosures=enclosures,
-            holder_p=2.0 if self.target == "fd_equal_weights_max" else None,
+            enclosures=self.enclosures,
+            holder_p=HOLDER_P if self.spec.holder else None,
         )
 
 

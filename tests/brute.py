@@ -5,6 +5,8 @@ numpy, so they share no code path with the library implementations they
 check.
 """
 
+import math
+
 
 def brute_inner(u, v, metric=None):
     total = 0j
@@ -44,3 +46,9 @@ def brute_variance(p, xs, metric=None):
         second += float(p[i]) * brute_inner(xs[i], xs[i], metric).real
     mean = brute_mean(p, xs)
     return second - brute_inner(mean, mean, metric).real
+
+
+def brute_pair_index_sq(p):
+    """sum_{j<i} p_i p_j (i - j)^2; equals index_variance(p) for every p."""
+    n = len(p)
+    return math.fsum(float(p[i]) * float(p[j]) * (i - j) ** 2 for i in range(n) for j in range(i))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from brute import brute_pair_index_sq
 from conftest import (
     random_disc,
     random_enclosure,
@@ -31,7 +32,6 @@ from grussbounds import (
     half_complementary_weight,
     index_variance,
     pair_index_coefficient,
-    pair_index_sq_coefficient,
     variance,
 )
 from grussbounds.space import COMPLEX, REAL
@@ -263,7 +263,7 @@ class TestForwardDifference:
             n = int(rng.integers(1, 30))
             p = random_prob(rng, n)
             lhs = index_variance(p)
-            rhs = pair_index_sq_coefficient(p)
+            rhs = brute_pair_index_sq(p.weights)
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
     def test_constant_xs(self, rng):

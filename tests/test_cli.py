@@ -1,11 +1,30 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from grussbounds.cli import main
+import grussbounds
+from grussbounds import (
+    ContractViolationError,
+    InstanceFormatError,
+    ProbabilityVector,
+    Space,
+    WeightedSequence,
+    bound_chebyshev,
+    bound_chebyshev_gruss,
+    bound_complex_sequence,
+    bound_forward_difference,
+    bound_forward_difference_self,
+    bound_scalar_weighted,
+    bound_variance,
+    fit_enclosure,
+)
+from grussbounds.bounds import CHAINS
+from grussbounds.cli import evaluate_tag, main
+from grussbounds.instancefile import Instance, parse_document
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -163,6 +182,123 @@ class TestBound:
         assert doc["results"]["holds"] is True
 
 
+def direct_chain(tag, inst, holder_p):
+    """The chain of ``tag`` from a direct call of its public builder."""
+    sp, p, e = inst.space, inst.weights, inst.enclosures
+    xy = lambda: WeightedSequence(sp, p, xs=inst.xs, ys=inst.ys)  # noqa: E731
+    xa = lambda: WeightedSequence(sp, p, xs=inst.xs, alphas=inst.alphas)  # noqa: E731
+    builders = {
+        "1.2": lambda: bound_scalar_weighted(e["x"], xa(), disc=inst.disc),
+        "1.4": lambda: bound_chebyshev_gruss(e["x"], e["y"], xy()),
+        "1.5": lambda: bound_variance(e["x"], p, inst.xs),
+        "1.6": lambda: bound_forward_difference(xy(), holder_p=holder_p),
+        "1.7": lambda: bound_forward_difference(xy(), holder_p=holder_p),
+        "1.8": lambda: bound_forward_difference_self(sp, p, inst.xs, holder_p=holder_p),
+        "1.9": lambda: bound_forward_difference_self(sp, p, inst.xs, holder_p=holder_p),
+        "2.3": lambda: bound_chebyshev(e["x"], xy()),
+        "2.7": lambda: bound_chebyshev_gruss(e["x"], e["y"], xy()),
+        "2.8": lambda: bound_variance(e["x"], p, inst.xs),
+        "2.9": lambda: bound_scalar_weighted(e["x"], xa()),
+        "2.11": lambda: bound_scalar_weighted(e["x"], xa(), disc=inst.disc),
+        "R2.7": lambda: bound_complex_sequence(inst.disc[0], inst.disc[1], p, inst.alphas),
+    }
+    return builders[tag]()
+
+
+class TestChainTable:
+    def test_every_tag_listed(self):
+        assert list(CHAINS) == [
+            "1.2", "1.4", "1.5", "1.6", "1.7", "1.8", "1.9", "2.3", "2.7", "2.8", "2.9", "2.11", "R2.7"
+        ]
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("tag", list(CHAINS))
+    def test_matches_direct_builder(self, rng, tag, field):
+        # distinct xs, ys and alphas, so an adapter that reads the wrong
+        # sequence, enclosure or builder gives different numbers
+        def draw(*shape):
+            v = rng.standard_normal(shape)
+            return v + 1j * rng.standard_normal(shape) if field == "complex" else v
+
+        space = Space(2, field)
+        n = 5
+        xs, ys, alphas = draw(n, 2), draw(n, 2), draw(n)
+        disc = fit_enclosure(Space(1, "complex"), alphas[:, None])
+        inst = Instance(
+            space=space,
+            weights=ProbabilityVector.uniform(n),
+            xs=space.matrix(xs),
+            ys=space.matrix(ys),
+            zs=None,
+            alphas=alphas.astype(space.dtype),
+            enclosures={"x": fit_enclosure(space, xs), "y": fit_enclosure(space, ys)},
+            disc=(complex(disc.lo[0]), complex(disc.hi[0])),
+        )
+        chain, fitted, used_disc = evaluate_tag(inst, tag, fit=False, check=True, holder_p=3.0)
+        ref = direct_chain(tag, inst, 3.0)
+        assert fitted == {}
+        assert used_disc == (inst.disc if CHAINS[tag].disc else None)
+        assert chain.equation == ref.equation
+        assert chain.functional_label == ref.functional_label
+        assert chain.functional_value == ref.functional_value
+        assert [(l.label, l.value, l.equation) for l in chain.links] == [
+            (l.label, l.value, l.equation) for l in ref.links
+        ]
+        assert chain.ordered == ref.ordered
+        assert chain.hypothesis_verified == ref.hypothesis_verified
+
+    @pytest.mark.parametrize(
+        "doc, which, error, message",
+        [
+            # unknown tag, then missing weights
+            ({"space": {"dim": 1}}, "5.1", ContractViolationError, "unknown tag"),
+            # missing weights, then uniform weights
+            ({"space": {"dim": 1}, "sequences": {"xs": [[0.0], [1.0]]}}, "1.7", InstanceFormatError, "weights array"),
+            # uniform weights, then a missing sequence
+            ({"space": {"dim": 1}, "weights": [0.7, 0.3], "sequences": {"xs": [[0.0], [1.0]]}}, "1.7",
+             ContractViolationError, "uniform weights"),
+            # a missing sequence, then the disc
+            ({"space": {"dim": 1}, "weights": [0.5, 0.5], "sequences": {"xs": [[0.0], [1.0]]}}, "2.11",
+             InstanceFormatError, "sequences.alphas"),
+            # a missing sequence, then the enclosure
+            ({"space": {"dim": 1}, "weights": [0.5, 0.5], "sequences": {"alphas": [0.0, 1.0]}}, "2.9",
+             InstanceFormatError, "sequences.xs"),
+            # the disc, then the enclosure
+            ({"space": {"dim": 1}, "weights": [0.5, 0.5], "sequences": {"xs": [[0.0], [1.0]], "alphas": [0.0, 1.0]}},
+             "2.11", InstanceFormatError, "scalar disc"),
+            # the enclosures in the listed order
+            ({"space": {"dim": 1}, "weights": [0.5, 0.5], "sequences": {"xs": [[0.0], [1.0]], "ys": [[0.0], [1.0]]}},
+             "2.7", InstanceFormatError, "'x' enclosure"),
+        ],
+    )
+    def test_error_order(self, doc, which, error, message):
+        with pytest.raises(error, match=message):
+            evaluate_tag(parse_document(doc), which, fit=False, check=True, holder_p=None)
+
+
+class TestMalformedInput:
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}")
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, _, err = run(capsys, "bound", str(path), "--which", "2.3")
+        assert code == 2
+        assert err.startswith("error: $:")
+
+    def test_overflowing_metric_names_path(self, capsys, tmp_path):
+        path = tmp_path / "metric.json"
+        path.write_text('{"space": {"dim": 1, "metric": [1e400]}, "weights": [1]}')
+        code, _, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "$.space.metric[0]" in err
+
+
 class TestJensen:
     def test_two_point(self, capsys):
         code, out, _ = run(capsys, "jensen", str(INSTANCES / "two_point.json"))
@@ -274,6 +410,12 @@ class TestSharpness:
             ).hex()
 
 
+def package_env():
+    """Environment whose PYTHONPATH finds the grussbounds package these tests import."""
+    root = str(Path(grussbounds.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
 class TestSubprocess:
     def test_module_entry_point(self, tmp_path):
         import subprocess
@@ -283,6 +425,7 @@ class TestSubprocess:
             [sys.executable, "-m", "grussbounds.cli", "bound", str(INSTANCES / "two_point.json"), "--which", "2.3"],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert result.returncode == 0
         assert "ordering: holds" in result.stdout
@@ -295,6 +438,7 @@ class TestSubprocess:
             [sys.executable, "-m", "grussbounds.cli", "check", str(INSTANCES / "invalid" / "bad_json.json")],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert result.returncode == 2
 

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_enclosure, random_space, random_vector, sample_in_ball
 from grussbounds import (
-    ContractViolationError,
     DegenerateInputError,
     Enclosure,
     Space,
@@ -12,7 +11,6 @@ from grussbounds import (
     check_scalar_disc,
     fit_enclosure,
 )
-from grussbounds import EnclosureFitError
 from grussbounds.space import COMPLEX, norm
 
 
@@ -127,60 +125,34 @@ class TestConditionEquivalence:
 
 class TestFitEnclosure:
     def test_two_points(self):
-        sp = Space(1)
-        for mode in ("bounding_sphere", "antipodal_pair"):
-            encl = fit_enclosure(sp, np.array([[0.0], [1.0]]), mode=mode)
-            assert encl.lo == pytest.approx([0.0])
-            assert encl.hi == pytest.approx([1.0])
-
-    def test_triangle_antipodal(self):
-        sp = Space(2)
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        encl = fit_enclosure(sp, pts, mode="antipodal_pair")
-        assert encl.lo == pytest.approx([1.0, 0.0])
-        assert encl.hi == pytest.approx([0.0, 1.0])
-        assert check_ball(encl, pts).holds
+        encl = fit_enclosure(Space(1), np.array([[0.0], [1.0]]))
+        assert encl.lo == pytest.approx([0.0])
+        assert encl.hi == pytest.approx([1.0])
 
     def test_identical_points_degenerate(self):
         with pytest.raises(DegenerateInputError):
             fit_enclosure(Space(2), np.tile([1.0, 2.0], (4, 1)))
 
-    def test_unknown_mode(self):
-        with pytest.raises(ContractViolationError):
-            fit_enclosure(Space(1), np.array([[0.0], [1.0]]), mode="hull")
-
-    @pytest.mark.parametrize("mode", ["bounding_sphere", "antipodal_pair"])
-    def test_soundness_random_clouds(self, rng, mode):
-        returned = 0
+    def test_soundness_random_clouds(self, rng):
         for _ in range(150):
             space = random_space(rng, max_dim=6)
             n = int(rng.integers(2, 12))
             pts = np.array([random_vector(rng, space, scale=2.0) for _ in range(n)])
-            try:
-                encl = fit_enclosure(space, pts, mode=mode)
-            except EnclosureFitError:
-                # only the antipodal mode may refuse (inflation above the cap)
-                assert mode == "antipodal_pair"
-                continue
-            returned += 1
+            encl = fit_enclosure(space, pts)
             report = check_ball(encl, pts)
             assert report.holds
             assert report.min_slack() >= -1e-10 * report.ball_scale
-        assert returned > 75
 
-    def test_antipodal_rejects_equilateral(self):
-        # the apex sits d*sqrt(3)/2 from the pair midpoint: factor sqrt(3) > 1.5
+    def test_equilateral_triangle(self):
+        # no pair of the points is antipodal for a covering ball: the apex
+        # sits d*sqrt(3)/2 from the pair midpoint
         sp = Space(2)
         s = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
-        with pytest.raises(EnclosureFitError):
-            fit_enclosure(sp, s, mode="antipodal_pair")
-        # the sphere mode handles the same cloud without inflation
-        encl = fit_enclosure(sp, s, mode="bounding_sphere")
+        encl = fit_enclosure(sp, s)
         assert check_ball(encl, s).holds
 
     def test_complex_cloud(self, rng):
         space = Space(3, COMPLEX)
         pts = np.array([random_vector(rng, space) for _ in range(7)])
-        for mode in ("bounding_sphere", "antipodal_pair"):
-            encl = fit_enclosure(space, pts, mode=mode)
-            assert check_ball(encl, pts).holds
+        encl = fit_enclosure(space, pts)
+        assert check_ball(encl, pts).holds

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from grussbounds import (
     HypothesisError,
     ORACLE_FACTORIES,
     Space,
-    convexity_probe,
     get_oracle,
     gradient_check,
     inner,
@@ -22,6 +23,17 @@ from grussbounds.space import COMPLEX, REAL
 
 def real_space(rng, max_dim=4):
     return random_space(rng, max_dim=max_dim, field=REAL)
+
+
+def convexity_probe(space, oracle, samples):
+    """Min slack of F(u) - F(v) - <grad(v), u - v> over all sample pairs (>= 0 if convex)."""
+    worst = math.inf
+    for v in samples:
+        gv = oracle.grad(v)
+        fv = oracle.eval(v)
+        for u in samples:
+            worst = min(worst, oracle.eval(u) - fv - float(np.real(inner(space, gv, u - v))))
+    return worst
 
 
 def affine_oracle(space, slope=None, offset=1.5):

@@ -60,6 +60,12 @@ class TestSearch:
         assert search("thm23_second", 2, 1, 2000, seed=0).achieved_ratio >= 0.99
         assert search("fd_equal_weights_max", 2, 2, 1000, seed=0).achieved_ratio >= 0.999
 
+    def test_targets_name_chain_tags(self):
+        from grussbounds.bounds import CHAINS
+
+        for info in TARGETS.values():
+            assert info.equation in CHAINS
+
     def test_invalid_arguments(self):
         with pytest.raises(ContractViolationError):
             search("no_such_target", 2, 1, 10, 0)
