@@ -29,22 +29,14 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, check_ball, check_scalar_disc
+from .conditions import ConditionReport, Enclosure, _disc, _dual_report, check_scalar_disc
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
     DimensionMismatchError,
     HypothesisError,
 )
-from .functionals import (
-    WeightedSequence,
-    alpha_abs_deviation,
-    alpha_variance,
-    chebyshev,
-    mad,
-    variance,
-    vector_gruss,
-)
+from .functionals import WeightedSequence, _Centered, _CenteredScalars, _checked, _gruss, _pair, chebyshev
 from .space import ProbabilityVector, Space, forward_differences, norm, row_norms
 
 #: Relative slack allowed when verifying chain ordering.
@@ -74,6 +66,14 @@ class BoundChain:
     hypothesis_reports: tuple[ConditionReport, ...] = field(default=())
     ordered: bool = True
     hypothesis_verified: bool = True
+
+    def __post_init__(self) -> None:
+        labels = (self.functional_label,) + tuple(link.label for link in self.links)
+        for label, value in zip(labels, self.values()):
+            if not math.isfinite(value):
+                raise ContractViolationError(
+                    f"chain {self.equation}: {label} is {value!r}; the inputs overflow double precision"
+                )
 
     def values(self) -> tuple[float, ...]:
         return (self.functional_value,) + tuple(link.value for link in self.links)
@@ -120,20 +120,20 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
 
     Requires the ball condition on xs for the enclosure ``encl_x``.
     """
-    ws.require_ys()
+    ys = ws.require_ys()
     _same_space(encl_x.space, ws.space, "enclosure")
-    report = check_ball(encl_x, ws.xs)
+    report = _dual_report(encl_x, ws.xs, "ball")
     verified = _gate(report, check, "ball condition on xs")
+    w = ws.p.weights
+    cy = _Centered(ws.space, w, ys)
     dx = encl_x.diameter
-    l1 = 0.5 * dx * mad(ws.space, ws.p, ws.ys)
-    l2 = 0.5 * dx * math.sqrt(variance(ws.space, ws.p, ws.ys))
     return BoundChain(
         equation="2.3",
         functional_label="|chebyshev(p;x,y)|",
-        functional_value=abs(chebyshev(ws)),
+        functional_value=abs(_pair(ws.space, w, _Centered(ws.space, w, ws.xs).rows, cy.rows)),
         links=(
-            BoundLink("0.5*diam(x)*mad(y)", l1, "2.3"),
-            BoundLink("0.5*diam(x)*std(y)", l2, "2.3"),
+            BoundLink("0.5*diam(x)*mad(y)", 0.5 * dx * cy.mad(), "2.3"),
+            BoundLink("0.5*diam(x)*std(y)", 0.5 * dx * math.sqrt(cy.variance()), "2.3"),
         ),
         hypothesis_reports=(report,),
         hypothesis_verified=verified,
@@ -150,7 +150,7 @@ def bound_chebyshev_gruss(
     ys = ws.require_ys()
     _same_space(encl_y.space, ws.space, "y-enclosure")
     base = bound_chebyshev(encl_x, ws, check=check)
-    report_y = check_ball(encl_y, ys)
+    report_y = _dual_report(encl_y, ys, "ball")
     verified = _gate(report_y, check, "ball condition on ys") and base.hypothesis_verified
     final = BoundLink("0.25*diam(x)*diam(y)", 0.25 * encl_x.diameter * encl_y.diameter, "1.4")
     return BoundChain(
@@ -166,16 +166,17 @@ def bound_chebyshev_gruss(
 def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = True) -> BoundChain:
     """Chain "2.8": variance <= diam(x)/2 * mad(x) <= diam(x)^2 / 4."""
     space = encl.space
-    xs = space.matrix(xs)
-    report = check_ball(encl, xs)
+    xs = _checked(space, p, xs)
+    report = _dual_report(encl, xs, "ball")
     verified = _gate(report, check, "ball condition on xs")
+    cx = _Centered(space, p.weights, xs)
     dx = encl.diameter
     return BoundChain(
         equation="2.8",
         functional_label="variance(p;x)",
-        functional_value=variance(space, p, xs),
+        functional_value=cx.variance(),
         links=(
-            BoundLink("0.5*diam(x)*mad(x)", 0.5 * dx * mad(space, p, xs), "2.8"),
+            BoundLink("0.5*diam(x)*mad(x)", 0.5 * dx * cx.mad(), "2.8"),
             BoundLink("0.25*diam(x)^2", 0.25 * dx * dx, "1.5"),
         ),
         hypothesis_reports=(report,),
@@ -194,18 +195,19 @@ def bound_scalar_weighted(
     """
     al = ws.require_alphas()
     _same_space(encl_x.space, ws.space, "enclosure")
-    report = check_ball(encl_x, ws.xs)
+    report = _dual_report(encl_x, ws.xs, "ball")
     verified = _gate(report, check, "ball condition on xs")
     reports = (report,)
+    ca = _CenteredScalars(ws.p.weights, al)
     dx = encl_x.diameter
     links = [
-        BoundLink("0.5*diam(x)*amad(alpha)", 0.5 * dx * alpha_abs_deviation(ws.p, al), "2.9"),
-        BoundLink("0.5*diam(x)*astd(alpha)", 0.5 * dx * math.sqrt(alpha_variance(ws.p, al)), "2.9"),
+        BoundLink("0.5*diam(x)*amad(alpha)", 0.5 * dx * ca.mad(), "2.9"),
+        BoundLink("0.5*diam(x)*astd(alpha)", 0.5 * dx * math.sqrt(ca.variance()), "2.9"),
     ]
     equation = "2.9"
     if disc is not None:
         a, A = disc
-        disc_report = check_scalar_disc(a, A, al)
+        disc_report = _dual_report(_disc(a, A), al[:, None], "disc")
         verified = _gate(disc_report, check, "disc condition on alphas") and verified
         reports = reports + (disc_report,)
         links.append(BoundLink("0.25*|A-a|*diam(x)", 0.25 * abs(complex(A) - complex(a)) * dx, "1.2"))
@@ -213,7 +215,7 @@ def bound_scalar_weighted(
     return BoundChain(
         equation=equation,
         functional_label="||gruss(p;alpha,x)||",
-        functional_value=norm(ws.space, vector_gruss(ws)),
+        functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs).rows)),
         links=tuple(links),
         hypothesis_reports=reports,
         hypothesis_verified=verified,
@@ -221,22 +223,21 @@ def bound_scalar_weighted(
 
 
 def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = True) -> BoundChain:
-    """Chain "R2.7" for scalars: |sum p a^2 - (sum p a)^2| under a disc condition."""
+    """Chain "R2.7" for scalars: |sum p a^2 - (sum p a)^2| = |sum p (a - abar)^2| under a disc condition."""
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
     if alphas.shape[0] != len(p):
         raise DimensionMismatchError(f"{alphas.shape[0]} scalars but {len(p)} weights")
     report = check_scalar_disc(a, A, alphas)
     verified = _gate(report, check, "disc condition on alphas")
-    w = p.weights
-    functional = abs((w * alphas**2).sum() - ((w * alphas).sum()) ** 2)
+    ca = _CenteredScalars(p.weights, alphas)
     width = abs(complex(A) - complex(a))
     return BoundChain(
         equation="R2.7",
         functional_label="|sq_gruss(p;alpha)|",
-        functional_value=float(functional),
+        functional_value=float(abs((ca.w * ca.dev**2).sum())),
         links=(
-            BoundLink("0.5*|A-a|*amad(alpha)", 0.5 * width * alpha_abs_deviation(p, alphas), "R2.7"),
-            BoundLink("0.5*|A-a|*astd(alpha)", 0.5 * width * math.sqrt(alpha_variance(p, alphas)), "R2.7"),
+            BoundLink("0.5*|A-a|*amad(alpha)", 0.5 * width * ca.mad(), "R2.7"),
+            BoundLink("0.5*|A-a|*astd(alpha)", 0.5 * width * math.sqrt(ca.variance()), "R2.7"),
         ),
         hypothesis_reports=(report,),
         hypothesis_verified=verified,
@@ -244,18 +245,21 @@ def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = 
 
 
 def index_variance(p: ProbabilityVector) -> float:
-    """sum_i i^2 p_i - (sum_i i p_i)^2 over 1-based indices."""
+    """sum_i i^2 p_i - (sum_i i p_i)^2 over 1-based indices, as sum_i p_i (i - ibar)^2."""
     i = np.arange(1, len(p) + 1, dtype=np.float64)
-    w = p.weights
-    return float((i * i * w).sum() - ((i * w).sum()) ** 2)
+    d = i - p.weights @ i
+    return float(p.weights @ (d * d))
 
 
 def pair_index_coefficient(p: ProbabilityVector) -> float:
-    """sum_{j<i} p_i p_j (i - j) over 1-based indices."""
-    i = np.arange(1, len(p) + 1, dtype=np.float64)
-    gaps = i[:, None] - i[None, :]
+    """sum_{j<i} p_i p_j (i - j) over 1-based indices.
+
+    The inner sum sum_{j<i} p_j (i - j) equals sum_{k<i} P_k for the prefix
+    sums P of p, so the coefficient is p_i weighted against the exclusive
+    prefix sums of P: O(n) memory and time, every term nonnegative.
+    """
     w = p.weights
-    return float((np.outer(w, w) * np.where(gaps > 0, gaps, 0.0)).sum())
+    return float(w[1:] @ np.cumsum(np.cumsum(w))[:-1])
 
 
 def half_complementary_weight(p: ProbabilityVector) -> float:
@@ -337,16 +341,14 @@ def bound_forward_difference_self(
     space: Space, p: ProbabilityVector, xs, holder_p: float = 2.0
 ) -> BoundChain:
     """Parallel bounds "1.8" on the variance from forward differences of xs."""
-    xs = space.matrix(xs)
-    if xs.shape[0] != len(p):
-        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
+    xs = _checked(space, p, xs)
     if xs.shape[0] < 2:
         raise DegenerateInputError("forward-difference bounds need n >= 2")
     cx = row_norms(space, forward_differences(xs))
     return BoundChain(
         equation="1.8",
         functional_label="variance(p;x)",
-        functional_value=variance(space, p, xs),
+        functional_value=_Centered(space, p.weights, xs).variance(),
         links=_difference_links(cx, cx, p, holder_p, squared_label=True),
         ordered=False,
     )

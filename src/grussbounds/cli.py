@@ -102,11 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(path: str) -> tuple[Instance, str]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InstanceFormatError(f"cannot read {path}: {exc}") from None
+    text = instancefile._read(path)
     return instancefile.loads(text), instancefile.sha256_hex(text)
 
 

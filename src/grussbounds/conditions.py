@@ -27,7 +27,7 @@ from .errors import (
     DimensionMismatchError,
     EnclosureFitError,
 )
-from .space import Space, norm, row_norms
+from .space import COMPLEX, Space, norm, pairing, row_norms
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -125,21 +125,14 @@ class ConditionReport:
         return int(self.slacks.size)
 
 
-def _dual_report(space: Space, lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, kind: str) -> ConditionReport:
-    center = (lo + hi) / 2.0
-    diameter = norm(space, hi - lo)
-    radius = diameter / 2.0
+def _dual_report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
+    """Both slacks of every row of validated ``xs``; ``kind`` picks the verdict form."""
+    space = encl.space
+    box_slacks = np.real(pairing(space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
+    ball_slacks = encl.radius - row_norms(space, xs - encl.center)
 
-    a = hi[None, :] - xs
-    b = xs - lo[None, :]
-    prod = a * np.conj(b) if space.is_complex else a * b
-    if space.metric is not None:
-        prod = prod * space.metric
-    box_slacks = np.real(prod.sum(axis=1)).astype(np.float64)
-    ball_slacks = radius - row_norms(space, xs - center[None, :])
-
-    box_scale = diameter * diameter
-    ball_scale = diameter
+    box_scale = encl.diameter * encl.diameter
+    ball_scale = encl.diameter
     box_verdicts = box_slacks >= -COND_TOL * box_scale
     ball_verdicts = ball_slacks >= -COND_TOL * ball_scale
     primary = box_verdicts if kind == "box" else ball_verdicts
@@ -157,14 +150,23 @@ def _dual_report(space: Space, lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, k
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
     """Check Re<hi - x_i, x_i - lo> >= 0 for every point."""
-    xs = encl.space.matrix(xs)
-    return _dual_report(encl.space, encl.lo, encl.hi, xs, "box")
+    return _dual_report(encl, encl.space.matrix(xs), "box")
 
 
 def check_ball(encl: Enclosure, xs) -> ConditionReport:
     """Check ||x_i - center|| <= radius for every point."""
-    xs = encl.space.matrix(xs)
-    return _dual_report(encl.space, encl.lo, encl.hi, xs, "ball")
+    return _dual_report(encl, encl.space.matrix(xs), "ball")
+
+
+def _disc(a, A) -> Enclosure:
+    """The scalar disc with antipodes a, A as an enclosure on the complex line."""
+    a = complex(a)
+    A = complex(A)
+    if not (np.isfinite(a.real) and np.isfinite(a.imag) and np.isfinite(A.real) and np.isfinite(A.imag)):
+        raise ContractViolationError("disc endpoints must be finite")
+    if a == A:
+        raise DegenerateInputError("degenerate disc: a == A")
+    return Enclosure(Space(1, COMPLEX), [a], [A])
 
 
 def check_scalar_disc(a, A, alphas) -> ConditionReport:
@@ -172,26 +174,13 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
 
     For real ``a < A`` this is membership in the interval [a, A].
     """
-    a = complex(a)
-    A = complex(A)
-    if not (np.isfinite(a.real) and np.isfinite(a.imag) and np.isfinite(A.real) and np.isfinite(A.imag)):
-        raise ContractViolationError("disc endpoints must be finite")
-    if a == A:
-        raise DegenerateInputError("degenerate disc: a == A")
+    disc = _disc(a, A)
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
     if alphas.ndim != 1 or alphas.size < 1:
         raise DimensionMismatchError("alphas must be a nonempty flat array of scalars")
     if not np.all(np.isfinite(alphas)):
         raise ContractViolationError("alphas must be finite")
-
-    disc_space = Space(1, "complex")
-    return _dual_report(
-        disc_space,
-        np.array([a], dtype=np.complex128),
-        np.array([A], dtype=np.complex128),
-        alphas[:, None],
-        "disc",
-    )
+    return _dual_report(disc, alphas[:, None], "disc")
 
 
 def fit_enclosure(space: Space, xs) -> Enclosure:
@@ -206,7 +195,10 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     the rounding of the antipode construction; a required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``.
     """
-    xs = space.matrix(xs)
+    return _fit(space, space.matrix(xs))
+
+
+def _fit(space: Space, xs: np.ndarray) -> Enclosure:
     d0 = row_norms(space, xs - xs[0][None, :])
     if float(d0.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
@@ -240,7 +232,7 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         encl = encl.inflated(factor)
-    report = check_ball(encl, xs)
+    report = _dual_report(encl, xs, "ball")
     if not report.holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
     return encl

@@ -42,9 +42,8 @@ class SoundnessError(GrussBoundsError):
     """A certified inequality was numerically violated.
 
     Raised by the sharpness search when a candidate produces a ratio above
-    1 + 1e-9 (which would mean either the inequality is false or the
-    implementation is buggy) and by the variance clamp when cancellation
-    exceeds its tolerance. Carries the offending input as ``witness``.
+    1 + 1e-9, which would mean either the inequality is false or the
+    implementation is buggy. Carries the offending input as ``witness``.
     """
 
     def __init__(self, message: str, witness=None):

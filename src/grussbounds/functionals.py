@@ -1,11 +1,13 @@
 """Weighted-sequence functionals and the exact re-centering identities.
 
-The quantities every bound chain dominates:
+The quantities every bound chain dominates, each a weighted sum over the
+centered rows x_i - xbar (xbar = sum_j p_j x_j), so no raw second-moment
+difference cancels:
 
-* ``chebyshev``     sum_i p_i <x_i, y_i> - <sum_i p_i x_i, sum_i p_i y_i>
-* ``vector_gruss``  sum_i p_i a_i x_i - (sum_i p_i a_i)(sum_i p_i x_i)
-* ``variance``      sum_i p_i ||x_i||^2 - ||sum_i p_i x_i||^2
-* ``mad``           sum_i p_i ||x_i - sum_j p_j x_j||
+* ``chebyshev``     sum_i p_i <x_i - xbar, y_i - ybar> = sum_i p_i <x_i, y_i> - <xbar, ybar>
+* ``vector_gruss``  sum_i p_i (a_i - abar)(x_i - xbar) = sum_i p_i a_i x_i - abar xbar
+* ``variance``      sum_i p_i ||x_i - xbar||^2  (nonnegative by construction)
+* ``mad``           sum_i p_i ||x_i - xbar||
 
 plus residuals of the two re-centering identities underlying the chains:
 the Chebyshev functional equals sum_i p_i <x_i - c, y_i - ybar> and the
@@ -16,15 +18,20 @@ fixed vector c (the mechanism is sum_i p_i (y_i - ybar) = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .conditions import Enclosure
-from .errors import ContractViolationError, DimensionMismatchError, SoundnessError
-from .space import ProbabilityVector, Space, inner, norm, row_norms, weighted_mean
+from .errors import ContractViolationError, DimensionMismatchError
+from .space import ProbabilityVector, Space, norm, pairing, row_norms
 
-#: Negative variance beyond this (relative) tolerance signals inconsistent input.
-VARIANCE_CLAMP_TOL = 1e-12
+
+def _checked(space: Space, p: ProbabilityVector, xs) -> np.ndarray:
+    xs = space.matrix(xs)
+    if xs.shape[0] != len(p):
+        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
+    return xs
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +49,7 @@ class WeightedSequence:
     alphas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        xs = self.space.matrix(self.xs)
-        if xs.shape[0] != len(self.p):
-            raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(self.p)} weights")
+        xs = _checked(self.space, self.p, self.xs)
         object.__setattr__(self, "xs", xs)
         if self.ys is not None:
             ys = self.space.matrix(self.ys)
@@ -75,75 +80,86 @@ class WeightedSequence:
         return self.alphas
 
 
-def _pointwise_inners(space: Space, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    prod = xs * np.conj(ys) if space.is_complex else xs * ys
-    if space.metric is not None:
-        prod = prod * space.metric
-    return prod.sum(axis=1)
+class _Centered:
+    """Centered view of one validated sequence, built once per chain.
+
+    Holds the weighted mean, the centered rows and their squared norms.
+    """
+
+    def __init__(self, space: Space, w: np.ndarray, rows: np.ndarray):
+        self.space = space
+        self.w = w
+        self.mean = w @ rows
+        self.rows = rows - self.mean
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        return np.real(pairing(self.space, self.rows, self.rows))
+
+    def mad(self) -> float:
+        return float(self.w @ np.sqrt(self.sq))
+
+    def variance(self) -> float:
+        return float(self.w @ self.sq)
+
+
+class _CenteredScalars:
+    """Scalars a_i - abar, with the same two reductions; like ``_pair`` and ``_gruss`` it sums
+    as (w * terms).sum(), the rounding the sharpness search's trajectories follow."""
+
+    def __init__(self, w: np.ndarray, alphas: np.ndarray):
+        self.w = w
+        self.dev = alphas - (w * alphas).sum()
+
+    def mad(self) -> float:
+        return float((self.w * np.abs(self.dev)).sum())
+
+    def variance(self) -> float:
+        return float((self.w * np.abs(self.dev) ** 2).sum())
+
+
+def _pair(space: Space, w: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> float | complex:
+    total = (w * pairing(space, cx, cy)).sum()
+    return complex(total) if space.is_complex else float(np.real(total))
+
+
+def _gruss(ca: _CenteredScalars, cx: np.ndarray) -> np.ndarray:
+    return ((ca.w * ca.dev)[:, None] * cx).sum(axis=0)
 
 
 def chebyshev(ws: WeightedSequence) -> float | complex:
-    """sum_i p_i <x_i, y_i> - <mean_x, mean_y> (complex on complex spaces)."""
-    ys = ws.require_ys()
-    w = ws.p.weights
-    per = (w * _pointwise_inners(ws.space, ws.xs, ys)).sum()
-    mean_term = inner(ws.space, weighted_mean(ws.p, ws.xs), weighted_mean(ws.p, ys))
-    total = per - mean_term
-    return complex(total) if ws.space.is_complex else float(np.real(total))
+    """sum_i p_i <x_i - mean_x, y_i - mean_y> (complex on complex spaces)."""
+    return chebyshev_centered(ws)
 
 
 def vector_gruss(ws: WeightedSequence) -> np.ndarray:
-    """sum_i p_i a_i x_i - (sum_i p_i a_i)(sum_i p_i x_i) as a vector."""
-    al = ws.require_alphas()
-    w = ws.p.weights
-    weighted = (w * al)[:, None] * ws.xs
-    return weighted.sum(axis=0) - (w * al).sum() * (w @ ws.xs)
+    """sum_i p_i (a_i - abar)(x_i - mean_x) as a vector."""
+    return vector_gruss_centered(ws)
 
 
 def chebyshev_centered(ws: WeightedSequence, center=None) -> float | complex:
-    """sum_i p_i <x_i - c, y_i - mean_y>; equals ``chebyshev`` for any c.
-
-    Defaults c to mean_x, which makes this the cancellation-free evaluation
-    of the same quantity (all terms are already centered).
-    """
+    """sum_i p_i <x_i - c, y_i - mean_y>; equals ``chebyshev`` for any c (default mean_x)."""
     ys = ws.require_ys()
-    c = weighted_mean(ws.p, ws.xs) if center is None else ws.space.vector(center)
-    mean_y = weighted_mean(ws.p, ys)
-    total = (ws.p.weights * _pointwise_inners(ws.space, ws.xs - c[None, :], ys - mean_y[None, :])).sum()
-    return complex(total) if ws.space.is_complex else float(np.real(total))
+    w = ws.p.weights
+    cx = _Centered(ws.space, w, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
+    return _pair(ws.space, w, cx, _Centered(ws.space, w, ys).rows)
 
 
 def vector_gruss_centered(ws: WeightedSequence, center=None) -> np.ndarray:
-    """sum_i p_i (a_i - abar)(x_i - c); equals ``vector_gruss`` for any c."""
-    al = ws.require_alphas()
-    c = weighted_mean(ws.p, ws.xs) if center is None else ws.space.vector(center)
-    abar = (ws.p.weights * al).sum()
-    return ((ws.p.weights * (al - abar))[:, None] * (ws.xs - c[None, :])).sum(axis=0)
+    """sum_i p_i (a_i - abar)(x_i - c); equals ``vector_gruss`` for any c (default mean_x)."""
+    ca = _CenteredScalars(ws.p.weights, ws.require_alphas())
+    cx = _Centered(ws.space, ws.p.weights, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
+    return _gruss(ca, cx)
 
 
 def variance(space: Space, p: ProbabilityVector, xs) -> float:
-    """sum_i p_i ||x_i||^2 - ||mean||^2, clamped at zero within rounding."""
-    xs = space.matrix(xs)
-    if xs.shape[0] != len(p):
-        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
-    second = float(p.weights @ (row_norms(space, xs) ** 2))
-    mean = weighted_mean(p, xs)
-    raw = second - float(np.real(inner(space, mean, mean)))
-    if raw < 0.0:
-        scale = max(1.0, second)
-        if raw < -VARIANCE_CLAMP_TOL * scale:
-            raise SoundnessError(f"variance {raw!r} negative beyond rounding tolerance", witness=xs)
-        return 0.0
-    return raw
+    """sum_i p_i ||x_i - mean||^2."""
+    return _Centered(space, p.weights, _checked(space, p, xs)).variance()
 
 
 def mad(space: Space, p: ProbabilityVector, xs) -> float:
     """Mean absolute deviation sum_i p_i ||x_i - mean||."""
-    xs = space.matrix(xs)
-    if xs.shape[0] != len(p):
-        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
-    mean = weighted_mean(p, xs)
-    return float(p.weights @ row_norms(space, xs - mean[None, :]))
+    return _Centered(space, p.weights, _checked(space, p, xs)).mad()
 
 
 def identity_residual_24(encl: Enclosure, ws: WeightedSequence, center=None) -> float:
@@ -175,17 +191,9 @@ def gruss_scale(ws: WeightedSequence) -> float:
 
 def alpha_abs_deviation(p: ProbabilityVector, alphas: np.ndarray) -> float:
     """sum_i p_i |a_i - abar|."""
-    abar = (p.weights * alphas).sum()
-    return float((p.weights * np.abs(alphas - abar)).sum())
+    return _CenteredScalars(p.weights, np.asarray(alphas)).mad()
 
 
 def alpha_variance(p: ProbabilityVector, alphas: np.ndarray) -> float:
-    """sum_i p_i |a_i|^2 - |abar|^2, clamped at zero within rounding."""
-    second = float((p.weights * np.abs(alphas) ** 2).sum())
-    raw = second - abs((p.weights * alphas).sum()) ** 2
-    if raw < 0.0:
-        scale = max(1.0, second)
-        if raw < -VARIANCE_CLAMP_TOL * scale:
-            raise SoundnessError(f"scalar variance {raw!r} negative beyond rounding tolerance", witness=alphas)
-        return 0.0
-    return raw
+    """sum_i p_i |a_i - abar|^2."""
+    return _CenteredScalars(p.weights, np.asarray(alphas)).variance()

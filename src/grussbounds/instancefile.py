@@ -250,9 +250,17 @@ def loads(text: str) -> Instance:
     return parse_document(doc)
 
 
+def _read(path) -> str:
+    """The UTF-8 text of ``path``; an unreadable or undecodable file is a format error."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFormatError(f"cannot read {path}: {exc}") from None
+
+
 def load(path) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    return loads(_read(path))
 
 
 def _encode_scalar(space: Space, value):

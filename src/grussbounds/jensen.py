@@ -24,11 +24,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundChain, BoundLink
-from .conditions import Enclosure, check_ball, fit_enclosure
+from .bounds import BoundChain, BoundLink, _same_space
+from .conditions import Enclosure, _dual_report, _fit
 from .errors import ContractViolationError, DegenerateInputError, HypothesisError
-from .functionals import WeightedSequence, chebyshev, mad, variance
-from .space import ProbabilityVector, Space, inner, weighted_mean
+from .functionals import _Centered, _pair
+from .space import ProbabilityVector, Space, inner
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,34 +177,46 @@ def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5)
     return worst
 
 
-def _normalized(space: Space, q, zs) -> tuple[ProbabilityVector, np.ndarray]:
+def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
     _require_real(space)
     zs = space.matrix(zs)
     p = ProbabilityVector.from_nonnegative(q)
     if len(p) != zs.shape[0]:
         raise ContractViolationError(f"{zs.shape[0]} points but {len(p)} weights")
-    return p, zs
+    return p.weights, zs
+
+
+def _gap(oracle: ConvexOracle, w: np.ndarray, zs: np.ndarray, mean: np.ndarray) -> float:
+    return float(w @ np.array([oracle.eval(z) for z in zs]) - oracle.eval(mean))
 
 
 def jensen_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
     """sum p_i F(z_i) - F(sum p_i z_i) with p = q / sum(q)."""
-    p, zs = _normalized(space, q, zs)
-    values = np.array([oracle.eval(z) for z in zs])
-    return float(p.weights @ values - oracle.eval(weighted_mean(p, zs)))
+    w, zs = _normalized(space, q, zs)
+    return _gap(oracle, w, zs, w @ zs)
 
 
 def pairing_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
     """sum p_i <grad F(z_i), z_i> - <mean grad, mean z> (the gradient/point pairing)."""
-    p, zs = _normalized(space, q, zs)
-    grads = np.array([oracle.grad(z) for z in zs], dtype=np.float64)
-    return float(np.real(chebyshev(WeightedSequence(space, p, xs=grads, ys=zs))))
+    w, zs = _normalized(space, q, zs)
+    grads = space.matrix([oracle.grad(z) for z in zs])
+    return _pair(space, w, _Centered(space, w, grads).rows, _Centered(space, w, zs).rows)
 
 
-def _fit_or_degenerate(space: Space, pts: np.ndarray) -> Enclosure:
-    try:
-        return fit_enclosure(space, pts)
-    except DegenerateInputError:
-        return Enclosure(space, pts[0], pts[0], allow_degenerate=True)
+def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str):
+    """``encl`` (fitted when None) and its ball report on ``pts``; a failure raises."""
+    if encl is None:
+        try:
+            encl = _fit(space, pts)
+        except DegenerateInputError:
+            encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
+    else:
+        _same_space(encl.space, space, what)
+    report = _dual_report(encl, pts, "ball")
+    if not report.holds:
+        i = int(report.failing_indices()[0])
+        raise HypothesisError(f"{what} fails the ball condition at index {i}", report=report)
+    return encl, report
 
 
 def reverse_jensen(
@@ -221,31 +233,22 @@ def reverse_jensen(
     {grad F(z_i)} (mandatory for the chain; a one-point gradient set yields
     the degenerate all-zero chain), the z-enclosure from {z_i} (enables the
     final quarter link and the improvement ratio). Supplied enclosures are
-    verified and a failure raises :class:`HypothesisError`.
+    verified and a failure raises :class:`HypothesisError`. Each gradient is
+    evaluated once.
     """
-    p, zs = _normalized(space, q, zs)
-    gap = jensen_gap(space, oracle, q, zs)
-    pgap = pairing_gap(space, oracle, q, zs)
-
-    grads = np.array([oracle.grad(z) for z in zs], dtype=np.float64)
-    if grad_encl is None:
-        grad_encl = _fit_or_degenerate(space, grads)
-    report_g = check_ball(grad_encl, grads)
-    if not report_g.holds:
-        i = int(report_g.failing_indices()[0])
-        raise HypothesisError(f"gradient enclosure fails the ball condition at index {i}", report=report_g)
-    if z_encl is None:
-        z_encl = _fit_or_degenerate(space, zs)
-    report_z = check_ball(z_encl, zs)
-    if not report_z.holds:
-        i = int(report_z.failing_indices()[0])
-        raise HypothesisError(f"z-enclosure fails the ball condition at index {i}", report=report_z)
+    w, zs = _normalized(space, q, zs)
+    cz = _Centered(space, w, zs)
+    gap = _gap(oracle, w, zs, cz.mean)
+    grads = space.matrix([oracle.grad(z) for z in zs])
+    pgap = _pair(space, w, _Centered(space, w, grads).rows, cz.rows)
+    grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure")
+    z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure")
 
     dg = grad_encl.diameter
     quarter = 0.25 * dg * z_encl.diameter
     links = (
-        BoundLink("0.5*diam(grad)*mad(z)", 0.5 * dg * mad(space, p, zs), "3.4"),
-        BoundLink("0.5*diam(grad)*std(z)", 0.5 * dg * math.sqrt(variance(space, p, zs)), "3.4"),
+        BoundLink("0.5*diam(grad)*mad(z)", 0.5 * dg * cz.mad(), "3.4"),
+        BoundLink("0.5*diam(grad)*std(z)", 0.5 * dg * math.sqrt(cz.variance()), "3.4"),
         BoundLink("0.25*diam(grad)*diam(z)", quarter, "3.9"),
     )
     improvement = links[0].value / quarter if quarter > 0.0 else None

@@ -28,7 +28,7 @@ import numpy as np
 from .bounds import CHAINS, BoundChain, bound_chebyshev
 from .conditions import Enclosure
 from .errors import ContractViolationError, SoundnessError
-from .functionals import WeightedSequence, chebyshev_centered, vector_gruss_centered
+from .functionals import WeightedSequence, _Centered, _CenteredScalars, _gruss, _pair
 from .instancefile import instance_document
 from .space import ProbabilityVector, Space, norm
 
@@ -201,27 +201,14 @@ class _Problem:
         # hold for the computed arrays themselves (numerator and denominator
         # share the identical centered rows), so rounding alone can never
         # push the ratio past 1
-        p = self._weights(cand)
-        c = self.encl_x.center
+        w = self._weights(cand).weights
+        cx = cand["xs"] - self.encl_x.center
         if "alphas" in self.vector_blocks:
-            ws = WeightedSequence(self.space, p, xs=cand["xs"], alphas=cand["alphas"])
-            return norm(self.space, vector_gruss_centered(ws, center=c))
-        ws = WeightedSequence(self.space, p, xs=cand["xs"], ys=cand["ys"])
-        return abs(chebyshev_centered(ws, center=c))
-
-    def _stable_denominator(self, cand: dict, chain: BoundChain) -> float:
-        if self.target != "thm23_second":
-            return chain.links[self.info.link_index].value
-        # displacement-form standard deviation instead of the second-moment
-        # difference, for the same cancellation reason as the numerator
-        p = self._weights(cand)
-        ys = np.asarray(cand["ys"])
-        dev = np.linalg.norm(ys - p.weights @ ys, axis=1)
-        return 0.5 * self.encl_x.diameter * float(np.sqrt(p.weights @ (dev * dev)))
+            return norm(self.space, _gruss(_CenteredScalars(w, cand["alphas"]), cx))
+        return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"]).rows))
 
     def ratio(self, cand: dict) -> float:
-        chain = self.chain(cand)
-        denom = self._stable_denominator(cand, chain)
+        denom = self.chain(cand).links[self.info.link_index].value
         value = self._stable_functional(cand) / denom if denom > 0.0 else 0.0
         if value > 1.0 + RATIO_GUARD:
             raise SoundnessError(

@@ -175,37 +175,41 @@ def _conform(space: Space, u) -> np.ndarray:
     return u
 
 
+def pairing(space: Space, a, b):
+    """sum_k metric_k * a_k * conj(b_k) over the last axis of conforming arrays.
+
+    Two vectors give a scalar; ``(n, dim)`` rows give one value per row.
+    """
+    if space.is_complex:
+        # einsum skips the complex (n, dim) product; real sums keep the
+        # multiply-then-sum rounding that the sharpness search's results follow
+        b = np.conj(b) if space.metric is None else np.conj(b) * space.metric
+        return np.einsum("...k,...k->...", a, b)
+    prod = a * b
+    if space.metric is not None:
+        prod = prod * space.metric
+    return prod.sum(axis=-1)
+
+
 def inner(space: Space, u, v) -> float | complex:
     """Inner product sum_k metric_k * u_k * conj(v_k).
 
     Linear in ``u``, conjugate-linear in ``v``; returns a float on real
     spaces and a complex number on complex ones.
     """
-    u = _conform(space, u)
-    v = _conform(space, v)
-    prod = u * np.conj(v) if space.is_complex else u * v
-    if space.metric is not None:
-        prod = prod * space.metric
-    total = prod.sum()
+    total = pairing(space, _conform(space, u), _conform(space, v))
     return complex(total) if space.is_complex else float(total)
 
 
 def norm(space: Space, u) -> float:
     """Induced norm sqrt(Re inner(u, u))."""
-    u = _conform(space, u)
-    sq = (u.real * u.real + u.imag * u.imag) if space.is_complex else u * u
-    if space.metric is not None:
-        sq = sq * space.metric
-    return float(np.sqrt(max(float(sq.sum()), 0.0)))
+    return float(row_norms(space, _conform(space, u)))
 
 
 def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
-    """Norms of each row of an (n, dim) array, under the space metric."""
+    """Norms of each row of an (n, dim) array (or of one vector), under the space metric."""
     rows = np.asarray(rows, dtype=space.dtype)
-    sq = (rows.real * rows.real + rows.imag * rows.imag) if space.is_complex else rows * rows
-    if space.metric is not None:
-        sq = sq * space.metric
-    return np.sqrt(np.maximum(sq.sum(axis=1), 0.0))
+    return np.sqrt(np.real(pairing(space, rows, rows)))
 
 
 def weighted_mean(p: ProbabilityVector, xs) -> np.ndarray:

@@ -52,3 +52,9 @@ def brute_pair_index_sq(p):
     """sum_{j<i} p_i p_j (i - j)^2; equals index_variance(p) for every p."""
     n = len(p)
     return math.fsum(float(p[i]) * float(p[j]) * (i - j) ** 2 for i in range(n) for j in range(i))
+
+
+def brute_pair_index(p):
+    """sum_{j<i} p_i p_j (i - j), term by term."""
+    n = len(p)
+    return math.fsum(float(p[i]) * float(p[j]) * (i - j) for i in range(n) for j in range(i))

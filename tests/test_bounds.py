@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from brute import brute_pair_index_sq
+from brute import brute_pair_index, brute_pair_index_sq
 from conftest import (
     random_disc,
     random_enclosure,
@@ -32,6 +33,7 @@ from grussbounds import (
     half_complementary_weight,
     index_variance,
     pair_index_coefficient,
+    alpha_variance,
     variance,
 )
 from grussbounds.space import COMPLEX, REAL
@@ -257,6 +259,23 @@ class TestForwardDifference:
             assert abs(pair_index_coefficient(p) - c2) <= 1e-12 * c2
             assert abs(half_complementary_weight(p) - c3) <= 1e-12 * c3
 
+    def test_pair_index_matches_brute_force(self, rng):
+        for n in range(1, 41):
+            p = random_prob(rng, n)
+            expected = brute_pair_index(p.weights)
+            assert abs(pair_index_coefficient(p) - expected) <= 1e-12 * expected
+
+    def test_pair_index_linear_memory(self):
+        # the quadratic form builds n x n float arrays: over 200 MB at n = 3000
+        p = ProbabilityVector.uniform(3000)
+        tracemalloc.start()
+        try:
+            pair_index_coefficient(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
     def test_index_variance_identity(self, rng):
         # sum i^2 p_i - (sum i p_i)^2 == sum_{j<i} p_i p_j (i-j)^2
         for _ in range(200):
@@ -348,3 +367,72 @@ class TestFittedEnclosureChains:
             chain = bound_chebyshev(encl, ws)
             assert chain.hypothesis_verified
             assert chain.holds(), chain.values()
+
+
+class TestLargeOffset:
+    """Unit spread at offset 1e8: raw second-moment differences cancel to 0 here."""
+
+    lo, hi = 1e8, 1e8 + 1.0
+
+    def expected(self):
+        # two points with weights 1/2: variance = p1 p2 (x2 - x1)^2
+        return 0.5 * 0.5 * (self.hi - self.lo) ** 2
+
+    def test_variance(self):
+        v = variance(Space(1), ProbabilityVector([0.5, 0.5]), np.array([[self.lo], [self.hi]]))
+        assert v == pytest.approx(self.expected(), rel=1e-12)
+
+    def test_alpha_variance(self):
+        v = alpha_variance(ProbabilityVector([0.5, 0.5]), np.array([self.lo, self.hi]))
+        assert v == pytest.approx(self.expected(), rel=1e-12)
+
+    def test_index_variance(self):
+        # the index variance is the variance of the indices: mass on n-1 and n
+        n = 10**6
+        w = np.zeros(n)
+        w[-2:] = (0.3, 0.7)
+        assert index_variance(ProbabilityVector(w)) == pytest.approx(0.3 * 0.7, rel=1e-12)
+
+    def test_chebyshev_chain(self):
+        sp = Space(1)
+        pts = np.array([[self.lo], [self.hi]])
+        ws = WeightedSequence(sp, ProbabilityVector([0.5, 0.5]), xs=pts, ys=pts)
+        chain = bound_chebyshev(Enclosure(sp, [self.lo], [self.hi]), ws)
+        assert chain.values() == pytest.approx((self.expected(),) * 3, rel=1e-12)
+        assert chain.holds()
+
+
+class TestOverflow:
+    def test_non_finite_chain_is_a_contract_violation(self):
+        sp = Space(2)
+        pts = np.array([[1e200, 0.0], [0.0, 1e200]])
+        ws = WeightedSequence(sp, ProbabilityVector([0.5, 0.5]), xs=pts, ys=pts)
+        with np.errstate(over="ignore"), pytest.raises(ContractViolationError, match="overflow"):
+            bound_forward_difference(ws)
+
+
+class TestValidateOnce:
+    @pytest.fixture
+    def matrix_calls(self, monkeypatch):
+        calls = []
+        original = Space.matrix
+
+        def counting(space, rows):
+            calls.append(space)
+            return original(space, rows)
+
+        monkeypatch.setattr(Space, "matrix", counting)
+        return calls
+
+    def test_builders_reuse_validated_arrays(self, rng, matrix_calls):
+        sp = Space(2)
+        encl = Enclosure(sp, [-1.0, 0.0], [1.0, 0.0])
+        xs = sample_in_ball(rng, sp, encl, 6)
+        ws = WeightedSequence(sp, random_prob(rng, 6), xs=xs, ys=xs[::-1])
+        matrix_calls.clear()
+        bound_chebyshev(encl, ws)
+        assert len(matrix_calls) == 0
+        bound_chebyshev_gruss(encl, encl, ws)
+        assert len(matrix_calls) == 0
+        bound_variance(encl, ws.p, xs)
+        assert len(matrix_calls) == 1

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -297,6 +298,43 @@ class TestMalformedInput:
         code, _, err = run(capsys, "check", str(path))
         assert code == 2
         assert "$.space.metric[0]" in err
+
+
+class TestExtremeMagnitudes:
+    def test_large_offset_does_not_cancel(self, capsys, tmp_path):
+        lo, hi = 1e8, 1e8 + 1.0
+        doc = {
+            "space": {"dim": 1},
+            "weights": [0.5, 0.5],
+            "sequences": {"xs": [[lo], [hi]], "ys": [[lo], [hi]]},
+            "enclosures": {"x_lo": [lo], "x_hi": [hi]},
+        }
+        path = tmp_path / "offset.json"
+        path.write_text(json.dumps(doc))
+        expected = 0.5 * 0.5 * (hi - lo) ** 2  # p1 p2 (x2 - x1)^2 on two points
+        code, out, _ = run(capsys, "bound", str(path), "--which", "2.3")
+        assert code == 0
+        assert "ordering: holds" in out
+        functional = re.findall(r"\|chebyshev\(p;x,y\)\|\s+= (\S+)", out)
+        links = re.findall(r"\[2\.3\]\s+(\S+)", out)
+        assert len(functional) == 1 and len(links) == 2
+        for value in functional + links:
+            assert float(value) == pytest.approx(expected, rel=1e-12)
+        code, out, _ = run(capsys, "bound", str(path), "--which", "2.8")
+        assert code == 0
+        (variance,) = re.findall(r"variance\(p;x\)\s+= (\S+)", out)
+        assert float(variance) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_overflow_is_an_input_error(self, capsys, tmp_path, as_json):
+        pts = [[1e200, 0.0], [0.0, 1e200]]
+        doc = {"space": {"dim": 2}, "weights": [0.5, 0.5], "sequences": {"xs": pts, "ys": pts}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(over="ignore"):
+            code, out, err = run(capsys, "bound", str(path), "--which", "1.6", *(["--json"] if as_json else []))
+        assert code == 2 and out == ""
+        assert err.startswith("error: chain 1.6:") and "overflow" in err
 
 
 class TestJensen:

@@ -9,6 +9,7 @@ from grussbounds import Enclosure, InstanceFormatError, ProbabilityVector, Space
 from grussbounds.instancefile import (
     dumps,
     instance_document,
+    load,
     loads,
     parse_document,
     sha256_hex,
@@ -186,3 +187,12 @@ def test_sha256_stable():
 def test_parse_document_requires_mapping():
     with pytest.raises(InstanceFormatError):
         parse_document([1, 2, 3])
+
+
+def test_load_maps_unreadable_files(tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(InstanceFormatError, match="cannot read"):
+        load(path)
+    with pytest.raises(InstanceFormatError, match="cannot read"):
+        load(tmp_path / "missing.json")

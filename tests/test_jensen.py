@@ -218,6 +218,27 @@ class TestReverseJensen:
         with pytest.raises(HypothesisError):
             reverse_jensen(space, oracle, [0.5, 0.5], np.array([[0.0], [1.0]]), z_encl=bad)
 
+    def test_each_gradient_evaluated_once(self, rng):
+        space = Space(3)
+        base = get_oracle("log_sum_exp", space)
+        calls = {"eval": 0, "grad": 0}
+
+        def value(z):
+            calls["eval"] += 1
+            return base.eval(z)
+
+        def gradient(z):
+            calls["grad"] += 1
+            return base.grad(z)
+
+        n = 7
+        zs = np.array([random_vector(rng, space) for _ in range(n)])
+        q = rng.exponential(size=n)
+        report = reverse_jensen(space, ConvexOracle("counted", value, gradient), q, zs)
+        assert calls == {"eval": n + 1, "grad": n}
+        assert report.gap == jensen_gap(space, base, q, zs)
+        assert report.pairing_gap == pairing_gap(space, base, q, zs)
+
     def test_squared_norm_euler_identity(self, rng):
         # for F = ||.||^2 the pairing gap is exactly twice the Jensen gap
         for _ in range(100):

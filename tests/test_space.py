@@ -14,7 +14,9 @@ from grussbounds import (
     norm,
     weighted_mean,
 )
-from grussbounds.space import COMPLEX, REAL
+from brute import brute_inner
+from conftest import random_space, random_vector
+from grussbounds.space import COMPLEX, REAL, pairing
 
 
 class TestSpace:
@@ -74,6 +76,26 @@ class TestInner:
         sp = Space(2)
         with pytest.raises(DimensionMismatchError):
             inner(sp, [1.0, 0.0], [1.0])
+
+
+class TestPairing:
+    def test_rows_match_brute_force(self, rng):
+        for _ in range(100):
+            space = random_space(rng, max_dim=5, metric_prob=0.5)
+            n = int(rng.integers(1, 6))
+            a = np.array([random_vector(rng, space) for _ in range(n)])
+            b = np.array([random_vector(rng, space) for _ in range(n)])
+            per_row = pairing(space, a, b)
+            assert per_row.shape == (n,)
+            for i in range(n):
+                expected = brute_inner(a[i], b[i], space.metric)
+                assert per_row[i] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    def test_vectors_give_the_inner_product(self, rng):
+        space = Space(2, COMPLEX, metric=[0.5, 3.0])
+        u, v = random_vector(rng, space), random_vector(rng, space)
+        assert pairing(space, u, v) == inner(space, u, v)
+        assert np.real(pairing(space, u, u)) == pytest.approx(norm(space, u) ** 2, rel=1e-15)
 
 
 class TestNorm:
