@@ -198,6 +198,7 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     return _fit(space, space.matrix(xs))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite radius
 def _fit(space: Space, xs: np.ndarray) -> Enclosure:
     d0 = row_norms(space, xs - xs[0][None, :])
     if float(d0.max()) == 0.0:
@@ -212,12 +213,14 @@ def _fit(space: Space, xs: np.ndarray) -> Enclosure:
         dists = row_norms(space, xs - center[None, :])
         far = int(np.argmax(dists))
         dmax = float(dists[far])
-        if dmax <= radius:
+        if not dmax > radius:  # NaN after an overflow stops too
             break
         new_radius = (radius + dmax) / 2.0
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius
     radius = float(row_norms(space, xs - center[None, :]).max())
+    if not np.isfinite(radius):
+        raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
     u = xs[i2] - xs[i1]
     u = u / norm(space, u)
     # canonical sign/phase: make the first nonzero component positive real

@@ -14,8 +14,12 @@ A document is JSON with the layout
 
 On complex spaces every scalar (vector coordinates, alphas, a/A) is encoded
 as a two-element [re, im] array; on real spaces scalars are plain numbers.
-Weights are always plain numbers. Serialization writes every float with 17
-significant digits, which round-trips IEEE doubles losslessly.
+Weights are always plain numbers. One decoder reads every such array: it
+checks types and lengths a list at a time, converts once with numpy (complex
+values as a view of the [re, im] pairs, so signed zeros survive) and names the
+first bad entry by its JSON path. One encoder writes them back with
+``tolist``. Serialization writes every float with 17 significant digits,
+which round-trips IEEE doubles losslessly.
 
 Reports produced by the CLI echo the instance and add a "results" block;
 re-ingesting a report as an instance therefore works (the block is ignored).
@@ -27,6 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -44,19 +49,18 @@ _ENCLOSURE_PAIRS = {"x": ("x_lo", "x_hi"), "y": ("y_lo", "y_hi"), "grad": ("m", 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Parsed instance: validated domain objects plus the raw document."""
+    """Parsed instance: the validated domain objects of a document."""
 
     space: Space
     weights: ProbabilityVector | None
-    xs: np.ndarray | None
-    ys: np.ndarray | None
-    zs: np.ndarray | None
-    alphas: np.ndarray | None
+    xs: np.ndarray | None = None
+    ys: np.ndarray | None = None
+    zs: np.ndarray | None = None
+    alphas: np.ndarray | None = None
     enclosures: dict = field(default_factory=dict)  # keys "x", "y", "grad", "z"
     disc: tuple | None = None  # (a, A)
     oracle: str | None = None
     holder_p: float | None = None
-    raw: dict = field(default_factory=dict)
 
 
 def _fail(path: str, message: str) -> None:
@@ -75,37 +79,61 @@ def _reject_unknown(node: dict, allowed: set, path: str) -> None:
             _fail(f"{path}.{key}", f"unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _parse_scalar(space: Space, node, path: str) -> float | complex:
-    if space.is_complex:
-        if not (isinstance(node, list) and len(node) == 2):
-            _fail(path, "complex scalars are encoded as [re, im]")
-        re, im = node
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-            _fail(path, "[re, im] entries must be numbers")
-        value = complex(float(re), float(im))
-    else:
-        if not isinstance(node, (int, float)) or isinstance(node, bool):
-            _fail(path, "expected a number")
-        value = float(node)
-    if not (math.isfinite(complex(value).real) and math.isfinite(complex(value).imag)):
-        _fail(path, "scalar must be finite")
-    return value
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _parse_vector(space: Space, node, path: str) -> np.ndarray:
-    if not isinstance(node, list):
-        _fail(path, "expected an array of coordinates")
-    if len(node) != space.dim:
-        _fail(path, f"expected {space.dim} coordinates, got {len(node)}")
-    coords = [_parse_scalar(space, c, f"{path}[{k}]") for k, c in enumerate(node)]
-    return space.vector(coords)
+def _first_bad(items: list, ok) -> int:
+    """Index of the first item failing ``ok``, else len(items)."""
+    return next((k for k, v in enumerate(items) if not ok(v)), len(items))
 
 
-def _parse_vectors(space: Space, node, path: str) -> np.ndarray:
-    if not isinstance(node, list) or not node:
-        _fail(path, "expected a nonempty array of vectors")
-    rows = [_parse_vector(space, row, f"{path}[{k}]") for k, row in enumerate(node)]
-    return space.matrix(rows)
+def _float(number) -> float:
+    """float(number); an integer past the double range reads as +-inf, as 1e400 does."""
+    try:
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
+def _floats(numbers: list) -> np.ndarray:
+    try:
+        return np.array(numbers, dtype=np.float64)
+    except OverflowError:
+        return np.array([_float(v) for v in numbers], dtype=np.float64)
+
+
+def _decode(space: Space, node, path: str, vector: bool, sequence: str | None = None) -> np.ndarray:
+    """A read-only array of ``space`` scalars: a vector (``vector``) or a scalar,
+    or, with ``sequence`` naming them, a nonempty array of such items.
+
+    Types and lengths are checked a list at a time, numbers converted and checked
+    finite once; the first bad entry in document order is reported at its path.
+    """
+    if sequence is not None and (not isinstance(node, list) or not node):
+        _fail(path, f"expected a nonempty array of {sequence}")
+    items = node if sequence is not None else [node]
+    dim, cplx, width = space.dim, space.is_complex, 2 if space.is_complex else 1
+    # rows, pairs and good count the leading entries that pass each check
+    rows = _first_bad(items, lambda v: isinstance(v, list) and len(v) == dim) if vector else len(items)
+    scalars = list(chain.from_iterable(items[:rows])) if vector else items
+    pairs = _first_bad(scalars, lambda v: isinstance(v, list) and len(v) == 2) if cplx else len(scalars)
+    leaves = list(chain.from_iterable(scalars[:pairs])) if cplx else scalars
+    good = min(_first_bad(leaves, _is_number) // width, pairs)
+    values = _floats(leaves[: good * width]).reshape(good, width)
+    finite = np.isfinite(values).all(axis=1)
+    j = good if finite.all() else int(np.argmin(finite))
+    at = (lambda k: f"{path}[{k}]") if sequence is not None else (lambda k: path)
+    if j < len(scalars):
+        where = f"{at(j // dim)}[{j % dim}]" if vector else at(j)
+        _fail(where, "scalar must be finite" if j < good else "expected a number" if not cplx
+              else "complex scalars are encoded as [re, im]" if j == pairs else "[re, im] entries must be numbers")
+    if rows < len(items):
+        row = items[rows]
+        _fail(at(rows), f"expected {dim} coordinates, got {len(row)}" if isinstance(row, list) else "expected an array of coordinates")
+    out = (values.view(np.complex128) if cplx else values).reshape((len(items), dim) if vector else len(items))
+    out.flags.writeable = False
+    return out if sequence is not None else out[0]
 
 
 def _parse_space(node, path: str) -> Space:
@@ -124,10 +152,10 @@ def _parse_space(node, path: str) -> Space:
         raw = node["metric"]
         if not isinstance(raw, list) or len(raw) != dim:
             _fail(f"{path}.metric", f"expected an array of {dim} positive weights")
-        for k, v in enumerate(raw):
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not 0 < v < math.inf:
-                _fail(f"{path}.metric[{k}]", "metric weights must be positive finite numbers")
-        metric = np.array(raw, dtype=np.float64)
+        k = _first_bad(raw, lambda v: _is_number(v) and 0 < _float(v) < math.inf)
+        if k < dim:
+            _fail(f"{path}.metric[{k}]", "metric weights must be positive finite numbers")
+        metric = _floats(raw)
     return Space(dim, fld, metric)
 
 
@@ -144,42 +172,25 @@ def parse_document(doc) -> Instance:
         node = doc["weights"]
         if not isinstance(node, list) or not node:
             _fail("$.weights", "expected a nonempty array of numbers")
-        for k, v in enumerate(node):
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                _fail(f"$.weights[{k}]", "expected a number")
+        k = _first_bad(node, _is_number)
+        if k < len(node):
+            _fail(f"$.weights[{k}]", "expected a number")
         try:
-            weights = ProbabilityVector(np.array(node, dtype=np.float64))
+            weights = ProbabilityVector(_floats(node))
         except ValueError as exc:
             _fail("$.weights", str(exc))
 
-    xs = ys = zs = alphas = None
+    found = {}
     if "sequences" in doc:
         seqs = _expect_mapping(doc["sequences"], "$.sequences")
         _reject_unknown(seqs, _SEQUENCE_KEYS, "$.sequences")
-        if "xs" in seqs:
-            xs = _parse_vectors(space, seqs["xs"], "$.sequences.xs")
-        if "ys" in seqs:
-            ys = _parse_vectors(space, seqs["ys"], "$.sequences.ys")
-        if "zs" in seqs:
-            zs = _parse_vectors(space, seqs["zs"], "$.sequences.zs")
-        if "alphas" in seqs:
-            node = seqs["alphas"]
-            if not isinstance(node, list) or not node:
-                _fail("$.sequences.alphas", "expected a nonempty array of scalars")
-            alphas = np.array(
-                [_parse_scalar(space, v, f"$.sequences.alphas[{k}]") for k, v in enumerate(node)],
-                dtype=space.dtype,
-            )
-
-    lengths = {
-        name: arr.shape[0] if hasattr(arr, "shape") else len(arr)
-        for name, arr in (("xs", xs), ("ys", ys), ("zs", zs), ("alphas", alphas))
-        if arr is not None
-    }
-    if weights is not None and lengths:
-        for name, ln in lengths.items():
-            if ln != len(weights):
-                _fail(f"$.sequences.{name}", f"length {ln} does not match {len(weights)} weights")
+        for name in ("xs", "ys", "zs", "alphas"):
+            if name in seqs:
+                vector = name != "alphas"
+                found[name] = _decode(space, seqs[name], f"$.sequences.{name}", vector, "vectors" if vector else "scalars")
+    for name, arr in found.items():
+        if weights is not None and len(arr) != len(weights):
+            _fail(f"$.sequences.{name}", f"length {len(arr)} does not match {len(weights)} weights")
 
     enclosures: dict = {}
     disc = None
@@ -190,8 +201,8 @@ def parse_document(doc) -> Instance:
             if lo_key in encls or hi_key in encls:
                 if lo_key not in encls or hi_key not in encls:
                     _fail(f"$.enclosures.{lo_key}", f"{lo_key} and {hi_key} must come together")
-                lo = _parse_vector(space, encls[lo_key], f"$.enclosures.{lo_key}")
-                hi = _parse_vector(space, encls[hi_key], f"$.enclosures.{hi_key}")
+                lo = _decode(space, encls[lo_key], f"$.enclosures.{lo_key}", True)
+                hi = _decode(space, encls[hi_key], f"$.enclosures.{hi_key}", True)
                 try:
                     enclosures[name] = Enclosure(space, lo, hi)
                 except ValueError as exc:
@@ -199,8 +210,8 @@ def parse_document(doc) -> Instance:
         if "a" in encls or "A" in encls:
             if "a" not in encls or "A" not in encls:
                 _fail("$.enclosures.a", "a and A must come together")
-            a = _parse_scalar(space, encls["a"], "$.enclosures.a")
-            A = _parse_scalar(space, encls["A"], "$.enclosures.A")
+            a = _decode(space, encls["a"], "$.enclosures.a", False).item()
+            A = _decode(space, encls["A"], "$.enclosures.A", False).item()
             if complex(a) == complex(A):
                 _fail("$.enclosures.a", "degenerate disc: a == A")
             disc = (a, A)
@@ -218,26 +229,14 @@ def parse_document(doc) -> Instance:
             if node not in ("inf", "Infinity"):
                 _fail("$.holder_p", f"expected a number > 1 or 'inf', got {node!r}")
             holder_p = math.inf
-        elif isinstance(node, (int, float)) and not isinstance(node, bool):
-            holder_p = float(node)
+        elif _is_number(node):
+            holder_p = _float(node)
         else:
             _fail("$.holder_p", "expected a number > 1 or 'inf'")
         if not holder_p > 1.0:
             _fail("$.holder_p", f"expected a value > 1, got {holder_p!r}")
 
-    return Instance(
-        space=space,
-        weights=weights,
-        xs=xs,
-        ys=ys,
-        zs=zs,
-        alphas=alphas,
-        enclosures=enclosures,
-        disc=disc,
-        oracle=oracle,
-        holder_p=holder_p,
-        raw=doc,
-    )
+    return Instance(space, weights, **found, enclosures=enclosures, disc=disc, oracle=oracle, holder_p=holder_p)
 
 
 def loads(text: str) -> Instance:
@@ -247,6 +246,8 @@ def loads(text: str) -> Instance:
         raise InstanceFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise InstanceFormatError("$: invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InstanceFormatError(f"$: invalid JSON: {exc}") from None
     return parse_document(doc)
 
 
@@ -263,21 +264,15 @@ def load(path) -> Instance:
     return loads(_read(path))
 
 
-def _encode_scalar(space: Space, value):
-    z = complex(value)
+def _encode(space: Space, values):
+    """A scalar or array of ``space`` as nested lists, complex scalars as [re, im]."""
+    values = np.asarray(values)
     if space.is_complex:
-        return [z.real, z.imag]
-    if z.imag != 0.0:
+        values = values.astype(np.complex128)
+        return np.stack((values.real, values.imag), axis=-1).tolist()
+    if np.iscomplexobj(values) and np.any(values.imag != 0.0):
         raise InstanceFormatError("cannot encode a complex scalar in a real-space document")
-    return z.real
-
-
-def _encode_vector(space: Space, v):
-    return [_encode_scalar(space, c) for c in np.asarray(v)]
-
-
-def _encode_vectors(space: Space, rows):
-    return [_encode_vector(space, row) for row in np.asarray(rows)]
+    return np.real(values).astype(np.float64).tolist()
 
 
 def instance_document(
@@ -295,29 +290,24 @@ def instance_document(
     """Build a serializable document from domain objects."""
     doc: dict = {"space": {"dim": space.dim, "field": space.field}}
     if space.metric is not None:
-        doc["space"]["metric"] = [float(v) for v in space.metric]
+        doc["space"]["metric"] = space.metric.tolist()
     if weights is not None:
-        w = weights.weights if isinstance(weights, ProbabilityVector) else np.asarray(weights)
-        doc["weights"] = [float(v) for v in w]
+        w = weights.weights if isinstance(weights, ProbabilityVector) else weights
+        doc["weights"] = np.asarray(w, dtype=np.float64).tolist()
     seqs = {}
-    if xs is not None:
-        seqs["xs"] = _encode_vectors(space, xs)
-    if ys is not None:
-        seqs["ys"] = _encode_vectors(space, ys)
-    if alphas is not None:
-        seqs["alphas"] = [_encode_scalar(space, v) for v in np.asarray(alphas)]
-    if zs is not None:
-        seqs["zs"] = _encode_vectors(space, zs)
+    for name, values in (("xs", xs), ("ys", ys), ("alphas", alphas), ("zs", zs)):
+        if values is not None:
+            seqs[name] = _encode(space, values)
     if seqs:
         doc["sequences"] = seqs
     encl_node = {}
     for name, encl in (enclosures or {}).items():
         lo_key, hi_key = _ENCLOSURE_PAIRS[name]
-        encl_node[lo_key] = _encode_vector(space, encl.lo)
-        encl_node[hi_key] = _encode_vector(space, encl.hi)
+        encl_node[lo_key] = _encode(space, encl.lo)
+        encl_node[hi_key] = _encode(space, encl.hi)
     if disc is not None:
-        encl_node["a"] = _encode_scalar(space, disc[0])
-        encl_node["A"] = _encode_scalar(space, disc[1])
+        encl_node["a"] = _encode(space, disc[0])
+        encl_node["A"] = _encode(space, disc[1])
     if encl_node:
         doc["enclosures"] = encl_node
     if oracle is not None:

@@ -28,19 +28,20 @@ from .bounds import BoundChain, BoundLink, _same_space
 from .conditions import Enclosure, _dual_report, _fit
 from .errors import ContractViolationError, DegenerateInputError, HypothesisError
 from .functionals import _Centered, _pair
-from .space import ProbabilityVector, Space, inner
+from .space import ProbabilityVector, Space, pairing
 
 
 @dataclass(frozen=True, eq=False)
 class ConvexOracle:
-    """Pointwise evaluation and gradient of a convex function on a space.
+    """Evaluation and gradient of a convex function, over the last axis of arrays.
 
-    Both callables must be pure; ``grad`` returns the gradient representer
-    with respect to the space's inner product.
+    ``eval`` maps ``(..., dim)`` points to ``(...)`` values and ``grad`` to
+    ``(..., dim)`` gradient representers with respect to the space's inner
+    product, so one call covers a whole sequence. Both must be pure.
     """
 
     name: str
-    eval: Callable[[np.ndarray], float]
+    eval: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
 
 
@@ -61,11 +62,11 @@ def _metric(space: Space) -> np.ndarray:
 def squared_norm_oracle(space: Space) -> ConvexOracle:
     """F(z) = ||z||^2 with gradient 2z."""
 
-    def value(z: np.ndarray) -> float:
-        return float(np.real(inner(space, z, z)))
+    def value(z: np.ndarray) -> np.ndarray:
+        return pairing(space, z, z)
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        return 2.0 * np.asarray(z, dtype=np.float64)
+        return 2.0 * z
 
     return ConvexOracle("squared_norm", value, gradient)
 
@@ -79,12 +80,11 @@ def diagonal_quadratic_oracle(space: Space, diag=None) -> ConvexOracle:
         raise ContractViolationError("diag must be a strictly positive vector of length dim")
     m = _metric(space)
 
-    def value(z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        return float((m * diag * z * z).sum())
+    def value(z: np.ndarray) -> np.ndarray:
+        return (m * diag * z * z).sum(axis=-1)
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        return 2.0 * diag * np.asarray(z, dtype=np.float64)
+        return 2.0 * diag * z
 
     return ConvexOracle("diag_quadratic", value, gradient)
 
@@ -93,15 +93,15 @@ def log_sum_exp_oracle(space: Space) -> ConvexOracle:
     """F(z) = log sum_k exp(z_k); the representer divides softmax by the metric."""
     m = _metric(space)
 
-    def value(z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=np.float64)
-        zmax = float(z.max())
-        return zmax + math.log(float(np.exp(z - zmax).sum()))
+    def value(z: np.ndarray) -> np.ndarray:
+        zmax = z.max(axis=-1)
+        sums = np.exp(z - zmax[..., None]).sum(axis=-1)
+        # math.log, whose last bit numpy's vectorized log does not always match
+        return zmax + np.reshape(list(map(math.log, sums.ravel().tolist())), sums.shape)
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        e = np.exp(z - z.max())
-        return (e / e.sum()) / m
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        return (e / e.sum(axis=-1, keepdims=True)) / m
 
     return ConvexOracle("log_sum_exp", value, gradient)
 
@@ -109,12 +109,12 @@ def log_sum_exp_oracle(space: Space) -> ConvexOracle:
 def norm_fourth_oracle(space: Space) -> ConvexOracle:
     """F(z) = ||z||^4 with gradient 4 ||z||^2 z."""
 
-    def value(z: np.ndarray) -> float:
-        return float(np.real(inner(space, z, z))) ** 2
+    def value(z: np.ndarray) -> np.ndarray:
+        # float_power squares with the C library's pow, as float ** 2 does
+        return np.float_power(pairing(space, z, z), 2)
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z, dtype=np.float64)
-        return 4.0 * float(np.real(inner(space, z, z))) * z
+        return (4.0 * pairing(space, z, z))[..., None] * z
 
     return ConvexOracle("norm_fourth", value, gradient)
 
@@ -164,17 +164,23 @@ def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5)
     if not 0.0 < h <= 1e-2:
         raise ContractViolationError(f"step h must lie in (0, 1e-2], got {h!r}")
     samples = space.matrix(samples)
-    rng = np.random.default_rng(1754)
-    worst = 0.0
-    for z in samples:
-        g = oracle.grad(z)
-        for _ in range(4):
-            d = rng.standard_normal(space.dim)
-            d /= float(np.sqrt((d * d).sum()))
-            fd = (oracle.eval(z + h * d) - oracle.eval(z - h * d)) / (2.0 * h)
-            ip = float(np.real(inner(space, g, d)))
-            worst = max(worst, abs(fd - ip) / max(1.0, abs(fd), abs(ip)))
-    return worst
+    grads = space.matrix(oracle.grad(samples))
+    d = np.random.default_rng(1754).standard_normal((samples.shape[0], 4, space.dim))
+    d /= np.sqrt((d * d).sum(axis=-1, keepdims=True))
+    ahead, behind = _values(oracle, samples[:, None] + h * d), _values(oracle, samples[:, None] - h * d)
+    ip = pairing(space, grads[:, None, :], d)
+    with np.errstate(invalid="ignore"):  # an overflowing eval gives inf - inf
+        fd = (ahead - behind) / (2.0 * h)
+        err = np.abs(fd - ip) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(ip)))
+    return float(np.fmax.reduce(err, axis=None, initial=0.0))  # skips NaN, as a running max() does
+
+
+def _values(oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray:
+    """F at every point of ``zs``, checked to be one value per point."""
+    values = np.asarray(oracle.eval(zs), dtype=np.float64)
+    if values.shape != zs.shape[:-1]:
+        raise ContractViolationError(f"oracle {oracle.name!r} gave values of shape {values.shape} for points {zs.shape}")
+    return values
 
 
 def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +193,7 @@ def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gap(oracle: ConvexOracle, w: np.ndarray, zs: np.ndarray, mean: np.ndarray) -> float:
-    return float(w @ np.array([oracle.eval(z) for z in zs]) - oracle.eval(mean))
+    return float(w @ _values(oracle, zs) - _values(oracle, mean))
 
 
 def jensen_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
@@ -199,7 +205,7 @@ def jensen_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
 def pairing_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
     """sum p_i <grad F(z_i), z_i> - <mean grad, mean z> (the gradient/point pairing)."""
     w, zs = _normalized(space, q, zs)
-    grads = space.matrix([oracle.grad(z) for z in zs])
+    grads = space.matrix(oracle.grad(zs))
     return _pair(space, w, _Centered(space, w, grads).rows, _Centered(space, w, zs).rows)
 
 
@@ -233,13 +239,13 @@ def reverse_jensen(
     {grad F(z_i)} (mandatory for the chain; a one-point gradient set yields
     the degenerate all-zero chain), the z-enclosure from {z_i} (enables the
     final quarter link and the improvement ratio). Supplied enclosures are
-    verified and a failure raises :class:`HypothesisError`. Each gradient is
-    evaluated once.
+    verified and a failure raises :class:`HypothesisError`. ``eval`` runs on
+    the points and on their mean, ``grad`` once on the points.
     """
     w, zs = _normalized(space, q, zs)
     cz = _Centered(space, w, zs)
     gap = _gap(oracle, w, zs, cz.mean)
-    grads = space.matrix([oracle.grad(z) for z in zs])
+    grads = space.matrix(oracle.grad(zs))
     pgap = _pair(space, w, _Centered(space, w, grads).rows, cz.rows)
     grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure")
     z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure")

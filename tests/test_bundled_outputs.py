@@ -2,8 +2,9 @@
 
 Every bundled instance outside ``instances/invalid/`` runs through each
 ``bound --which`` tag that ``bound --json --fit`` accepts (exit 0 or 1),
-plus ``check --fit --json`` and ``jensen --json`` where they apply. Exit
-codes, verdicts, labels and equation tags must equal the recorded ones in
+plus ``check --fit --json`` and ``jensen --json`` (with the file's oracle
+and with each bundled one) where they apply. Exit codes, verdicts, labels
+and equation tags must equal the recorded ones in
 ``data/bundled_outputs.json``; every number must agree to rel 1e-12 or
 abs 1e-14.
 
@@ -23,6 +24,7 @@ import pytest
 
 from grussbounds.bounds import CHAINS
 from grussbounds.cli import main
+from grussbounds.jensen import ORACLE_FACTORIES
 
 ROOT = Path(__file__).resolve().parent.parent
 INSTANCES = ROOT / "instances"
@@ -45,6 +47,8 @@ def candidate_commands():
             yield ["bound", path.name, "--which", tag, "--json", "--fit"]
         yield ["check", path.name, "--fit", "--json"]
         yield ["jensen", path.name, "--json"]
+        for name in ORACLE_FACTORIES:
+            yield ["jensen", path.name, "--json", "--oracle", name]
 
 
 def generate():

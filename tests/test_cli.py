@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,27 @@ class TestMalformedInput:
         assert "$.space.metric[0]" in err
 
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("xs", "error: $.sequences.xs[0][0]: scalar must be finite"),
+            ("weights", "error: $.weights: weights must be finite"),
+            ("metric", "error: $.space.metric[0]: metric weights must be positive finite numbers"),
+            ("digits", "error: $: invalid JSON: Exceeds the limit (4300 digits)"),
+        ],
+    )
+    def test_integer_literal_beyond_double_range(self, capsys, tmp_path, field, message):
+        huge = {"xs": "1" + "0" * 400, "weights": "1" + "0" * 400, "metric": "1" + "0" * 400, "digits": "1" + "0" * 4400}
+        doc = '{"space": {"dim": 2, "metric": [M, 1]}, "weights": [W, 0.5], "sequences": {"xs": [[X, 0], [0, 1]]}}'
+        for key, placeholder in (("metric", "M"), ("weights", "W")):
+            doc = doc.replace(placeholder, huge[field] if field == key else "0.5")
+        path = tmp_path / "huge.json"
+        path.write_text(doc.replace("X", huge[field] if field in ("xs", "digits") else "0"))
+        code, out, err = run(capsys, "check", str(path), "--fit")
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+
+
 class TestExtremeMagnitudes:
     def test_large_offset_does_not_cancel(self, capsys, tmp_path):
         lo, hi = 1e8, 1e8 + 1.0
@@ -335,6 +357,22 @@ class TestExtremeMagnitudes:
             code, out, err = run(capsys, "bound", str(path), "--which", "1.6", *(["--json"] if as_json else []))
         assert code == 2 and out == ""
         assert err.startswith("error: chain 1.6:") and "overflow" in err
+
+
+    @pytest.mark.parametrize(
+        "argv", [("check", "--fit"), ("bound", "--which", "2.3", "--fit"), ("bound", "--which", "1.6")]
+    )
+    def test_overflow_is_reported_on_one_line(self, capsys, tmp_path, argv):
+        pts = [[1e200, 0.0], [0.0, 1e200]]
+        doc = {"space": {"dim": 2}, "weights": [0.5, 0.5], "sequences": {"xs": pts, "ys": pts}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would raise here instead of reaching stderr
+            code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "overflow" in err
+        assert ("$.sequences.xs" in err) == ("--fit" in argv)
 
 
 class TestJensen:

@@ -1,12 +1,16 @@
+import copy
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_space, random_vector
 from grussbounds import Enclosure, InstanceFormatError, ProbabilityVector, Space
 from grussbounds.instancefile import (
+    Instance,
     dumps,
     instance_document,
     load,
@@ -196,3 +200,145 @@ def test_load_maps_unreadable_files(tmp_path):
         load(path)
     with pytest.raises(InstanceFormatError, match="cannot read"):
         load(tmp_path / "missing.json")
+
+
+REAL2 = '{"space": {"dim": 2}, "sequences": {"xs": %s}}'
+COMPLEX1 = '{"space": {"dim": 1, "field": "complex"}, "sequences": {"alphas": %s}}'
+MALFORMED = [
+    (REAL2 % "[[0.0, 1.0], [1.0]]", "$.sequences.xs[1]: expected 2 coordinates, got 1"),
+    (REAL2 % "[[0.0, true]]", "$.sequences.xs[0][1]: expected a number"),
+    (REAL2 % '[[0.0, "1"]]', "$.sequences.xs[0][1]: expected a number"),
+    (REAL2 % "[[0.0, [1.0]]]", "$.sequences.xs[0][1]: expected a number"),
+    (REAL2 % "[[0.0, null]]", "$.sequences.xs[0][1]: expected a number"),
+    (REAL2 % "[[0.0, NaN]]", "$.sequences.xs[0][1]: scalar must be finite"),
+    (REAL2 % "[[0.0, -Infinity]]", "$.sequences.xs[0][1]: scalar must be finite"),
+    (REAL2 % "[]", "$.sequences.xs: expected a nonempty array of vectors"),
+    (REAL2 % '"xs"', "$.sequences.xs: expected a nonempty array of vectors"),
+    (REAL2 % "[[0.0, 1.0], 2.0]", "$.sequences.xs[1]: expected an array of coordinates"),
+    # the first bad entry in document order wins, whatever kind of fault it is
+    (REAL2 % "[[0.0, NaN], [1.0]]", "$.sequences.xs[0][1]: scalar must be finite"),
+    (REAL2 % '[[0.0, 1.0], [NaN, "a"], [1.0]]', "$.sequences.xs[1][0]: scalar must be finite"),
+    (REAL2 % '[[0.0, 1.0], ["a", NaN], [1.0]]', "$.sequences.xs[1][0]: expected a number"),
+    (REAL2 % "[[0.0, 1.0], [1.0], [NaN, 0.0]]", "$.sequences.xs[1]: expected 2 coordinates, got 1"),
+    ('{"space": {"dim": 1}, "sequences": {"alphas": []}}', "$.sequences.alphas: expected a nonempty array of scalars"),
+    ('{"space": {"dim": 1}, "sequences": {"alphas": [1.0, false]}}', "$.sequences.alphas[1]: expected a number"),
+    (
+        '{"space": {"dim": 1}, "sequences": {"zs": [[0.0], [true]], "xs": [[NaN]]}}',
+        "$.sequences.xs[0][0]: scalar must be finite",
+    ),
+    (COMPLEX1 % "[1.0]", "$.sequences.alphas[0]: complex scalars are encoded as [re, im]"),
+    (COMPLEX1 % "[[1.0, true]]", "$.sequences.alphas[0]: [re, im] entries must be numbers"),
+    (COMPLEX1 % "[[1.0, 2.0], [1.0, 2.0, 3.0]]", "$.sequences.alphas[1]: complex scalars are encoded as [re, im]"),
+    (COMPLEX1 % "[[1.0, NaN], [true, 2.0]]", "$.sequences.alphas[0]: scalar must be finite"),
+    (COMPLEX1 % "[[1.0, 2.0], [true, NaN]]", "$.sequences.alphas[1]: [re, im] entries must be numbers"),
+    (
+        '{"space": {"dim": 2, "field": "complex"}, "sequences": {"xs": [[[0.0, 1.0], 1.0]]}}',
+        "$.sequences.xs[0][1]: complex scalars are encoded as [re, im]",
+    ),
+    (
+        '{"space": {"dim": 1}, "enclosures": {"x_lo": [0.0], "x_hi": [1.0, 2.0]}}',
+        "$.enclosures.x_hi: expected 1 coordinates, got 2",
+    ),
+    (
+        '{"space": {"dim": 1}, "enclosures": {"x_lo": 0.0, "x_hi": [1.0]}}',
+        "$.enclosures.x_lo: expected an array of coordinates",
+    ),
+    ('{"space": {"dim": 1}, "enclosures": {"x_lo": ["0"], "x_hi": [1.0]}}', "$.enclosures.x_lo[0]: expected a number"),
+    ('{"space": {"dim": 1}, "enclosures": {"a": NaN, "A": 1.0}}', "$.enclosures.a: scalar must be finite"),
+    ('{"space": {"dim": 1}, "enclosures": {"a": 0.0, "A": [1.0]}}', "$.enclosures.A: expected a number"),
+    (
+        '{"space": {"dim": 1, "field": "complex"}, "enclosures": {"a": 0.0, "A": [1.0, 0.0]}}',
+        "$.enclosures.a: complex scalars are encoded as [re, im]",
+    ),
+    ('{"space": {"dim": 1}, "weights": []}', "$.weights: expected a nonempty array of numbers"),
+    ('{"space": {"dim": 1}, "weights": [0.5, true]}', "$.weights[1]: expected a number"),
+    ('{"space": {"dim": 1}, "weights": [0.5, NaN]}', "$.weights: weights must be finite"),
+    ('{"space": {"dim": 2, "metric": [1.0]}}', "$.space.metric: expected an array of 2 positive weights"),
+    ('{"space": {"dim": 2, "metric": [1.0, -1.0]}}', "$.space.metric[1]: metric weights must be positive finite numbers"),
+    ('{"space": {"dim": 2, "metric": [NaN, "x"]}}', "$.space.metric[0]: metric weights must be positive finite numbers"),
+    ('{"space": {"dim": 2, "metric": [1.0, "x"]}}', "$.space.metric[1]: metric weights must be positive finite numbers"),
+    (
+        '{"space": {"dim": 1}, "weights": [0.5, 0.5], "sequences": {"xs": [[0.0], [1.0]], "zs": [[0.0]]}}',
+        "$.sequences.zs: length 1 does not match 2 weights",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED)
+def test_malformed_document_names_first_bad_entry(text, message):
+    with pytest.raises(InstanceFormatError) as err:
+        loads(text)
+    assert str(err.value) == message
+
+
+def test_signed_zeros_survive_the_echo():
+    text = (
+        '{"space": {"dim": 1, "field": "complex"}, "weights": [0.5, 0.5], '
+        '"sequences": {"xs": [[[-0.0, 0.0]], [[1.0, -0.0]]], "alphas": [[0.0, -0.0], [-0.0, -0.0]]}}'
+    )
+    inst = loads(text)
+    echo = instance_document(inst.space, weights=inst.weights, xs=inst.xs, alphas=inst.alphas)
+    assert [math.copysign(1.0, v) for row in echo["sequences"]["xs"] for pair in row for v in pair] == [-1, 1, 1, -1]
+    assert [math.copysign(1.0, v) for pair in echo["sequences"]["alphas"] for v in pair] == [1, -1, -1, -1]
+    assert '"alphas": [\n      [0, -0],\n      [-0, -0]\n    ]' in dumps(echo)
+
+
+# -- fuzzing: every document either parses or is rejected with a JSON path ----
+
+JSON_JUNK = st.one_of(
+    st.sampled_from([None, True, False, 0, -1, 3, 10**400, -(10**400), 2**1024, 1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "1.5", "inf", [], [1.0], [1.0, 2.0], [[0.0, 1.0]], {}, {"dim": 1}]).map(copy.deepcopy),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def documents(draw):
+    """A valid instance document, then a few random edits anywhere in its tree."""
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cplx = draw(st.booleans())
+    number = st.floats(-4, 4)
+
+    def scalar():
+        return [draw(number), draw(number)] if cplx else draw(number)
+
+    def vector():
+        return [scalar() for _ in range(dim)]
+
+    doc = {
+        "space": {"dim": dim, "field": "complex" if cplx else "real", "metric": [1.0 + k for k in range(dim)]},
+        "weights": [1.0 / n] * n,
+        "sequences": {"xs": [vector() for _ in range(n)], "alphas": [scalar() for _ in range(n)]},
+        "enclosures": {"x_lo": vector(), "x_hi": vector(), "a": scalar(), "A": scalar()},
+        "holder_p": draw(st.sampled_from([2.0, "inf", 3])),
+    }
+    for _ in range(draw(st.integers(1, 3))):
+        slots, stack = [], [doc]
+        while stack:
+            node = stack.pop()
+            for key in list(node) if isinstance(node, dict) else range(len(node)):
+                slots.append((node, key))
+                if isinstance(node[key], (dict, list)):
+                    stack.append(node[key])
+        node, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "wrap", "append"]))
+        if action == "append" and isinstance(node[key], list):
+            node[key].append(draw(JSON_JUNK))
+        elif action == "delete":
+            del node[key]
+        elif action == "wrap":
+            node[key] = [node[key]]
+        else:
+            node[key] = draw(JSON_JUNK)
+    return doc
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(documents())
+def test_fuzzed_documents_parse_or_name_a_path(doc):
+    try:
+        inst = parse_document(doc)
+    except InstanceFormatError as exc:
+        assert str(exc).startswith("$"), str(exc)
+    else:
+        assert isinstance(inst, Instance)

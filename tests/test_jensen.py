@@ -18,7 +18,7 @@ from grussbounds import (
     pairing_gap,
     reverse_jensen,
 )
-from grussbounds.space import COMPLEX, REAL
+from grussbounds.space import COMPLEX, REAL, pairing
 
 
 def real_space(rng, max_dim=4):
@@ -36,14 +36,29 @@ def convexity_probe(space, oracle, samples):
     return worst
 
 
+def gradient_check_by_point(space, oracle, samples, h=1e-5):
+    """The per-point loop that gradient_check replaces, kept as its reference."""
+    rng = np.random.default_rng(1754)
+    worst = 0.0
+    for z in samples:
+        g = oracle.grad(z)
+        for _ in range(4):
+            d = rng.standard_normal(space.dim)
+            d /= float(np.sqrt((d * d).sum()))
+            fd = (float(oracle.eval(z + h * d)) - float(oracle.eval(z - h * d))) / (2.0 * h)
+            ip = float(np.real(inner(space, g, d)))
+            worst = max(worst, abs(fd - ip) / max(1.0, abs(fd), abs(ip)))
+    return worst
+
+
 def affine_oracle(space, slope=None, offset=1.5):
     slope = np.ones(space.dim) if slope is None else np.asarray(slope, dtype=float)
 
     def value(z):
-        return float(np.real(inner(space, slope, z))) + offset
+        return pairing(space, np.asarray(z), slope) + offset
 
     def gradient(z):
-        return slope.copy()
+        return np.broadcast_to(slope, np.shape(z)).copy()
 
     return ConvexOracle("affine", value, gradient)
 
@@ -64,6 +79,18 @@ class TestOracleCatalog:
             oracle = get_oracle(name, space)
             samples = np.array([random_vector(rng, space, 1.5) for _ in range(6)])
             assert convexity_probe(space, oracle, samples) >= -1e-9
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FACTORIES))
+    def test_whole_array_matches_row_by_row(self, rng, name):
+        for _ in range(10):
+            space = real_space(rng)
+            oracle = get_oracle(name, space)
+            zs = np.array([random_vector(rng, space, 1.5) for _ in range(5)])
+            values, grads = oracle.eval(zs), oracle.grad(zs)
+            assert np.shape(values) == (5,) and np.shape(grads) == zs.shape
+            assert np.array_equal(values, [oracle.eval(z) for z in zs])
+            assert np.array_equal(grads, [oracle.grad(z) for z in zs])
+            assert np.shape(oracle.eval(zs[0])) == ()
 
     def test_unknown_oracle(self):
         with pytest.raises(ContractViolationError):
@@ -92,6 +119,14 @@ class TestGradientCheck:
         samples = np.array([random_vector(rng, space, 2.0) for _ in range(5)])
         err = gradient_check(space, oracle, samples, h=1e-5)
         assert 0.05 <= err <= 0.15  # a 1.1-scaled gradient shows up as ~0.1
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FACTORIES))
+    def test_matches_per_point_loop(self, rng, name):
+        for _ in range(10):
+            space = real_space(rng)
+            oracle = get_oracle(name, space)
+            samples = np.array([random_vector(rng, space, 1.5) for _ in range(6)])
+            assert gradient_check(space, oracle, samples) == gradient_check_by_point(space, oracle, samples)
 
     def test_step_contract(self):
         space = Space(1)
@@ -222,6 +257,7 @@ class TestReverseJensen:
         space = Space(3)
         base = get_oracle("log_sum_exp", space)
         calls = {"eval": 0, "grad": 0}
+        grad_shapes = []
 
         def value(z):
             calls["eval"] += 1
@@ -229,13 +265,15 @@ class TestReverseJensen:
 
         def gradient(z):
             calls["grad"] += 1
+            grad_shapes.append(np.shape(z))
             return base.grad(z)
 
         n = 7
         zs = np.array([random_vector(rng, space) for _ in range(n)])
         q = rng.exponential(size=n)
         report = reverse_jensen(space, ConvexOracle("counted", value, gradient), q, zs)
-        assert calls == {"eval": n + 1, "grad": n}
+        assert calls == {"eval": 2, "grad": 1}
+        assert grad_shapes == [(n, 3)]
         assert report.gap == jensen_gap(space, base, q, zs)
         assert report.pairing_gap == pairing_gap(space, base, q, zs)
 
