@@ -72,7 +72,6 @@ from .space import (
     forward_differences,
     inner,
     norm,
-    weighted_mean,
 )
 
 __version__ = "0.1.0"
@@ -134,5 +133,4 @@ __all__ = [
     "search",
     "variance",
     "vector_gruss",
-    "weighted_mean",
 ]

@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, _disc, _dual_report, check_scalar_disc
+from .conditions import ConditionReport, Enclosure, _disc, _dual_report
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -166,7 +166,7 @@ def bound_chebyshev_gruss(
 def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = True) -> BoundChain:
     """Chain "2.8": variance <= diam(x)/2 * mad(x) <= diam(x)^2 / 4."""
     space = encl.space
-    xs = _checked(space, p, xs)
+    xs = _checked(p, space.matrix(xs))
     report = _dual_report(encl, xs, "ball")
     verified = _gate(report, check, "ball condition on xs")
     cx = _Centered(space, p.weights, xs)
@@ -224,10 +224,9 @@ def bound_scalar_weighted(
 
 def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = True) -> BoundChain:
     """Chain "R2.7" for scalars: |sum p a^2 - (sum p a)^2| = |sum p (a - abar)^2| under a disc condition."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
-    if alphas.shape[0] != len(p):
-        raise DimensionMismatchError(f"{alphas.shape[0]} scalars but {len(p)} weights")
-    report = check_scalar_disc(a, A, alphas)
+    disc = _disc(a, A)
+    alphas = _checked(p, disc.space.scalars(alphas))
+    report = _dual_report(disc, alphas[:, None], "disc")
     verified = _gate(report, check, "disc condition on alphas")
     ca = _CenteredScalars(p.weights, alphas)
     width = abs(complex(A) - complex(a))
@@ -341,7 +340,7 @@ def bound_forward_difference_self(
     space: Space, p: ProbabilityVector, xs, holder_p: float = 2.0
 ) -> BoundChain:
     """Parallel bounds "1.8" on the variance from forward differences of xs."""
-    xs = _checked(space, p, xs)
+    xs = _checked(p, space.matrix(xs))
     if xs.shape[0] < 2:
         raise DegenerateInputError("forward-difference bounds need n >= 2")
     cx = row_norms(space, forward_differences(xs))

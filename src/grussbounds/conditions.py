@@ -17,6 +17,7 @@ boundary points pass deterministically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
-    DimensionMismatchError,
     EnclosureFitError,
 )
 from .space import COMPLEX, Space, norm, pairing, row_norms
@@ -55,7 +55,10 @@ class Enclosure:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", self.space.vector(self.lo))
         object.__setattr__(self, "hi", self.space.vector(self.hi))
-        d = norm(self.space, self.hi - self.lo)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = norm(self.space, self.hi - self.lo)
+        if not math.isfinite(d * d):  # the box verdicts scale by the squared diameter
+            raise ContractViolationError("enclosure diameter overflows double precision")
         if d == 0.0 and not self.allow_degenerate:
             raise DegenerateInputError("degenerate enclosure: lo == hi")
         object.__setattr__(self, "_diameter", d)
@@ -160,13 +163,9 @@ def check_ball(encl: Enclosure, xs) -> ConditionReport:
 
 def _disc(a, A) -> Enclosure:
     """The scalar disc with antipodes a, A as an enclosure on the complex line."""
-    a = complex(a)
-    A = complex(A)
-    if not (np.isfinite(a.real) and np.isfinite(a.imag) and np.isfinite(A.real) and np.isfinite(A.imag)):
-        raise ContractViolationError("disc endpoints must be finite")
-    if a == A:
+    if complex(a) == complex(A):
         raise DegenerateInputError("degenerate disc: a == A")
-    return Enclosure(Space(1, COMPLEX), [a], [A])
+    return Enclosure(Space(1, COMPLEX), [a], [A])  # which checks that both are finite
 
 
 def check_scalar_disc(a, A, alphas) -> ConditionReport:
@@ -175,12 +174,7 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
     For real ``a < A`` this is membership in the interval [a, A].
     """
     disc = _disc(a, A)
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.complex128))
-    if alphas.ndim != 1 or alphas.size < 1:
-        raise DimensionMismatchError("alphas must be a nonempty flat array of scalars")
-    if not np.all(np.isfinite(alphas)):
-        raise ContractViolationError("alphas must be finite")
-    return _dual_report(disc, alphas[:, None], "disc")
+    return _dual_report(disc, disc.space.scalars(alphas)[:, None], "disc")
 
 
 def fit_enclosure(space: Space, xs) -> Enclosure:

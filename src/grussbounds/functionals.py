@@ -24,14 +24,14 @@ import numpy as np
 
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
-from .space import ProbabilityVector, Space, norm, pairing, row_norms
+from .space import COMPLEX, REAL, ProbabilityVector, Space, norm, pairing, row_norms
 
 
-def _checked(space: Space, p: ProbabilityVector, xs) -> np.ndarray:
-    xs = space.matrix(xs)
-    if xs.shape[0] != len(p):
-        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
-    return xs
+def _checked(p: ProbabilityVector, a: np.ndarray) -> np.ndarray:
+    """Validated vectors or scalars ``a``, checked to have one entry per weight."""
+    if a.shape[0] != len(p):
+        raise DimensionMismatchError(f"{a.shape[0]} {'vectors' if a.ndim == 2 else 'scalars'} but {len(p)} weights")
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,21 +49,11 @@ class WeightedSequence:
     alphas: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        xs = _checked(self.space, self.p, self.xs)
-        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "xs", _checked(self.p, self.space.matrix(self.xs)))
         if self.ys is not None:
-            ys = self.space.matrix(self.ys)
-            if ys.shape[0] != xs.shape[0]:
-                raise DimensionMismatchError(f"xs has {xs.shape[0]} entries but ys has {ys.shape[0]}")
-            object.__setattr__(self, "ys", ys)
+            object.__setattr__(self, "ys", _checked(self.p, self.space.matrix(self.ys)))
         if self.alphas is not None:
-            al = np.atleast_1d(np.asarray(self.alphas, dtype=self.space.dtype))
-            if al.ndim != 1 or al.shape[0] != xs.shape[0]:
-                raise DimensionMismatchError(f"alphas must be {xs.shape[0]} scalars, got shape {al.shape}")
-            if not np.all(np.isfinite(al)):
-                raise ContractViolationError("alphas must be finite")
-            al.flags.writeable = False
-            object.__setattr__(self, "alphas", al)
+            object.__setattr__(self, "alphas", _checked(self.p, self.space.scalars(self.alphas)))
 
     @property
     def n(self) -> int:
@@ -154,12 +144,12 @@ def vector_gruss_centered(ws: WeightedSequence, center=None) -> np.ndarray:
 
 def variance(space: Space, p: ProbabilityVector, xs) -> float:
     """sum_i p_i ||x_i - mean||^2."""
-    return _Centered(space, p.weights, _checked(space, p, xs)).variance()
+    return _Centered(space, p.weights, _checked(p, space.matrix(xs))).variance()
 
 
 def mad(space: Space, p: ProbabilityVector, xs) -> float:
     """Mean absolute deviation sum_i p_i ||x_i - mean||."""
-    return _Centered(space, p.weights, _checked(space, p, xs)).mad()
+    return _Centered(space, p.weights, _checked(p, space.matrix(xs))).mad()
 
 
 def identity_residual_24(encl: Enclosure, ws: WeightedSequence, center=None) -> float:
@@ -189,11 +179,16 @@ def gruss_scale(ws: WeightedSequence) -> float:
     return max(1.0, float(ws.p.weights @ (np.abs(al) * row_norms(ws.space, ws.xs))))
 
 
-def alpha_abs_deviation(p: ProbabilityVector, alphas: np.ndarray) -> float:
-    """sum_i p_i |a_i - abar|."""
-    return _CenteredScalars(p.weights, np.asarray(alphas)).mad()
+def _centered_alphas(p: ProbabilityVector, alphas) -> _CenteredScalars:
+    line = Space(1, COMPLEX if np.iscomplexobj(alphas) else REAL)
+    return _CenteredScalars(p.weights, _checked(p, line.scalars(alphas)))
 
 
-def alpha_variance(p: ProbabilityVector, alphas: np.ndarray) -> float:
-    """sum_i p_i |a_i - abar|^2."""
-    return _CenteredScalars(p.weights, np.asarray(alphas)).variance()
+def alpha_abs_deviation(p: ProbabilityVector, alphas) -> float:
+    """sum_i p_i |a_i - abar| for real or complex scalars."""
+    return _centered_alphas(p, alphas).mad()
+
+
+def alpha_variance(p: ProbabilityVector, alphas) -> float:
+    """sum_i p_i |a_i - abar|^2 for real or complex scalars."""
+    return _centered_alphas(p, alphas).variance()

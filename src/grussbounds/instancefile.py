@@ -317,48 +317,28 @@ def instance_document(
     return doc
 
 
-def _write_json(node, out: list, indent: int) -> None:
-    pad = "  " * indent
+def _text(node, pad: str = "") -> str:
+    """JSON text of ``node`` at indentation ``pad``; an array of atoms stays on one line."""
+    if isinstance(node, float):
+        if not math.isfinite(node):
+            raise InstanceFormatError("cannot serialize a non-finite number")
+        return format(node, ".17g")
+    inner = pad + "  "
     if isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _write_json(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(node) else "\n")
-        out.append(pad + "}")
-    elif isinstance(node, (list, tuple)):
-        if not node:
-            out.append("[]")
-            return
-        simple = all(isinstance(v, (int, float, str, bool)) or v is None for v in node)
-        if simple:
-            out.append("[" + ", ".join(_atom(v) for v in node) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(node):
-            out.append(pad + "  ")
-            _write_json(value, out, indent + 1)
-            out.append(",\n" if i + 1 < len(node) else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_atom(node))
-
-
-def _atom(node) -> str:
+        items = ",\n".join(f"{inner}{json.dumps(str(key))}: {_text(value, inner)}" for key, value in node.items())
+        return "{\n" + items + "\n" + pad + "}" if node else "{}"
+    if isinstance(node, (list, tuple)):
+        if all(isinstance(v, (int, float, str, bool)) or v is None for v in node):
+            return "[" + ", ".join(map(_text, node)) + "]"
+        return "[\n" + ",\n".join(inner + _text(v, inner) for v in node) + "\n" + pad + "]"
     if node is None:
         return "null"
     if isinstance(node, bool):
         return "true" if node else "false"
     if isinstance(node, (int, np.integer)):
         return str(int(node))
-    if isinstance(node, (float, np.floating)):
-        value = float(node)
-        if not math.isfinite(value):
-            raise InstanceFormatError("cannot serialize a non-finite number")
-        return format(value, ".17g")
+    if isinstance(node, np.floating):
+        return _text(float(node))
     if isinstance(node, str):
         return json.dumps(node)
     raise InstanceFormatError(f"cannot serialize {type(node).__name__}")
@@ -366,10 +346,7 @@ def _atom(node) -> str:
 
 def dumps(doc: dict) -> str:
     """Serialize a document with 17-significant-digit floats (lossless round-trip)."""
-    out: list = []
-    _write_json(doc, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _text(doc) + "\n"
 
 
 def dump(doc: dict, path) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 from .bounds import BoundChain, BoundLink, _same_space
 from .conditions import Enclosure, _dual_report, _fit
 from .errors import ContractViolationError, DegenerateInputError, HypothesisError
-from .functionals import _Centered, _pair
+from .functionals import _Centered, _checked, _pair
 from .space import ProbabilityVector, Space, pairing
 
 
@@ -185,11 +185,8 @@ def _values(oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray:
 
 def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
     _require_real(space)
-    zs = space.matrix(zs)
     p = ProbabilityVector.from_nonnegative(q)
-    if len(p) != zs.shape[0]:
-        raise ContractViolationError(f"{zs.shape[0]} points but {len(p)} weights")
-    return p.weights, zs
+    return p.weights, _checked(p, space.matrix(zs))
 
 
 def _gap(oracle: ConvexOracle, w: np.ndarray, zs: np.ndarray, mean: np.ndarray) -> float:

@@ -191,25 +191,25 @@ class _Problem:
     def _weights(self, cand: dict) -> ProbabilityVector:
         return self.uniform if self.spec.uniform else ProbabilityVector(cand["p"])
 
-    def chain(self, cand: dict) -> BoundChain:
+    def chain(self, cand: dict, p: ProbabilityVector) -> BoundChain:
         seqs = {name: cand[name] for name in self.vector_blocks}
-        return self.spec.build(self.space, self._weights(cand), seqs, self.enclosures, None, True, HOLDER_P)
+        return self.spec.build(self.space, p, seqs, self.enclosures, None, True, HOLDER_P)
 
-    def _stable_functional(self, cand: dict) -> float:
+    def _stable_functional(self, cand: dict, w: np.ndarray) -> float:
         # re-centered evaluation at the enclosure center: same value as the
         # chain functional, but the Cauchy-Schwarz steps of the bound then
         # hold for the computed arrays themselves (numerator and denominator
         # share the identical centered rows), so rounding alone can never
         # push the ratio past 1
-        w = self._weights(cand).weights
         cx = cand["xs"] - self.encl_x.center
         if "alphas" in self.vector_blocks:
             return norm(self.space, _gruss(_CenteredScalars(w, cand["alphas"]), cx))
         return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"]).rows))
 
     def ratio(self, cand: dict) -> float:
-        denom = self.chain(cand).links[self.info.link_index].value
-        value = self._stable_functional(cand) / denom if denom > 0.0 else 0.0
+        p = self._weights(cand)
+        denom = self.chain(cand, p).links[self.info.link_index].value
+        value = self._stable_functional(cand, p.weights) / denom if denom > 0.0 else 0.0
         if value > 1.0 + RATIO_GUARD:
             raise SoundnessError(
                 f"target {self.target}: ratio {value!r} exceeds 1 + {RATIO_GUARD:g}; "

@@ -1,14 +1,21 @@
 """Field-generic inner product algebra on finite-dimensional coordinate spaces.
 
 A :class:`Space` fixes the dimension, the scalar field (real or complex) and
-an optional diagonal metric of strictly positive weights. Vectors are plain
-numpy arrays validated against their space; sequences of vectors are
-``(n, dim)`` arrays. All operations are pure functions over immutable values.
+an optional diagonal metric of strictly positive weights. All operations are
+pure functions over immutable values.
+
+Each kind of array input has one validator, which copies it into the field,
+checks shape, nonemptiness and finiteness, and returns it read-only:
+
+* ``Space.vector``   one vector, shape ``(dim,)`` (enclosure endpoints, centers);
+* ``Space.matrix``   a sequence of vectors, shape ``(n, dim)`` (xs, ys, zs, gradients);
+* ``Space.scalars``  a sequence of scalars, shape ``(n,)`` (the alphas; a bare
+  scalar is a sequence of one);
+* :class:`ProbabilityVector`  the weights: flat, finite, nonnegative, summing to one.
 
 Convention: the inner product is linear in the first argument and
 conjugate-linear in the second. Every norm is the induced one.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -62,46 +69,45 @@ class Space:
     def dtype(self) -> np.dtype:
         return np.dtype(np.complex128 if self.is_complex else np.float64)
 
-    def scalar(self, value) -> float | complex:
-        """Validate a scalar of this space's field and coerce it to float/complex."""
-        z = complex(value)
-        if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-            raise ContractViolationError("scalars must be finite")
-        if not self.is_complex:
-            if z.imag != 0.0:
-                raise ContractViolationError("complex scalar supplied to a real space")
-            return z.real
-        return z
-
     def vector(self, coords) -> np.ndarray:
         """Validate coordinates as a finite vector of this space (read-only)."""
-        try:
-            v = np.array(coords, dtype=self.dtype)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatchError(f"cannot interpret coordinates as a {self.field} vector: {exc}") from None
-        if v.shape != (self.dim,):
-            raise DimensionMismatchError(f"vector must have shape ({self.dim},), got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ContractViolationError("vector entries must be finite")
-        v.flags.writeable = False
-        return v
+        return self._array(coords, (self.dim,), f"coordinates as a {self.field} vector",
+                           f"vector must have shape ({self.dim},)", "vector entries")
 
     def matrix(self, rows) -> np.ndarray:
         """Validate a nonempty sequence of conforming vectors as an (n, dim) array."""
+        return self._array(rows, (None, self.dim), f"rows as {self.field} vectors",
+                           f"expected shape (n, {self.dim})", "vector entries", "sequence of vectors")
+
+    def scalars(self, values) -> np.ndarray:
+        """Validate a nonempty sequence of this space's scalars as an (n,) array.
+
+        A bare scalar reads as a sequence of one.
+        """
+        return self._array(values, (None,), f"values as {self.field} scalars",
+                           "expected shape (n,)", "scalars", "sequence of scalars")
+
+    def _array(self, values, shape: tuple, what: str, expected: str, entries: str, sequence: str = "") -> np.ndarray:
+        """A read-only finite copy of ``values`` in this field, of ``shape``.
+
+        With ``sequence`` naming the items, the leading length (``None`` in
+        ``shape``) is free but must be nonzero.
+        """
         try:
-            m = np.array(rows, dtype=self.dtype)
+            a = np.asarray(values)
+            if a.dtype.kind == "c" and not self.is_complex:
+                raise TypeError("complex values in a real space")
+            a = np.array(a, dtype=self.dtype, ndmin=1 if shape == (None,) else 0)  # a bare scalar reads as (1,)
         except (TypeError, ValueError) as exc:
-            raise DimensionMismatchError(f"cannot interpret rows as {self.field} vectors: {exc}") from None
-        if m.ndim == 1 and m.size == 0:
-            raise DegenerateInputError("sequence of vectors must be nonempty")
-        if m.ndim != 2 or m.shape[1] != self.dim:
-            raise DimensionMismatchError(f"expected shape (n, {self.dim}), got {m.shape}")
-        if m.shape[0] < 1:
-            raise DegenerateInputError("sequence of vectors must be nonempty")
-        if not np.all(np.isfinite(m)):
-            raise ContractViolationError("vector entries must be finite")
-        m.flags.writeable = False
-        return m
+            raise DimensionMismatchError(f"cannot interpret {what}: {exc}") from None
+        if sequence and a.shape[:1] == (0,):
+            raise DegenerateInputError(f"{sequence} must be nonempty")
+        if a.shape != (shape if shape[0] is not None else a.shape[:1] + shape[1:]):
+            raise DimensionMismatchError(f"{expected}, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise ContractViolationError(f"{entries} must be finite")
+        a.flags.writeable = False
+        return a
 
     def zero(self) -> np.ndarray:
         return self.vector(np.zeros(self.dim))
@@ -115,6 +121,18 @@ class Space:
         return self.metric is None or bool(np.array_equal(self.metric, other.metric))
 
 
+def _weight_array(q) -> np.ndarray:
+    """A nonempty flat float copy of ``q`` with finite nonnegative entries."""
+    w = np.array(q, dtype=np.float64)
+    if w.ndim != 1 or w.size < 1:
+        raise DimensionMismatchError(f"weights must be a nonempty flat array, got shape {w.shape}")
+    if not np.all(np.isfinite(w)):
+        raise ContractViolationError("weights must be finite")
+    if np.any(w < 0.0):
+        raise ContractViolationError("weights must be nonnegative")
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """Nonnegative weights summing to one (renormalized at construction)."""
@@ -122,13 +140,7 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.array(self.weights, dtype=np.float64)
-        if w.ndim != 1 or w.size < 1:
-            raise DimensionMismatchError(f"weights must be a nonempty flat array, got shape {w.shape}")
-        if not np.all(np.isfinite(w)):
-            raise ContractViolationError("weights must be finite")
-        if np.any(w < 0.0):
-            raise ContractViolationError("weights must be nonnegative")
+        w = _weight_array(self.weights)
         s = float(w.sum())
         if abs(s - 1.0) > PROB_SUM_TOL:
             raise ContractViolationError(
@@ -148,13 +160,7 @@ class ProbabilityVector:
     @classmethod
     def from_nonnegative(cls, q) -> "ProbabilityVector":
         """Normalize arbitrary nonnegative weights with positive total."""
-        q = np.array(q, dtype=np.float64)
-        if q.ndim != 1 or q.size < 1:
-            raise DimensionMismatchError(f"weights must be a nonempty flat array, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
-            raise ContractViolationError("weights must be finite")
-        if np.any(q < 0.0):
-            raise ContractViolationError("weights must be nonnegative")
+        q = _weight_array(q)
         total = float(q.sum())
         if total <= 0.0:
             raise DegenerateInputError("total weight must be positive")
@@ -210,16 +216,6 @@ def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
     """Norms of each row of an (n, dim) array (or of one vector), under the space metric."""
     rows = np.asarray(rows, dtype=space.dtype)
     return np.sqrt(np.real(pairing(space, rows, rows)))
-
-
-def weighted_mean(p: ProbabilityVector, xs) -> np.ndarray:
-    """Convex combination sum_i p_i x_i of the rows of ``xs``."""
-    xs = np.asarray(xs)
-    if xs.ndim != 2:
-        raise DimensionMismatchError(f"expected an (n, dim) array of vectors, got shape {xs.shape}")
-    if xs.shape[0] != len(p):
-        raise DimensionMismatchError(f"{xs.shape[0]} vectors but {len(p)} weights")
-    return p.weights @ xs
 
 
 def forward_differences(xs) -> np.ndarray:

@@ -436,3 +436,16 @@ class TestValidateOnce:
         assert len(matrix_calls) == 0
         bound_variance(encl, ws.p, xs)
         assert len(matrix_calls) == 1
+
+
+def test_complex_sequence_validates_alphas_once(monkeypatch):
+    calls = []
+    original = Space.scalars
+
+    def counting(space, values):
+        calls.append(space)
+        return original(space, values)
+
+    monkeypatch.setattr(Space, "scalars", counting)
+    bound_complex_sequence(0.0, 2.0, ProbabilityVector.uniform(3), [0.5, 1.0, 1.5])
+    assert len(calls) == 1 and calls[0].is_complex

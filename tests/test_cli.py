@@ -375,6 +375,37 @@ class TestExtremeMagnitudes:
         assert ("$.sequences.xs" in err) == ("--fit" in argv)
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [("check",), ("bound", "--which", "2.3")])
+    def test_overflowing_enclosure_is_an_input_error(self, capsys, tmp_path, argv):
+        pts = [[1e200, 0.0], [0.0, 1e200]]
+        doc = {
+            "space": {"dim": 2},
+            "weights": [0.5, 0.5],
+            "sequences": {"xs": pts, "ys": pts},
+            "enclosures": {"x_lo": [-1e200, -1e200], "x_hi": [1e200, 1e200]},
+        }
+        path = tmp_path / "huge_enclosure.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: $.enclosures.x_lo:") and "overflow" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_slack_fails_without_warning(self, capsys, tmp_path):
+        doc = {
+            "space": {"dim": 2},
+            "weights": [0.5, 0.5],
+            "sequences": {"xs": [[1e200, 0.0], [0.0, 1.0]]},
+            "enclosures": {"x_lo": [-1.0, -1.0], "x_hi": [1.0, 1.0]},
+        }
+        path = tmp_path / "huge_point.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 1 and err == ""
+        assert "verdict: ball(x) fails at index 0 (slack -inf)" in out
+
+
 class TestJensen:
     def test_two_point(self, capsys):
         code, out, _ = run(capsys, "jensen", str(INSTANCES / "two_point.json"))

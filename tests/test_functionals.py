@@ -5,12 +5,17 @@ from brute import brute_chebyshev, brute_gruss, brute_variance
 from conftest import random_enclosure, random_prob, random_space, random_vector
 from grussbounds import (
     ContractViolationError,
+    DegenerateInputError,
     DimensionMismatchError,
     Enclosure,
     ProbabilityVector,
     Space,
     WeightedSequence,
+    alpha_abs_deviation,
+    alpha_variance,
+    bound_complex_sequence,
     chebyshev,
+    check_scalar_disc,
     identity_residual_24,
     identity_residual_210,
     mad,
@@ -19,7 +24,7 @@ from grussbounds import (
     vector_gruss,
 )
 from grussbounds.functionals import chebyshev_centered, vector_gruss_centered
-from grussbounds.space import COMPLEX, norm, row_norms, weighted_mean
+from grussbounds.space import COMPLEX, norm, row_norms
 
 
 def random_ws(rng, space=None, n=None, with_ys=True, with_alphas=False, scale=2.0):
@@ -50,6 +55,64 @@ class TestWeightedSequence:
             chebyshev(ws)
         with pytest.raises(ContractViolationError):
             vector_gruss(ws)
+
+
+#: Every entry point that takes a scalar sequence, run on three weights. The
+#: disc check has no weights, so it takes no length from them.
+ALPHA_ENTRY_POINTS = {
+    "WeightedSequence": lambda al: WeightedSequence(Space(1), ProbabilityVector.uniform(3), xs=np.zeros((3, 1)), alphas=al),
+    "check_scalar_disc": lambda al: check_scalar_disc(-10.0, 10.0, al),
+    "bound_complex_sequence": lambda al: bound_complex_sequence(-10.0, 10.0, ProbabilityVector.uniform(3), al),
+    "alpha_abs_deviation": lambda al: alpha_abs_deviation(ProbabilityVector.uniform(3), al),
+    "alpha_variance": lambda al: alpha_variance(ProbabilityVector.uniform(3), al),
+}
+WEIGHTED = ("WeightedSequence", "bound_complex_sequence", "alpha_abs_deviation", "alpha_variance")
+
+#: (id, bad alphas, expected error, entry points that must reject them). Rows
+#: that some entry point let through before every entry point shared one
+#: validator say after "parent:" what those entry points did instead.
+BAD_ALPHAS = [
+    ("complex on a real space, parent: TypeError", [1j, 0.0, 1.0], DimensionMismatchError, ("WeightedSequence",)),
+    ("strings, parent: ValueError or TypeError", ["a", "b", "c"], DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
+    ("a column, parent: alpha_variance 50.0", [[1.0], [2.0], [3.0]], DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
+    ("one for three weights, parent: 0.0", [5.0], DimensionMismatchError, WEIGHTED),
+    ("NaN, parent: alpha_* nan", [1.0, np.nan, 2.0], ContractViolationError, tuple(ALPHA_ENTRY_POINTS)),
+    ("empty, parent: DimensionMismatchError or nan", [], DegenerateInputError, tuple(ALPHA_ENTRY_POINTS)),
+]
+
+
+class TestAlphaValidation:
+    @pytest.mark.parametrize(
+        "entry, alphas, error",
+        [(entry, alphas, error) for _, alphas, error, entries in BAD_ALPHAS for entry in entries],
+        ids=[f"{entry}-{name}" for name, _, _, entries in BAD_ALPHAS for entry in entries],
+    )
+    def test_bad_alphas_raise_a_library_error(self, entry, alphas, error):
+        with pytest.raises(error):
+            ALPHA_ENTRY_POINTS[entry](alphas)
+
+    def test_alpha_variance_value(self):
+        assert alpha_variance(ProbabilityVector([0.2, 0.3, 0.5]), [1.0, 2.0, 3.0]) == pytest.approx(0.61)
+
+    def test_complex_array_is_not_truncated(self):
+        with pytest.raises(DimensionMismatchError):
+            WeightedSequence(Space(1), ProbabilityVector.uniform(3), xs=np.zeros((3, 1)), alphas=np.array([1j, 0, 1]))
+        assert alpha_variance(ProbabilityVector.uniform(2), np.array([1j, -1j])) == pytest.approx(1.0)
+
+    def test_bare_scalar_reads_as_one_alpha(self):
+        p = ProbabilityVector([1.0])
+        ws = WeightedSequence(Space(1), p, xs=np.zeros((1, 1)), alphas=2.0)
+        assert ws.alphas.shape == (1,)
+        assert len(check_scalar_disc(0.0, 4.0, 2.0)) == 1
+        assert bound_complex_sequence(0.0, 4.0, p, 2.0).values() == (0.0, 0.0, 0.0)
+        assert alpha_abs_deviation(p, 2.0) == alpha_variance(p, 2.0) == 0.0
+
+    @pytest.mark.parametrize("entry", list(ALPHA_ENTRY_POINTS))
+    def test_callers_array_stays_writeable(self, entry):
+        alphas = np.array([1.0, 2.0, 3.0])
+        ALPHA_ENTRY_POINTS[entry](alphas)
+        assert alphas.flags.writeable
+        alphas[0] = 0.0
 
 
 class TestChebyshev:
@@ -158,7 +221,7 @@ class TestVariance:
             xs = np.array([random_vector(rng, space, 2.0) for _ in range(n)])
             p = random_prob(rng, n)
             v = variance(space, p, xs)
-            mean = weighted_mean(p, xs)
+            mean = p.weights @ xs
             displacement = float(p.weights @ (row_norms(space, xs - mean[None, :]) ** 2))
             assert abs(v - displacement) <= 1e-10 * max(1.0, displacement)
             assert v >= 0.0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from grussbounds import ContractViolationError, Space, TARGETS, extremal_thm23, search
+from grussbounds import ContractViolationError, ProbabilityVector, Space, TARGETS, extremal_thm23, search
 
 
 class TestExtremal:
@@ -98,3 +98,18 @@ class TestSearch:
             result = search(target, 3, 2, 300, seed=4)
             inst = instancefile.parse_document(result.witness)
             assert check_ball(inst.enclosures["x"], inst.xs).holds
+
+
+@pytest.mark.parametrize("target", ["thm23_first", "rem24_final", "thm25_first"])
+def test_search_builds_one_probability_vector_per_evaluation(monkeypatch, target):
+    built = []
+    original = ProbabilityVector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ProbabilityVector, "__post_init__", counting)
+    result = search(target, 4, 2, 300, seed=2)
+    assert result.trials == 300
+    assert len(built) == 300 + 2  # the uniform weights at set-up and the witness's weights

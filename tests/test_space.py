@@ -12,7 +12,6 @@ from grussbounds import (
     forward_differences,
     inner,
     norm,
-    weighted_mean,
 )
 from brute import brute_inner
 from conftest import random_space, random_vector
@@ -50,13 +49,6 @@ class TestSpace:
             sp.vector([1.0, np.inf])
         with pytest.raises(DimensionMismatchError):
             sp.vector([1.0 + 1j, 0.0])  # complex coordinates in a real space
-
-    def test_scalar_validation(self):
-        sp = Space(1)
-        assert sp.scalar(2) == 2.0
-        with pytest.raises(ContractViolationError):
-            sp.scalar(1 + 1j)
-        assert Space(1, COMPLEX).scalar(1 + 1j) == 1 + 1j
 
 
 class TestInner:
@@ -112,26 +104,6 @@ class TestNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             norm(Space(2), [1.0])
-
-
-class TestWeightedMean:
-    def test_constant(self):
-        p = ProbabilityVector([0.2, 0.5, 0.3])
-        xs = np.tile([1.5, -2.0], (3, 1))
-        assert weighted_mean(p, xs) == pytest.approx([1.5, -2.0])
-
-    def test_midpoint(self):
-        p = ProbabilityVector([0.5, 0.5])
-        assert weighted_mean(p, np.array([[0.0], [1.0]])) == pytest.approx([0.5])
-
-    def test_basis_combination(self):
-        p = ProbabilityVector([0.3, 0.7])
-        xs = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert weighted_mean(p, xs) == pytest.approx([0.3, 0.7])
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            weighted_mean(ProbabilityVector([1.0]), np.array([[0.0], [1.0]]))
 
 
 class TestForwardDifferences:
@@ -231,15 +203,6 @@ def test_linearity_first_slot(data, are, aim):
     rhs = a * inner(space, u, v) + inner(space, w, v)
     scale = max(1.0, abs(a) * norm(space, u) * norm(space, v) + norm(space, w) * norm(space, v))
     assert abs(lhs - rhs) <= 1e-12 * scale
-
-
-@given(space_with_vectors(count=1), st.integers(1, 6))
-@settings(max_examples=100, deadline=None)
-def test_mean_idempotence(data, n):
-    space, (c,) = data
-    p = ProbabilityVector.uniform(n)
-    mean = weighted_mean(p, np.tile(c, (n, 1)))
-    assert np.allclose(mean, c, rtol=1e-14, atol=1e-14)
 
 
 def test_positive_definite(rng):
