@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, _disc, _dual_report
+from .conditions import ConditionReport, Enclosure, _disc, _report
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -102,17 +102,17 @@ def _same_space(a: Space, b: Space, what: str) -> None:
         raise DimensionMismatchError(f"{what} lives in an incompatible space")
 
 
-def _gate(report: ConditionReport, check: bool, what: str) -> bool:
-    if report.holds:
-        return True
-    if check:
-        bad = report.failing_indices()
-        i = int(bad[0])
-        raise HypothesisError(
-            f"{what} fails at index {i} (slack {report.slacks[i]:.6g}, {bad.size} of {len(report)} fail)",
-            report=report,
-        )
-    return False
+def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) -> ConditionReport:
+    """The ``kind`` report on validated ``rows``; with ``check``, a failure raises."""
+    report = _report(encl, rows, kind)
+    if report.holds or not check:
+        return report
+    bad = report.failing_indices()
+    i = int(bad[0])
+    raise HypothesisError(
+        f"{kind} condition on {name} fails at index {i} (slack {report.slacks[i]:.6g}, {bad.size} of {len(report)} fail)",
+        report=report,
+    )
 
 
 def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = True) -> BoundChain:
@@ -122,8 +122,7 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
     """
     ys = ws.require_ys()
     _same_space(encl_x.space, ws.space, "enclosure")
-    report = _dual_report(encl_x, ws.xs, "ball")
-    verified = _gate(report, check, "ball condition on xs")
+    report = _gate(encl_x, ws.xs, "ball", check, "xs")
     w = ws.p.weights
     cy = _Centered(ws.space, w, ys)
     dx = encl_x.diameter
@@ -136,7 +135,7 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
             BoundLink("0.5*diam(x)*std(y)", 0.5 * dx * math.sqrt(cy.variance()), "2.3"),
         ),
         hypothesis_reports=(report,),
-        hypothesis_verified=verified,
+        hypothesis_verified=report.holds,
     )
 
 
@@ -150,8 +149,7 @@ def bound_chebyshev_gruss(
     ys = ws.require_ys()
     _same_space(encl_y.space, ws.space, "y-enclosure")
     base = bound_chebyshev(encl_x, ws, check=check)
-    report_y = _dual_report(encl_y, ys, "ball")
-    verified = _gate(report_y, check, "ball condition on ys") and base.hypothesis_verified
+    report_y = _gate(encl_y, ys, "ball", check, "ys")
     final = BoundLink("0.25*diam(x)*diam(y)", 0.25 * encl_x.diameter * encl_y.diameter, "1.4")
     return BoundChain(
         equation="2.7",
@@ -159,7 +157,7 @@ def bound_chebyshev_gruss(
         functional_value=base.functional_value,
         links=base.links + (final,),
         hypothesis_reports=base.hypothesis_reports + (report_y,),
-        hypothesis_verified=verified,
+        hypothesis_verified=report_y.holds and base.hypothesis_verified,
     )
 
 
@@ -167,8 +165,7 @@ def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = T
     """Chain "2.8": variance <= diam(x)/2 * mad(x) <= diam(x)^2 / 4."""
     space = encl.space
     xs = _checked(p, space.matrix(xs))
-    report = _dual_report(encl, xs, "ball")
-    verified = _gate(report, check, "ball condition on xs")
+    report = _gate(encl, xs, "ball", check, "xs")
     cx = _Centered(space, p.weights, xs)
     dx = encl.diameter
     return BoundChain(
@@ -180,7 +177,7 @@ def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = T
             BoundLink("0.25*diam(x)^2", 0.25 * dx * dx, "1.5"),
         ),
         hypothesis_reports=(report,),
-        hypothesis_verified=verified,
+        hypothesis_verified=report.holds,
     )
 
 
@@ -195,9 +192,7 @@ def bound_scalar_weighted(
     """
     al = ws.require_alphas()
     _same_space(encl_x.space, ws.space, "enclosure")
-    report = _dual_report(encl_x, ws.xs, "ball")
-    verified = _gate(report, check, "ball condition on xs")
-    reports = (report,)
+    reports = (_gate(encl_x, ws.xs, "ball", check, "xs"),)
     ca = _CenteredScalars(ws.p.weights, al)
     dx = encl_x.diameter
     links = [
@@ -207,9 +202,7 @@ def bound_scalar_weighted(
     equation = "2.9"
     if disc is not None:
         a, A = disc
-        disc_report = _dual_report(_disc(a, A), al[:, None], "disc")
-        verified = _gate(disc_report, check, "disc condition on alphas") and verified
-        reports = reports + (disc_report,)
+        reports = reports + (_gate(_disc(a, A), al[:, None], "disc", check, "alphas"),)
         links.append(BoundLink("0.25*|A-a|*diam(x)", 0.25 * abs(complex(A) - complex(a)) * dx, "1.2"))
         equation = "2.11"
     return BoundChain(
@@ -218,7 +211,7 @@ def bound_scalar_weighted(
         functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs).rows)),
         links=tuple(links),
         hypothesis_reports=reports,
-        hypothesis_verified=verified,
+        hypothesis_verified=all(report.holds for report in reports),
     )
 
 
@@ -226,8 +219,7 @@ def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = 
     """Chain "R2.7" for scalars: |sum p a^2 - (sum p a)^2| = |sum p (a - abar)^2| under a disc condition."""
     disc = _disc(a, A)
     alphas = _checked(p, disc.space.scalars(alphas))
-    report = _dual_report(disc, alphas[:, None], "disc")
-    verified = _gate(report, check, "disc condition on alphas")
+    report = _gate(disc, alphas[:, None], "disc", check, "alphas")
     ca = _CenteredScalars(p.weights, alphas)
     width = abs(complex(A) - complex(a))
     return BoundChain(
@@ -239,7 +231,7 @@ def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = 
             BoundLink("0.5*|A-a|*astd(alpha)", 0.5 * width * math.sqrt(ca.variance()), "R2.7"),
         ),
         hypothesis_reports=(report,),
-        hypothesis_verified=verified,
+        hypothesis_verified=report.holds,
     )
 
 

@@ -16,6 +16,7 @@ are rendered with 17 significant digits so round-trips are lossless.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -110,15 +111,22 @@ def _fit_disc(alphas: np.ndarray) -> tuple[complex, complex]:
     return complex(encl.lo[0]), complex(encl.hi[0])
 
 
+@contextlib.contextmanager
+def _at(path: str):
+    """Report a ``ContractViolationError`` (on parsed input, an overflow) at the JSON ``path``."""
+    try:
+        yield
+    except ContractViolationError as exc:
+        raise ContractViolationError(f"{path}: {exc}") from None
+
+
 def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
     """The file's enclosure (or disc) ``name``; if absent and ``fit`` is set, a fit recorded in ``fitted``."""
     found = inst.disc if name == "disc" else inst.enclosures.get(name)
     if found is None and fit:
         seq = _ENCLOSED_SEQUENCE[name]
-        try:
+        with _at(f"$.sequences.{seq}"):
             found = _fit_disc(inst.alphas) if name == "disc" else fit_enclosure(inst.space, getattr(inst, seq))
-        except ContractViolationError as exc:
-            raise ContractViolationError(f"$.sequences.{seq}: {exc}") from None
         fitted[name] = found
     return found
 
@@ -307,23 +315,24 @@ def cmd_jensen(args) -> int:
         raise InstanceFormatError("no oracle: set 'oracle' in the file or pass --oracle")
     oracle = get_oracle(name, inst.space)
 
-    err = gradient_check(inst.space, oracle, zs, h=GRADIENT_CHECK_H)
-    if err > GRADIENT_CHECK_MAX_ERR:
-        print(
-            f"gradient check FAILED for oracle {name!r}: max relative error {_fmt(err)} "
-            f"> {GRADIENT_CHECK_MAX_ERR:g} at h={GRADIENT_CHECK_H:g}",
-            file=sys.stderr,
-        )
-        return 1
+    with np.errstate(over="ignore", invalid="ignore"), _at("$.sequences.zs"):  # an overflow exits 2 at zs
+        err = gradient_check(inst.space, oracle, zs, h=GRADIENT_CHECK_H)
+        if err > GRADIENT_CHECK_MAX_ERR:
+            print(
+                f"gradient check FAILED for oracle {name!r}: max relative error {_fmt(err)} "
+                f"> {GRADIENT_CHECK_MAX_ERR:g} at h={GRADIENT_CHECK_H:g}",
+                file=sys.stderr,
+            )
+            return 1
 
-    report = reverse_jensen(
-        inst.space,
-        oracle,
-        inst.weights.weights,
-        zs,
-        grad_encl=inst.enclosures.get("grad"),
-        z_encl=inst.enclosures.get("z"),
-    )
+        report = reverse_jensen(
+            inst.space,
+            oracle,
+            inst.weights.weights,
+            zs,
+            grad_encl=inst.enclosures.get("grad"),
+            z_encl=inst.enclosures.get("z"),
+        )
     tol = 1e-10 * max(1.0, abs(report.gap), abs(report.pairing_gap))
     gap_ok = report.gap >= -tol and report.gap <= report.pairing_gap + tol
     ok = gap_ok and report.chain.holds()

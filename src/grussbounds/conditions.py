@@ -7,8 +7,9 @@ point ``v`` the two per-point conditions
     ball:  ||v - (lo + hi)/2|| <= ||hi - lo|| / 2
 
 are equivalent; in fact the box slack always equals
-``radius**2 - ||v - center||**2``. Both slacks are computed directly (not
-one from the other) so the identity itself stays testable.
+``radius**2 - ||v - center||**2``. Each check computes only its own form's
+slack; ``TestConditionEquivalence`` and acceptance criterion 2 test the
+identity by comparing :func:`check_box` with that difference computed apart.
 
 Verdicts use a dead zone of ``COND_TOL`` relative to the enclosure diameter
 (diameter squared for the box form, whose slack is quadratic in lengths), so
@@ -18,7 +19,7 @@ boundary points pass deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +52,7 @@ class Enclosure:
     lo: np.ndarray
     hi: np.ndarray
     allow_degenerate: bool = False
+    diameter: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", self.space.vector(self.lo))
@@ -61,23 +63,19 @@ class Enclosure:
             raise ContractViolationError("enclosure diameter overflows double precision")
         if d == 0.0 and not self.allow_degenerate:
             raise DegenerateInputError("degenerate enclosure: lo == hi")
-        object.__setattr__(self, "_diameter", d)
+        object.__setattr__(self, "diameter", d)
 
     @property
     def center(self) -> np.ndarray:
         return (self.lo + self.hi) / 2.0
 
     @property
-    def diameter(self) -> float:
-        return self._diameter
-
-    @property
     def radius(self) -> float:
-        return self._diameter / 2.0
+        return self.diameter / 2.0
 
     @property
     def degenerate(self) -> bool:
-        return self._diameter == 0.0
+        return self.diameter == 0.0
 
     def inflated(self, factor: float) -> "Enclosure":
         """Enclosure scaled about its center by ``factor``."""
@@ -92,31 +90,33 @@ class Enclosure:
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Per-point slacks and verdicts for both condition forms.
+    """Per-point slacks and verdicts of one condition form.
 
-    ``kind`` names the primary form ("box", "ball" or "disc"); the overall
-    verdict ``holds`` is the conjunction of the primary per-point verdicts.
-    Scales are the dead-zone normalizers: diameter squared for the box form,
-    diameter for the ball form.
+    ``kind`` is "box", "ball" or "disc" (the ball form on the complex line).
+    ``scale``, the dead-zone normalizer, is diameter squared for the box form
+    and diameter for the ball form; ``verdicts`` (``slacks >= -tol * scale``)
+    and ``holds`` are derived at construction. The ``box_*`` or ``ball_*``
+    names read the fields on reports of their own form only.
     """
 
     kind: str
-    box_slacks: np.ndarray
-    ball_slacks: np.ndarray
-    box_verdicts: np.ndarray
-    ball_verdicts: np.ndarray
-    holds: bool
-    box_scale: float
-    ball_scale: float
+    slacks: np.ndarray
+    scale: float
     tol: float = COND_TOL
+    verdicts: np.ndarray = field(init=False)
+    holds: bool = field(init=False)
 
-    @property
-    def slacks(self) -> np.ndarray:
-        return self.box_slacks if self.kind == "box" else self.ball_slacks
+    def __post_init__(self) -> None:
+        verdicts = self.slacks >= -self.tol * self.scale
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "holds", bool(verdicts.all()))
 
-    @property
-    def verdicts(self) -> np.ndarray:
-        return self.box_verdicts if self.kind == "box" else self.ball_verdicts
+    def __getattr__(self, name: str):
+        form, _, attr = name.partition("_")
+        kind = vars(self).get("kind")
+        if attr in ("slacks", "verdicts", "scale") and form == ("box" if kind == "box" else "ball"):
+            return getattr(self, attr)
+        raise AttributeError(f"{kind} condition report has no attribute {name!r}")
 
     def failing_indices(self) -> np.ndarray:
         return np.flatnonzero(~self.verdicts)
@@ -128,37 +128,22 @@ class ConditionReport:
         return int(self.slacks.size)
 
 
-def _dual_report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
-    """Both slacks of every row of validated ``xs``; ``kind`` picks the verdict form."""
-    space = encl.space
-    box_slacks = np.real(pairing(space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
-    ball_slacks = encl.radius - row_norms(space, xs - encl.center)
-
-    box_scale = encl.diameter * encl.diameter
-    ball_scale = encl.diameter
-    box_verdicts = box_slacks >= -COND_TOL * box_scale
-    ball_verdicts = ball_slacks >= -COND_TOL * ball_scale
-    primary = box_verdicts if kind == "box" else ball_verdicts
-    return ConditionReport(
-        kind=kind,
-        box_slacks=box_slacks,
-        ball_slacks=ball_slacks,
-        box_verdicts=box_verdicts,
-        ball_verdicts=ball_verdicts,
-        holds=bool(primary.all()),
-        box_scale=box_scale,
-        ball_scale=ball_scale,
-    )
+def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
+    """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
+    if kind == "box":
+        slacks = np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
+        return ConditionReport(kind, slacks, encl.diameter * encl.diameter)
+    return ConditionReport(kind, encl.radius - row_norms(encl.space, xs - encl.center), encl.diameter)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
     """Check Re<hi - x_i, x_i - lo> >= 0 for every point."""
-    return _dual_report(encl, encl.space.matrix(xs), "box")
+    return _report(encl, encl.space.matrix(xs), "box")
 
 
 def check_ball(encl: Enclosure, xs) -> ConditionReport:
     """Check ||x_i - center|| <= radius for every point."""
-    return _dual_report(encl, encl.space.matrix(xs), "ball")
+    return _report(encl, encl.space.matrix(xs), "ball")
 
 
 def _disc(a, A) -> Enclosure:
@@ -174,7 +159,7 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
     For real ``a < A`` this is membership in the interval [a, A].
     """
     disc = _disc(a, A)
-    return _dual_report(disc, disc.space.scalars(alphas)[:, None], "disc")
+    return _report(disc, disc.space.scalars(alphas)[:, None], "disc")
 
 
 def fit_enclosure(space: Space, xs) -> Enclosure:
@@ -229,7 +214,6 @@ def _fit(space: Space, xs: np.ndarray) -> Enclosure:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         encl = encl.inflated(factor)
-    report = _dual_report(encl, xs, "ball")
-    if not report.holds:
+    if not _report(encl, xs, "ball").holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
     return encl

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundChain, BoundLink, _same_space
-from .conditions import Enclosure, _dual_report, _fit
+from .conditions import Enclosure, _fit, _report
 from .errors import ContractViolationError, DegenerateInputError, HypothesisError
 from .functionals import _Centered, _checked, _pair
 from .space import ProbabilityVector, Space, pairing
@@ -164,7 +164,7 @@ def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5)
     if not 0.0 < h <= 1e-2:
         raise ContractViolationError(f"step h must lie in (0, 1e-2], got {h!r}")
     samples = space.matrix(samples)
-    grads = space.matrix(oracle.grad(samples))
+    grads = _gradients(space, oracle, samples)
     d = np.random.default_rng(1754).standard_normal((samples.shape[0], 4, space.dim))
     d /= np.sqrt((d * d).sum(axis=-1, keepdims=True))
     ahead, behind = _values(oracle, samples[:, None] + h * d), _values(oracle, samples[:, None] - h * d)
@@ -181,6 +181,14 @@ def _values(oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray:
     if values.shape != zs.shape[:-1]:
         raise ContractViolationError(f"oracle {oracle.name!r} gave values of shape {values.shape} for points {zs.shape}")
     return values
+
+
+def _gradients(space: Space, oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray:
+    """grad F at every point of ``zs``; the points are finite, so a non-finite gradient has overflowed."""
+    grads = np.asarray(oracle.grad(zs))
+    if grads.dtype.kind in "fc" and not np.isfinite(grads).all():
+        raise ContractViolationError(f"oracle {oracle.name!r}: the gradients overflow double precision")
+    return space.matrix(grads)
 
 
 def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +210,7 @@ def jensen_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
 def pairing_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
     """sum p_i <grad F(z_i), z_i> - <mean grad, mean z> (the gradient/point pairing)."""
     w, zs = _normalized(space, q, zs)
-    grads = space.matrix(oracle.grad(zs))
+    grads = _gradients(space, oracle, zs)
     return _pair(space, w, _Centered(space, w, grads).rows, _Centered(space, w, zs).rows)
 
 
@@ -215,7 +223,7 @@ def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str):
             encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
     else:
         _same_space(encl.space, space, what)
-    report = _dual_report(encl, pts, "ball")
+    report = _report(encl, pts, "ball")
     if not report.holds:
         i = int(report.failing_indices()[0])
         raise HypothesisError(f"{what} fails the ball condition at index {i}", report=report)
@@ -242,7 +250,7 @@ def reverse_jensen(
     w, zs = _normalized(space, q, zs)
     cz = _Centered(space, w, zs)
     gap = _gap(oracle, w, zs, cz.mean)
-    grads = space.matrix(oracle.grad(zs))
+    grads = _gradients(space, oracle, zs)
     pgap = _pair(space, w, _Centered(space, w, grads).rows, cz.rows)
     grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure")
     z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure")

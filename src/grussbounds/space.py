@@ -4,8 +4,8 @@ A :class:`Space` fixes the dimension, the scalar field (real or complex) and
 an optional diagonal metric of strictly positive weights. All operations are
 pure functions over immutable values.
 
-Each kind of array input has one validator, which copies it into the field,
-checks shape, nonemptiness and finiteness, and returns it read-only:
+Each kind of array input has one validator, which copies numbers (only) into
+the field, checks shape, nonemptiness and finiteness, and returns it read-only:
 
 * ``Space.vector``   one vector, shape ``(dim,)`` (enclosure endpoints, centers);
 * ``Space.matrix``   a sequence of vectors, shape ``(n, dim)`` (xs, ys, zs, gradients);
@@ -93,13 +93,8 @@ class Space:
         With ``sequence`` naming the items, the leading length (``None`` in
         ``shape``) is free but must be nonzero.
         """
-        try:
-            a = np.asarray(values)
-            if a.dtype.kind == "c" and not self.is_complex:
-                raise TypeError("complex values in a real space")
-            a = np.array(a, dtype=self.dtype, ndmin=1 if shape == (None,) else 0)  # a bare scalar reads as (1,)
-        except (TypeError, ValueError) as exc:
-            raise DimensionMismatchError(f"cannot interpret {what}: {exc}") from None
+        a = np.array(_numeric(values, self.field, what), dtype=self.dtype,
+                     ndmin=1 if shape == (None,) else 0)  # a bare scalar reads as (1,)
         if sequence and a.shape[:1] == (0,):
             raise DegenerateInputError(f"{sequence} must be nonempty")
         if a.shape != (shape if shape[0] is not None else a.shape[:1] + shape[1:]):
@@ -121,9 +116,20 @@ class Space:
         return self.metric is None or bool(np.array_equal(self.metric, other.metric))
 
 
+def _numeric(values, field: str, what: str) -> np.ndarray:
+    """``values`` as an array of ``field`` numbers; strings, bytes, bools and objects are rejected."""
+    try:
+        a = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise DimensionMismatchError(f"cannot interpret {what}: {exc}") from None
+    if a.dtype.kind not in ("iufc" if field == COMPLEX else "iuf"):
+        raise DimensionMismatchError(f"cannot interpret {what}: entries of dtype {a.dtype} are not {field} numbers")
+    return a
+
+
 def _weight_array(q) -> np.ndarray:
     """A nonempty flat float copy of ``q`` with finite nonnegative entries."""
-    w = np.array(q, dtype=np.float64)
+    w = np.array(_numeric(q, REAL, "weights"), dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise DimensionMismatchError(f"weights must be a nonempty flat array, got shape {w.shape}")
     if not np.all(np.isfinite(w)):

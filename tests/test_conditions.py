@@ -5,7 +5,10 @@ from conftest import random_enclosure, random_space, random_vector, sample_in_ba
 from grussbounds import (
     DegenerateInputError,
     Enclosure,
+    ProbabilityVector,
     Space,
+    WeightedSequence,
+    bound_chebyshev,
     check_ball,
     check_box,
     check_scalar_disc,
@@ -121,6 +124,45 @@ class TestConditionEquivalence:
             expected = encl.radius**2 - dist**2
             scale = max(encl.radius**2, dist**2, 1e-30)
             assert abs(report.box_slacks[0] - expected) <= 1e-10 * scale
+
+
+#: Points inside, outside, on the sphere, and just outside it within the dead zone.
+_PTS = [[1.0, 0.0], [3.0, 0.0], [1.0, 1.0], [2.0 + 1e-12, 0.0]]
+_ENCL = Enclosure(Space(2), [0.0, 0.0], [2.0, 0.0])
+
+#: Each report-producing entry point and the form whose names its report carries.
+ONE_FORM_REPORTS = {
+    "check_box": (lambda: check_box(_ENCL, _PTS), "box"),
+    "check_ball": (lambda: check_ball(_ENCL, _PTS), "ball"),
+    "check_scalar_disc": (lambda: check_scalar_disc(0.0, 1.0, [0.5, 1.2, 1.0, 1.0 + 1e-12]), "ball"),
+    "bound_chebyshev": (
+        lambda: bound_chebyshev(
+            _ENCL, WeightedSequence(Space(2), ProbabilityVector.uniform(4), xs=_PTS, ys=_PTS), check=False
+        ).hypothesis_reports[0],
+        "ball",
+    ),
+}
+
+
+class TestOneFormReport:
+    @pytest.mark.parametrize("entry", list(ONE_FORM_REPORTS))
+    def test_verdicts_and_holds_derive_from_the_slacks(self, entry):
+        make, form = ONE_FORM_REPORTS[entry]
+        report = make()
+        assert np.array_equal(report.verdicts, report.slacks >= -report.tol * report.scale)
+        assert report.holds == bool(report.verdicts.all())
+        assert report.verdicts.tolist() == [True, False, True, True]
+        for field in ("slacks", "verdicts", "scale"):
+            assert getattr(report, f"{form}_{field}") is getattr(report, field)
+
+    @pytest.mark.parametrize("entry", list(ONE_FORM_REPORTS))
+    def test_the_other_forms_names_raise(self, entry):
+        make, form = ONE_FORM_REPORTS[entry]
+        report = make()
+        other = "ball" if form == "box" else "box"
+        for field in ("slacks", "verdicts", "scale"):
+            with pytest.raises(AttributeError):
+                getattr(report, f"{other}_{field}")
 
 
 class TestFitEnclosure:

@@ -78,6 +78,10 @@ BAD_ALPHAS = [
     ("one for three weights, parent: 0.0", [5.0], DimensionMismatchError, WEIGHTED),
     ("NaN, parent: alpha_* nan", [1.0, np.nan, 2.0], ContractViolationError, tuple(ALPHA_ENTRY_POINTS)),
     ("empty, parent: DimensionMismatchError or nan", [], DegenerateInputError, tuple(ALPHA_ENTRY_POINTS)),
+    ("numeric strings, parent: parsed", ["1.5", " 2 ", "3"], DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
+    ("bytes, parent: parsed", [b"1", b"2", b"3"], DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
+    ("bools, parent: read as 0 and 1", [True, False, True], DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
+    ("objects, parent: converted", np.array([1, 2, 3], dtype=object), DimensionMismatchError, tuple(ALPHA_ENTRY_POINTS)),
 ]
 
 

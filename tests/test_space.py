@@ -50,6 +50,22 @@ class TestSpace:
         with pytest.raises(DimensionMismatchError):
             sp.vector([1.0 + 1j, 0.0])  # complex coordinates in a real space
 
+    @pytest.mark.parametrize(
+        "validate",
+        [
+            lambda: Space(2).vector([True, False]),
+            lambda: Space(2).vector(["1", "2"]),
+            lambda: Space(1, COMPLEX).matrix([["1+2j"], ["3"]]),
+            lambda: Space(1).matrix(np.array([[1.0], [2.0]], dtype=object)),
+            lambda: Space(1).scalars(["1.5", " 2 "]),
+        ],
+        ids=["bools", "strings", "complex strings", "objects", "scalar strings"],
+    )
+    def test_non_numeric_arrays_are_rejected(self, validate):
+        # numpy would parse the strings and read the bools as 0 and 1
+        with pytest.raises(DimensionMismatchError, match="cannot interpret"):
+            validate()
+
 
 class TestInner:
     def test_orthogonal(self):
@@ -143,6 +159,16 @@ class TestProbabilityVector:
 
     def test_uniform(self):
         assert ProbabilityVector.uniform(4).weights == pytest.approx([0.25] * 4)
+
+    @pytest.mark.parametrize("make", [ProbabilityVector, ProbabilityVector.from_nonnegative])
+    @pytest.mark.parametrize(
+        "weights",
+        [["0.5", "0.5"], [b"1", b"3"], [True, False], [0.5 + 0j, 0.5], [[0.5], [0.25, 0.25]]],
+        ids=["strings", "bytes", "bools", "complex", "ragged"],
+    )
+    def test_non_numeric_weights_are_rejected(self, make, weights):
+        with pytest.raises(DimensionMismatchError, match="cannot interpret weights"):
+            make(weights)
 
     def test_immutable(self):
         p = ProbabilityVector.uniform(3)
