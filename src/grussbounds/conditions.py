@@ -28,7 +28,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, norm, pairing, row_norms
+from .space import COMPLEX, Space, _by_columns, norm, pairing, row_norms
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -128,12 +128,45 @@ class ConditionReport:
         return int(self.slacks.size)
 
 
+def _distances(space: Space, xs: np.ndarray, c) -> np.ndarray:
+    """||x_i - c|| for every row of ``xs``, to the bit ``row_norms(space, xs - c)``.
+
+    Where :func:`_by_columns` holds, each column of ``xs - c`` is formed,
+    squared and added in turn, in the order of ``pairing``'s sums (einsum's
+    on complex rows), so no ``(n, dim)`` array is built. Otherwise real rows
+    square ``xs - c`` in place, where ``pairing`` would build a second array.
+    """
+    m = space.metric
+    if _by_columns(space, xs):
+        sq = np.zeros(xs.shape[0])
+        for k in range(xs.shape[1]):
+            if space.is_complex:  # re * (re * m) + im * (im * m)
+                re, im = xs.real[:, k] - c.real[k], xs.imag[:, k] - c.imag[k]
+                term = re * re if m is None else re * (re * m[k])
+                term += im * im if m is None else im * (im * m[k])
+            else:  # (d * d) * m
+                term = xs[:, k] - c[k]
+                term *= term
+                if m is not None:
+                    term *= m[k]
+            sq += term
+    else:
+        d = xs - c
+        if space.is_complex:
+            return row_norms(space, d)
+        d *= d
+        if m is not None:
+            d *= m
+        sq = d.sum(axis=-1)
+    return np.sqrt(sq, out=sq)
+
+
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
     if kind == "box":
         slacks = np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
         return ConditionReport(kind, slacks, encl.diameter * encl.diameter)
-    return ConditionReport(kind, encl.radius - row_norms(encl.space, xs - encl.center), encl.diameter)
+    return ConditionReport(kind, encl.radius - _distances(encl.space, xs, encl.center), encl.diameter)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
@@ -169,27 +202,34 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     (at most ``MAX_SWEEPS``), tightens the radius to the exact maximal
     distance, and returns antipodes along the seed-pair direction.
 
-    The result is validated with :func:`check_ball` and inflated about its
+    The result is validated with the ball condition and inflated about its
     center by the minimal factor needed to cover all points, which absorbs
     the rounding of the antipode construction; a required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``.
     """
-    return _fit(space, space.matrix(xs))
+    return _fit(space, space.matrix(xs))[0]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite radius
-def _fit(space: Space, xs: np.ndarray) -> Enclosure:
-    d0 = row_norms(space, xs - xs[0][None, :])
-    if float(d0.max()) == 0.0:
+def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
+    """The fitted enclosure of validated ``xs`` and its ball report on them.
+
+    Each pass is one :func:`_distances` call: two for the seed pair, one per
+    sweep, and one or, after an inflation, two for the report. The sweep that
+    stops the expansion gives the tight radius, and the pass that finds the
+    inflation factor gives the ball slacks.
+    """
+    dists = _distances(space, xs, xs[0])
+    if float(dists.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
 
-    i1 = int(np.argmax(d0))
-    d1 = row_norms(space, xs - xs[i1][None, :])
-    i2 = int(np.argmax(d1))
+    i1 = int(np.argmax(dists))
+    dists = _distances(space, xs, xs[i1])
+    i2 = int(np.argmax(dists))
     center = (xs[i1] + xs[i2]) / 2.0
-    radius = float(d1[i2]) / 2.0
+    radius = float(dists[i2]) / 2.0
     for _ in range(MAX_SWEEPS):
-        dists = row_norms(space, xs - center[None, :])
+        dists = _distances(space, xs, center)
         far = int(np.argmax(dists))
         dmax = float(dists[far])
         if not dmax > radius:  # NaN after an overflow stops too
@@ -197,7 +237,9 @@ def _fit(space: Space, xs: np.ndarray) -> Enclosure:
         new_radius = (radius + dmax) / 2.0
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius
-    radius = float(row_norms(space, xs - center[None, :]).max())
+    else:
+        dmax = float(_distances(space, xs, center).max())
+    radius = dmax
     if not np.isfinite(radius):
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
     u = xs[i2] - xs[i1]
@@ -208,12 +250,14 @@ def _fit(space: Space, xs: np.ndarray) -> Enclosure:
     u = u * (np.conj(pivot) / abs(pivot)) if space.is_complex else u * np.sign(np.real(pivot))
 
     encl = Enclosure(space, center - radius * u, center + radius * u)
-    dists = row_norms(space, xs - encl.center[None, :])
+    dists = _distances(space, xs, encl.center)
     factor = float(dists.max()) / encl.radius
     if factor > MAX_INFLATION:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         encl = encl.inflated(factor)
-    if not _report(encl, xs, "ball").holds:
+        dists = _distances(space, xs, encl.center)
+    report = ConditionReport("ball", encl.radius - dists, encl.diameter)
+    if not report.holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
-    return encl
+    return encl, report

@@ -328,6 +328,10 @@ def _text(node, pad: str = "") -> str:
         items = ",\n".join(f"{inner}{json.dumps(str(key))}: {_text(value, inner)}" for key, value in node.items())
         return "{\n" + items + "\n" + pad + "}" if node else "{}"
     if isinstance(node, (list, tuple)):
+        if node and set(map(type, node)) == {float}:  # one template for the whole array
+            if not all(map(math.isfinite, node)):
+                raise InstanceFormatError("cannot serialize a non-finite number")
+            return "[" + ", ".join(["%.17g"] * len(node)) % tuple(node) + "]"
         if all(isinstance(v, (int, float, str, bool)) or v is None for v in node):
             return "[" + ", ".join(map(_text, node)) + "]"
         return "[\n" + ",\n".join(inner + _text(v, inner) for v in node) + "\n" + pad + "]"

@@ -154,6 +154,7 @@ def _require_real(space: Space) -> None:
         raise ContractViolationError("convex-function machinery is defined on real spaces only")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite gradient or a NaN error
 def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5) -> float:
     """Max relative error of <grad, d> against central differences of eval.
 
@@ -169,10 +170,11 @@ def gradient_check(space: Space, oracle: ConvexOracle, samples, h: float = 1e-5)
     d /= np.sqrt((d * d).sum(axis=-1, keepdims=True))
     ahead, behind = _values(oracle, samples[:, None] + h * d), _values(oracle, samples[:, None] - h * d)
     ip = pairing(space, grads[:, None, :], d)
-    with np.errstate(invalid="ignore"):  # an overflowing eval gives inf - inf
-        fd = (ahead - behind) / (2.0 * h)
-        err = np.abs(fd - ip) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(ip)))
-    return float(np.fmax.reduce(err, axis=None, initial=0.0))  # skips NaN, as a running max() does
+    fd = (ahead - behind) / (2.0 * h)
+    err = np.abs(fd - ip) / np.maximum(1.0, np.maximum(np.abs(fd), np.abs(ip)))
+    if np.isnan(err).any():
+        raise ContractViolationError(f"oracle {oracle.name!r}: the finite differences overflow double precision")
+    return float(err.max())
 
 
 def _values(oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray:
@@ -218,7 +220,7 @@ def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str):
     """``encl`` (fitted when None) and its ball report on ``pts``; a failure raises."""
     if encl is None:
         try:
-            encl = _fit(space, pts)
+            return _fit(space, pts)  # whose report already holds
         except DegenerateInputError:
             encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
     else:

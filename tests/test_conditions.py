@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from brute import reference_fit
 from conftest import random_enclosure, random_space, random_vector, sample_in_ball
 from grussbounds import (
     DegenerateInputError,
@@ -14,7 +17,7 @@ from grussbounds import (
     check_scalar_disc,
     fit_enclosure,
 )
-from grussbounds.space import COMPLEX, norm
+from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, norm
 
 
 class TestEnclosure:
@@ -198,3 +201,35 @@ class TestFitEnclosure:
         pts = np.array([random_vector(rng, space) for _ in range(7)])
         encl = fit_enclosure(space, pts)
         assert check_ball(encl, pts).holds
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", [1, 3, 8, 32])
+    def test_matches_the_reference_fit_bit_for_bit(self, rng, dim, field):
+        for t in range(8):
+            space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if t % 2 else None)
+            n = int(rng.integers(2, 40)) if t < 2 else int(rng.integers(COLUMN_ROWS, 4 * COLUMN_ROWS))
+            pts = space.matrix([random_vector(rng, space) for _ in range(n)])
+            lo, hi, _ = reference_fit(pts, space.metric)
+            encl = fit_enclosure(space, pts)
+            assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+
+    def test_an_inflated_fit_matches_the_reference(self, rng):
+        space = Space(3)
+        for _ in range(100):
+            pts = rng.standard_normal((COLUMN_ROWS * 2, 3))
+            lo, hi, inflated = reference_fit(pts)
+            if inflated:
+                break
+        assert inflated
+        encl = fit_enclosure(space, pts)
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+
+    def test_peak_memory_stays_within_three_and_a_half_inputs(self, rng):
+        pts = rng.standard_normal((200_000, 3))
+        tracemalloc.start()
+        try:
+            fit_enclosure(Space(3), pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * pts.nbytes  # the validated copy, one buffer and a few (n,) arrays

@@ -112,6 +112,20 @@ def test_nonfinite_rejected_in_serialization():
         dumps({"x": float("inf")})
 
 
+def test_float_arrays_serialize_as_one_number_at_a_time_does(rng):
+    floats = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1e16, 1e17]
+    floats += (rng.standard_normal(200) * 10.0 ** rng.integers(-320, 300, 200)).tolist()
+    mixed = [1, -0.0, 2**70, 5e-324, -3, 1e308]
+
+    def one_at_a_time(atoms):
+        return "[" + ", ".join(str(v) if isinstance(v, int) else format(v, ".17g") for v in atoms) + "]"
+
+    for atoms in (floats, mixed, [-0.0], [-1e308, 1e308]):
+        assert dumps({"a": atoms}) == '{\n  "a": ' + one_at_a_time(atoms) + "\n}\n"
+    with pytest.raises(InstanceFormatError):
+        dumps({"a": [0.5, float("inf")]})
+
+
 class TestParseErrors:
     def error(self, text):
         with pytest.raises(InstanceFormatError) as err:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from grussbounds import (
     pairing_gap,
     reverse_jensen,
 )
+from grussbounds import conditions, jensen
 from grussbounds.space import COMPLEX, REAL, pairing
 
 
@@ -128,6 +130,14 @@ class TestGradientCheck:
             samples = np.array([random_vector(rng, space, 1.5) for _ in range(6)])
             assert gradient_check(space, oracle, samples) == gradient_check_by_point(space, oracle, samples)
 
+    @pytest.mark.parametrize("name", ["squared_norm", "norm_fourth"])
+    def test_overflowing_differences_raise(self, name):
+        space = Space(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's overflow warnings stay silent
+            with pytest.raises(ContractViolationError, match="overflow"):
+                gradient_check(space, get_oracle(name, space), [[1e160, 0.0], [0.0, 1e160]])
+
     def test_step_contract(self):
         space = Space(1)
         oracle = get_oracle("squared_norm", space)
@@ -184,6 +194,21 @@ class TestGaps:
 
 
 class TestReverseJensen:
+    def test_fitted_enclosures_reuse_the_fits_reports(self, rng, monkeypatch):
+        calls = []
+
+        def counted(encl, xs, kind, report=conditions._report):
+            calls.append(kind)
+            return report(encl, xs, kind)
+
+        monkeypatch.setattr(conditions, "_report", counted)
+        monkeypatch.setattr(jensen, "_report", counted)
+        space = Space(3)
+        zs = np.array([random_vector(rng, space) for _ in range(50)])
+        report = reverse_jensen(space, get_oracle("norm_fourth", space), np.ones(50), zs)
+        assert calls == []
+        assert [r.holds for r in report.chain.hypothesis_reports] == [True, True]
+
     def test_hand_example(self):
         # gradients {0, 2} fit to the (0, 2) enclosure: diam 2; mad(z) = 1/2
         space = Space(1)

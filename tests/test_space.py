@@ -13,9 +13,9 @@ from grussbounds import (
     inner,
     norm,
 )
-from brute import brute_inner
+from brute import _reference_norms, brute_inner
 from conftest import random_space, random_vector
-from grussbounds.space import COMPLEX, REAL, pairing
+from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, pairing, row_norms
 
 
 class TestSpace:
@@ -104,6 +104,39 @@ class TestPairing:
         u, v = random_vector(rng, space), random_vector(rng, space)
         assert pairing(space, u, v) == inner(space, u, v)
         assert np.real(pairing(space, u, u)) == pytest.approx(norm(space, u) ** 2, rel=1e-15)
+
+
+def same_bits(x, y) -> bool:
+    """Equal to the bit, telling -0.0 from 0.0."""
+    return x.dtype == y.dtype and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestColumnPath:
+    """Real pairings 2 to 7 wide sum column by column from ``COLUMN_ROWS`` rows on;
+    every width and row count gives the bits of the one-product sum."""
+
+    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, COLUMN_ROWS, 3 * COLUMN_ROWS + 5])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_real_pairing_and_norms_equal_the_product_sum(self, rng, dim, with_metric, n):
+        m = rng.uniform(0.2, 3.0, dim) if with_metric else np.ones(dim)
+        space = Space(dim, REAL, m if with_metric else None)
+        a = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, dim))
+        b = rng.standard_normal((n, dim))
+        a[0] = -0.0  # a row of signed zeros keeps its sign
+        assert same_bits(pairing(space, a, b), (a * b * m).sum(-1))
+        assert same_bits(row_norms(space, a), np.sqrt((a * a * m).sum(-1)))
+
+    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, 3 * COLUMN_ROWS + 5])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_row_norms_equal_the_reference(self, rng, dim, with_metric, field, n):
+        metric = rng.uniform(0.2, 3.0, dim) if with_metric else None
+        space = Space(dim, field, metric)
+        a = np.array([random_vector(rng, space, 10.0) for _ in range(n)])
+        a[0] = -0.0
+        assert same_bits(row_norms(space, a), _reference_norms(a, metric))
 
 
 class TestNorm:
