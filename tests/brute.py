@@ -63,7 +63,7 @@ def brute_pair_index(p):
     return math.fsum(float(p[i]) * float(p[j]) * (i - j) for i in range(n) for j in range(i))
 
 
-def _reference_norms(rows, metric=None):
+def reference_norms(rows, metric=None):
     """Row norms as plain numpy expressions over one fresh product."""
     if np.iscomplexobj(rows):
         b = np.conj(rows) if metric is None else np.conj(rows) * metric
@@ -77,18 +77,18 @@ def _reference_norms(rows, metric=None):
 def reference_fit(xs, metric=None, max_sweeps=200):
     """``(lo, hi, inflated)`` of the Ritter enclosure fit, one fresh temporary per step.
 
-    Every distance pass recomputes ``xs - c`` and its product, and the tight
-    radius takes a pass of its own, as the fit's first version did, so the
-    fit's buffered passes must give the same bits.
+    Every distance pass builds ``xs - c`` and its product afresh, and the
+    tight radius takes a pass of its own, so the library fit's fused passes
+    must reproduce these bits.
     """
     xs = np.asarray(xs)
-    i1 = int(np.argmax(_reference_norms(xs - xs[0], metric)))
-    d1 = _reference_norms(xs - xs[i1], metric)
+    i1 = int(np.argmax(reference_norms(xs - xs[0], metric)))
+    d1 = reference_norms(xs - xs[i1], metric)
     i2 = int(np.argmax(d1))
     center = (xs[i1] + xs[i2]) / 2.0
     radius = float(d1[i2]) / 2.0
     for _ in range(max_sweeps):
-        dists = _reference_norms(xs - center, metric)
+        dists = reference_norms(xs - center, metric)
         far = int(np.argmax(dists))
         dmax = float(dists[far])
         if not dmax > radius:
@@ -96,14 +96,14 @@ def reference_fit(xs, metric=None, max_sweeps=200):
         new_radius = (radius + dmax) / 2.0
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius
-    radius = float(_reference_norms(xs - center, metric).max())
+    radius = float(reference_norms(xs - center, metric).max())
     u = xs[i2] - xs[i1]
-    u = u / float(_reference_norms(u, metric))
+    u = u / float(reference_norms(u, metric))
     pivot = u[int(np.argmax(np.abs(u) > 0.0))]
     u = u * (np.conj(pivot) / abs(pivot)) if np.iscomplexobj(xs) else u * np.sign(np.real(pivot))
     lo, hi = center - radius * u, center + radius * u
     mid = (lo + hi) / 2.0
-    factor = float(_reference_norms(xs - mid, metric).max()) / (float(_reference_norms(hi - lo, metric)) / 2.0)
+    factor = float(reference_norms(xs - mid, metric).max()) / (float(reference_norms(hi - lo, metric)) / 2.0)
     if factor > 1.0:
         lo, hi = mid + (lo - mid) * factor, mid + (hi - mid) * factor
     return lo, hi, factor > 1.0

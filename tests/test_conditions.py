@@ -232,4 +232,4 @@ class TestFitEnclosure:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * pts.nbytes  # the validated copy, one buffer and a few (n,) arrays
+        assert peak <= 3.5 * pts.nbytes  # the validated copy and a few (n,) arrays
