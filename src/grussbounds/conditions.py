@@ -28,7 +28,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _by_columns, norm, pairing, row_norms
+from .space import COMPLEX, Space, norm, pairing, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -128,45 +128,12 @@ class ConditionReport:
         return int(self.slacks.size)
 
 
-def _distances(space: Space, xs: np.ndarray, c) -> np.ndarray:
-    """||x_i - c|| for every row of ``xs``, to the bit ``row_norms(space, xs - c)``.
-
-    Where :func:`_by_columns` holds, each column of ``xs - c`` is formed,
-    squared and added in turn, in the order of ``pairing``'s sums (einsum's
-    on complex rows), so no ``(n, dim)`` array is built. Otherwise real rows
-    square ``xs - c`` in place, where ``pairing`` would build a second array.
-    """
-    m = space.metric
-    if _by_columns(space, xs):
-        sq = np.zeros(xs.shape[0])
-        for k in range(xs.shape[1]):
-            if space.is_complex:  # re * (re * m) + im * (im * m)
-                re, im = xs.real[:, k] - c.real[k], xs.imag[:, k] - c.imag[k]
-                term = re * re if m is None else re * (re * m[k])
-                term += im * im if m is None else im * (im * m[k])
-            else:  # (d * d) * m
-                term = xs[:, k] - c[k]
-                term *= term
-                if m is not None:
-                    term *= m[k]
-            sq += term
-    else:
-        d = xs - c
-        if space.is_complex:
-            return row_norms(space, d)
-        d *= d
-        if m is not None:
-            d *= m
-        sq = d.sum(axis=-1)
-    return np.sqrt(sq, out=sq)
-
-
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
     if kind == "box":
         slacks = np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
         return ConditionReport(kind, slacks, encl.diameter * encl.diameter)
-    return ConditionReport(kind, encl.radius - _distances(encl.space, xs, encl.center), encl.diameter)
+    return ConditionReport(kind, encl.radius - row_distances(encl.space, xs, encl.center), encl.diameter)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
@@ -214,22 +181,22 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
 def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
     """The fitted enclosure of validated ``xs`` and its ball report on them.
 
-    Each pass is one :func:`_distances` call: two for the seed pair, one per
+    Each pass is one :func:`row_distances` call: two for the seed pair, one per
     sweep, and one or, after an inflation, two for the report. The sweep that
     stops the expansion gives the tight radius, and the pass that finds the
     inflation factor gives the ball slacks.
     """
-    dists = _distances(space, xs, xs[0])
+    dists = row_distances(space, xs, xs[0])
     if float(dists.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
 
     i1 = int(np.argmax(dists))
-    dists = _distances(space, xs, xs[i1])
+    dists = row_distances(space, xs, xs[i1])
     i2 = int(np.argmax(dists))
     center = (xs[i1] + xs[i2]) / 2.0
     radius = float(dists[i2]) / 2.0
     for _ in range(MAX_SWEEPS):
-        dists = _distances(space, xs, center)
+        dists = row_distances(space, xs, center)
         far = int(np.argmax(dists))
         dmax = float(dists[far])
         if not dmax > radius:  # NaN after an overflow stops too
@@ -238,7 +205,7 @@ def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius
     else:
-        dmax = float(_distances(space, xs, center).max())
+        dmax = float(row_distances(space, xs, center).max())
     radius = dmax
     if not np.isfinite(radius):
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
@@ -250,13 +217,13 @@ def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
     u = u * (np.conj(pivot) / abs(pivot)) if space.is_complex else u * np.sign(np.real(pivot))
 
     encl = Enclosure(space, center - radius * u, center + radius * u)
-    dists = _distances(space, xs, encl.center)
+    dists = row_distances(space, xs, encl.center)
     factor = float(dists.max()) / encl.radius
     if factor > MAX_INFLATION:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         encl = encl.inflated(factor)
-        dists = _distances(space, xs, encl.center)
+        dists = row_distances(space, xs, encl.center)
     report = ConditionReport("ball", encl.radius - dists, encl.diameter)
     if not report.holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")

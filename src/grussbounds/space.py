@@ -251,6 +251,39 @@ def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.real(pairing(space, rows, rows)))
 
 
+def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
+    """||x_i - c|| for every row x_i of ``rows``, to the bit ``row_norms(space, rows - c)``.
+
+    Where :func:`_by_columns` holds, each column of ``rows - c`` is formed,
+    squared and added in turn, in the order of ``pairing``'s sums (einsum's
+    on complex rows), so no ``(n, dim)`` array is built. Otherwise real rows
+    square ``rows - c`` in place, where ``pairing`` would build a second array.
+    """
+    m = space.metric
+    if _by_columns(space, rows):
+        sq = np.zeros(rows.shape[0])
+        for k in range(rows.shape[1]):
+            if space.is_complex:  # re * (re * m) + im * (im * m)
+                re, im = rows.real[:, k] - c.real[k], rows.imag[:, k] - c.imag[k]
+                term = re * re if m is None else re * (re * m[k])
+                term += im * im if m is None else im * (im * m[k])
+            else:  # (d * d) * m
+                term = rows[:, k] - c[k]
+                term *= term
+                if m is not None:
+                    term *= m[k]
+            sq += term
+    else:
+        d = rows - c
+        if space.is_complex:
+            return row_norms(space, d)
+        d *= d
+        if m is not None:
+            d *= m
+        sq = d.sum(axis=-1)
+    return np.sqrt(sq, out=sq)
+
+
 def forward_differences(xs) -> np.ndarray:
     """Consecutive differences (x_2 - x_1, ..., x_n - x_{n-1}) as an (n-1, dim) array."""
     xs = np.asarray(xs)

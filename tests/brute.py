@@ -2,13 +2,10 @@
 
 These expand the defining sums term by term with scalar arithmetic and no
 numpy, so they share no code path with the library implementations they
-check. The one exception is :func:`reference_fit`, a bit-for-bit reference
-for the enclosure fit, which needs numpy's own rounding.
+check.
 """
 
 import math
-
-import numpy as np
 
 
 def brute_inner(u, v, metric=None):
@@ -61,49 +58,3 @@ def brute_pair_index(p):
     """sum_{j<i} p_i p_j (i - j), term by term."""
     n = len(p)
     return math.fsum(float(p[i]) * float(p[j]) * (i - j) for i in range(n) for j in range(i))
-
-
-def reference_norms(rows, metric=None):
-    """Row norms as plain numpy expressions over one fresh product."""
-    if np.iscomplexobj(rows):
-        b = np.conj(rows) if metric is None else np.conj(rows) * metric
-        return np.sqrt(np.real(np.einsum("...k,...k->...", rows, b)))
-    prod = rows * rows
-    if metric is not None:
-        prod = prod * metric
-    return np.sqrt(prod.sum(axis=-1))
-
-
-def reference_fit(xs, metric=None, max_sweeps=200):
-    """``(lo, hi, inflated)`` of the Ritter enclosure fit, one fresh temporary per step.
-
-    Every distance pass builds ``xs - c`` and its product afresh, and the
-    tight radius takes a pass of its own, so the library fit's fused passes
-    must reproduce these bits.
-    """
-    xs = np.asarray(xs)
-    i1 = int(np.argmax(reference_norms(xs - xs[0], metric)))
-    d1 = reference_norms(xs - xs[i1], metric)
-    i2 = int(np.argmax(d1))
-    center = (xs[i1] + xs[i2]) / 2.0
-    radius = float(d1[i2]) / 2.0
-    for _ in range(max_sweeps):
-        dists = reference_norms(xs - center, metric)
-        far = int(np.argmax(dists))
-        dmax = float(dists[far])
-        if not dmax > radius:
-            break
-        new_radius = (radius + dmax) / 2.0
-        center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
-        radius = new_radius
-    radius = float(reference_norms(xs - center, metric).max())
-    u = xs[i2] - xs[i1]
-    u = u / float(reference_norms(u, metric))
-    pivot = u[int(np.argmax(np.abs(u) > 0.0))]
-    u = u * (np.conj(pivot) / abs(pivot)) if np.iscomplexobj(xs) else u * np.sign(np.real(pivot))
-    lo, hi = center - radius * u, center + radius * u
-    mid = (lo + hi) / 2.0
-    factor = float(reference_norms(xs - mid, metric).max()) / (float(reference_norms(hi - lo, metric)) / 2.0)
-    if factor > 1.0:
-        lo, hi = mid + (lo - mid) * factor, mid + (hi - mid) * factor
-    return lo, hi, factor > 1.0

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from brute import reference_fit
 from conftest import random_enclosure, random_space, random_vector, sample_in_ball
 from grussbounds import (
     DegenerateInputError,
@@ -18,6 +17,7 @@ from grussbounds import (
     fit_enclosure,
 )
 from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, norm
+from numpy_reference import reference_fit
 
 
 class TestEnclosure:

@@ -13,9 +13,10 @@ from grussbounds import (
     inner,
     norm,
 )
-from brute import brute_inner, reference_norms
+from brute import brute_inner
 from conftest import random_space, random_vector
-from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, pairing, row_norms
+from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, pairing, row_distances, row_norms
+from numpy_reference import reference_norms
 
 
 class TestSpace:
@@ -131,12 +132,14 @@ class TestColumnPath:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("with_metric", [False, True])
     @pytest.mark.parametrize("dim", range(1, 8))
-    def test_row_norms_equal_the_reference(self, rng, dim, with_metric, field, n):
+    def test_row_norms_and_distances_equal_the_reference(self, rng, dim, with_metric, field, n):
         metric = rng.uniform(0.2, 3.0, dim) if with_metric else None
         space = Space(dim, field, metric)
         a = np.array([random_vector(rng, space, 10.0) for _ in range(n)])
         a[0] = -0.0
+        c = random_vector(rng, space, 10.0)
         assert same_bits(row_norms(space, a), reference_norms(a, metric))
+        assert same_bits(row_distances(space, a, c), reference_norms(a - c, metric))
 
 
 class TestNorm:

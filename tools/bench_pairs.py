@@ -2,21 +2,21 @@
 
 Usage, from the root of a git checkout::
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload large_n --pairs 10 --out BENCH_7.json
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_7.json
 
 PARENT and CHANGE are git revisions of this repository. Each is exported with
 ``git archive`` into a scratch directory, and ``perfbench/run.py`` runs in
-each export in turn: pair i runs seed ``--seed + i`` on both sides, the parent
+each export in turn, for every workload of ``BENCHMARK.json`` and at its
+``run_seconds``: pair i runs seed ``FIRST_SEED + i`` on both sides, the parent
 first in even pairs and the change first in odd ones, so neither side always
-runs on a warmer or a cooler host.
+runs on a warmer or a cooler host. ``PAIRS`` = 10 is the fewest pairs on which
+a 9-in-10 win can be read.
 
 The output holds both commit ids and, per workload, every run's JSON result
 line and, per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the change/parent ratio of the medians, the pairs the change won,
 and ``gain_shown``: the change won at least 9 pairs in 10 and its median beats
-the parent's by more than the parent's quartile spread. An existing output
-file for the same two commits keeps its other workloads, so workloads can be
-recorded with different pair counts.
+the parent's by more than the parent's quartile spread.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+FIRST_SEED = 101
 
 
 def git(*args: str) -> str:
@@ -61,7 +63,7 @@ def summary(runs: list, metrics: list) -> dict:
                  for side in ("parent", "change")}
         stats = {}
         for side, values in sides.items():
-            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+            q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
             stats[side] = {"median": med, "q1": q1, "q3": q3}
         wins = sum((c > p) if higher else (c < p) for p, c in zip(sides["parent"], sides["change"]))
         gain = stats["change"]["median"] - stats["parent"]["median"]
@@ -72,8 +74,7 @@ def summary(runs: list, metrics: list) -> dict:
             **stats,
             "ratio": stats["change"]["median"] / stats["parent"]["median"],
             "wins": wins,
-            "pairs": len(sides["change"]),
-            "gain_shown": wins * 10 >= 9 * len(sides["change"]) and (gain if higher else -gain) > spread,
+                        "gain_shown": wins * 10 >= 9 * PAIRS and (gain if higher else -gain) > spread,
         }
     return out
 
@@ -82,44 +83,33 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds if args.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    doc = {"commits": commits, "workloads": {}}
-    if args.out.exists():
-        old = json.loads(args.out.read_text(encoding="utf-8"))
-        if old["commits"] != commits:
-            parser.error(f"{args.out} records other commits: {old['commits']}")
-        doc = old
-
-    runs = []
+    doc = {"commits": commits, "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         checkouts = {side: export(commit, Path(scratch) / side) for side, commit in commits.items()}
-        for i in range(args.pairs):
-            seed = args.seed + i
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                result = run_once(checkouts[side], args.workload, seed, seconds)
-                runs.append({"pair": i, "side": side, "seed": seed, "result": result})
-                line = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
-                print(f"{args.workload} pair {i} {side:<6} correct={result['correct']} {json.dumps(line)}", flush=True)
-
-    doc["workloads"][args.workload] = {
-        "seconds": seconds,
-        "correct": all(r["result"]["correct"] for r in runs),
-        "runs": runs,
-        "summary": summary(runs, spec["end_to_end"]),
-    }
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = []
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    result = run_once(checkouts[side], workload, seed, seconds)
+                    runs.append({"pair": i, "side": side, "seed": seed, "result": result})
+                    line = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+                    print(f"{workload} pair {i} {side:<6} correct={result['correct']} {json.dumps(line)}", flush=True)
+            doc["workloads"][workload] = {
+                "correct": all(r["result"]["correct"] for r in runs),
+                "runs": runs,
+                "summary": summary(runs, spec["end_to_end"]),
+            }
+            for name, m in doc["workloads"][workload]["summary"].items():
+                print(f"{workload} {name:<14} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
+                      f"ratio {m['ratio']:.3f} wins {m['wins']}/{PAIRS} gain_shown={m['gain_shown']}", flush=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    for name, s in doc["workloads"][args.workload]["summary"].items():
-        print(f"{name:<14} parent {s['parent']['median']:.4g} change {s['change']['median']:.4g} "
-              f"ratio {s['ratio']:.3f} wins {s['wins']}/{s['pairs']} gain_shown={s['gain_shown']}")
     return 0
 
 
