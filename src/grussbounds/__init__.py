@@ -59,8 +59,6 @@ from .jensen import (
     ORACLE_FACTORIES,
     get_oracle,
     gradient_check,
-    jensen_gap,
-    pairing_gap,
     reverse_jensen,
 )
 from .sharpness import SharpnessResult, TARGETS, extremal_thm23, search
@@ -123,12 +121,10 @@ __all__ = [
     "identity_residual_210",
     "index_variance",
     "inner",
-    "jensen_gap",
     "mad",
     "norm",
     "pair_index_coefficient",
     "pair_scale",
-    "pairing_gap",
     "reverse_jensen",
     "search",
     "variance",

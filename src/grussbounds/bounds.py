@@ -115,6 +115,14 @@ def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) 
     )
 
 
+def _links(d: float, dlabel: str, view, mad_label: str, std_label: str, eq: str) -> tuple[BoundLink, BoundLink]:
+    """The Cauchy-Schwarz step every enclosure chain takes: d/2 * mad <= d/2 * std of the centered ``view``."""
+    return (
+        BoundLink(f"0.5*{dlabel}*{mad_label}", 0.5 * d * view.mad(), eq),
+        BoundLink(f"0.5*{dlabel}*{std_label}", 0.5 * d * math.sqrt(view.variance()), eq),
+    )
+
+
 def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = True) -> BoundChain:
     """Chain "2.3": |chebyshev| <= diam(x)/2 * mad(y) <= diam(x)/2 * std(y).
 
@@ -125,15 +133,11 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
     report = _gate(encl_x, ws.xs, "ball", check, "xs")
     w = ws.p.weights
     cy = _Centered(ws.space, w, ys)
-    dx = encl_x.diameter
     return BoundChain(
         equation="2.3",
         functional_label="|chebyshev(p;x,y)|",
         functional_value=abs(_pair(ws.space, w, _Centered(ws.space, w, ws.xs).rows, cy.rows)),
-        links=(
-            BoundLink("0.5*diam(x)*mad(y)", 0.5 * dx * cy.mad(), "2.3"),
-            BoundLink("0.5*diam(x)*std(y)", 0.5 * dx * math.sqrt(cy.variance()), "2.3"),
-        ),
+        links=_links(encl_x.diameter, "diam(x)", cy, "mad(y)", "std(y)", "2.3"),
         hypothesis_reports=(report,),
         hypothesis_verified=report.holds,
     )
@@ -195,21 +199,18 @@ def bound_scalar_weighted(
     reports = (_gate(encl_x, ws.xs, "ball", check, "xs"),)
     ca = _CenteredScalars(ws.p.weights, al)
     dx = encl_x.diameter
-    links = [
-        BoundLink("0.5*diam(x)*amad(alpha)", 0.5 * dx * ca.mad(), "2.9"),
-        BoundLink("0.5*diam(x)*astd(alpha)", 0.5 * dx * math.sqrt(ca.variance()), "2.9"),
-    ]
+    links = _links(dx, "diam(x)", ca, "amad(alpha)", "astd(alpha)", "2.9")
     equation = "2.9"
     if disc is not None:
         a, A = disc
         reports = reports + (_gate(_disc(a, A), al[:, None], "disc", check, "alphas"),)
-        links.append(BoundLink("0.25*|A-a|*diam(x)", 0.25 * abs(complex(A) - complex(a)) * dx, "1.2"))
+        links += (BoundLink("0.25*|A-a|*diam(x)", 0.25 * abs(complex(A) - complex(a)) * dx, "1.2"),)
         equation = "2.11"
     return BoundChain(
         equation=equation,
         functional_label="||gruss(p;alpha,x)||",
         functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs).rows)),
-        links=tuple(links),
+        links=links,
         hypothesis_reports=reports,
         hypothesis_verified=all(report.holds for report in reports),
     )
@@ -221,15 +222,11 @@ def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = 
     alphas = _checked(p, disc.space.scalars(alphas))
     report = _gate(disc, alphas[:, None], "disc", check, "alphas")
     ca = _CenteredScalars(p.weights, alphas)
-    width = abs(complex(A) - complex(a))
     return BoundChain(
         equation="R2.7",
         functional_label="|sq_gruss(p;alpha)|",
         functional_value=float(abs((ca.w * ca.dev**2).sum())),
-        links=(
-            BoundLink("0.5*|A-a|*amad(alpha)", 0.5 * width * ca.mad(), "R2.7"),
-            BoundLink("0.5*|A-a|*astd(alpha)", 0.5 * width * math.sqrt(ca.variance()), "R2.7"),
-        ),
+        links=_links(abs(complex(A) - complex(a)), "|A-a|", ca, "amad(alpha)", "astd(alpha)", "R2.7"),
         hypothesis_reports=(report,),
         hypothesis_verified=report.holds,
     )
@@ -266,10 +263,11 @@ def equal_weight_coefficients(n: int) -> tuple[float, float, float]:
     return ((n * n - 1) / 12.0, (n * n - 1) / (6.0 * n), (n - 1) / (2.0 * n))
 
 
-def _holder_factor(norms: np.ndarray, exponent: float) -> float:
-    if math.isinf(exponent):
-        return float(norms.max())
-    return float((norms**exponent).sum() ** (1.0 / exponent))
+def _holder_factor(norms: np.ndarray, top: float, exponent: float) -> float:
+    """(sum c^e)^(1/e) as m * (sum (c/m)^e)^(1/e) with ``top`` = m = max c, so no power overflows."""
+    if math.isinf(exponent) or not 0.0 < top < math.inf:  # all zero, or overflowed
+        return top
+    return top * float(((norms / top) ** exponent).sum() ** (1.0 / exponent))
 
 
 def _holder_pair(holder_p: float) -> tuple[float, float]:
@@ -293,11 +291,12 @@ def _difference_links(
     eq = "1.8" if squared_label else "1.6"
     hp_txt = "inf" if math.isinf(hp) else f"{hp:g}"
     hq_txt = "inf" if math.isinf(hq) else f"{hq:g}"
+    mx, my = float(cx.max()), float(cy.max())
     return (
-        BoundLink(f"idxvar(p)*max|{sx}|*max|{sy}|", c1 * float(cx.max()) * float(cy.max()), eq),
+        BoundLink(f"idxvar(p)*max|{sx}|*max|{sy}|", c1 * mx * my, eq),
         BoundLink(
             f"pairidx(p)*pnorm({sx},{hp_txt})*pnorm({sy},{hq_txt})",
-            c2 * _holder_factor(cx, hp) * _holder_factor(cy, hq),
+            c2 * _holder_factor(cx, mx, hp) * _holder_factor(cy, my, hq),
             eq,
         ),
         BoundLink(f"gini(p)/2*sum|{sx}|*sum|{sy}|", c3 * float(cx.sum()) * float(cy.sum()), eq),

@@ -262,16 +262,13 @@ def _print_chain(chain: BoundChain) -> None:
     tightest = chain.tightest_index()
     for i, link in enumerate(chain.links):
         marker = "   <- tightest" if i == tightest and len(chain.links) > 1 else ""
-        print(f"  <= {link.label:<39}[{link.equation}]  {_fmt(link.value)}{marker}")
+        print(f"  <= {link.label:<38} [{link.equation}]  {_fmt(link.value)}{marker}")
     word = "ordering" if chain.ordered else "dominance"
     print(f"{word}: {'holds' if chain.holds() else 'VIOLATED'}")
 
 
-def _chain_results(chain: BoundChain, names: tuple = ()) -> dict:
-    reports = [
-        _condition_summary(name, report)
-        for name, report in zip(names or [f"hypothesis[{i}]" for i in range(len(chain.hypothesis_reports))], chain.hypothesis_reports)
-    ]
+def _chain_results(chain: BoundChain) -> dict:
+    reports = [_condition_summary(f"hypothesis[{i}]", report) for i, report in enumerate(chain.hypothesis_reports)]
     return {
         "equation": chain.equation,
         "functional": {"label": chain.functional_label, "value": chain.functional_value},

@@ -73,20 +73,6 @@ class Enclosure:
     def radius(self) -> float:
         return self.diameter / 2.0
 
-    @property
-    def degenerate(self) -> bool:
-        return self.diameter == 0.0
-
-    def inflated(self, factor: float) -> "Enclosure":
-        """Enclosure scaled about its center by ``factor``."""
-        c = self.center
-        return Enclosure(
-            self.space,
-            c + (self.lo - c) * factor,
-            c + (self.hi - c) * factor,
-            allow_degenerate=self.allow_degenerate,
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport:
@@ -94,7 +80,7 @@ class ConditionReport:
 
     ``kind`` is "box", "ball" or "disc" (the ball form on the complex line).
     ``scale``, the dead-zone normalizer, is diameter squared for the box form
-    and diameter for the ball form; ``verdicts`` (``slacks >= -tol * scale``)
+    and diameter for the ball form; ``verdicts`` (``slacks >= -COND_TOL * scale``)
     and ``holds`` are derived at construction. The ``box_*`` or ``ball_*``
     names read the fields on reports of their own form only.
     """
@@ -102,12 +88,11 @@ class ConditionReport:
     kind: str
     slacks: np.ndarray
     scale: float
-    tol: float = COND_TOL
     verdicts: np.ndarray = field(init=False)
     holds: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        verdicts = self.slacks >= -self.tol * self.scale
+        verdicts = self.slacks >= -COND_TOL * self.scale
         object.__setattr__(self, "verdicts", verdicts)
         object.__setattr__(self, "holds", bool(verdicts.all()))
 
@@ -222,7 +207,8 @@ def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
     if factor > MAX_INFLATION:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
-        encl = encl.inflated(factor)
+        c = encl.center
+        encl = Enclosure(space, c + (encl.lo - c) * factor, c + (encl.hi - c) * factor)
         dists = row_distances(space, xs, encl.center)
     report = ConditionReport("ball", encl.radius - dists, encl.diameter)
     if not report.holds:

@@ -13,6 +13,8 @@ plus residuals of the two re-centering identities underlying the chains:
 the Chebyshev functional equals sum_i p_i <x_i - c, y_i - ybar> and the
 scalar-weighted functional equals sum_i p_i (a_i - abar)(x_i - c), for any
 fixed vector c (the mechanism is sum_i p_i (y_i - ybar) = 0).
+``chebyshev(ws, center)`` and ``vector_gruss(ws, center)`` evaluate those
+re-centered sums.
 """
 
 from __future__ import annotations
@@ -117,29 +119,20 @@ def _gruss(ca: _CenteredScalars, cx: np.ndarray) -> np.ndarray:
     return ((ca.w * ca.dev)[:, None] * cx).sum(axis=0)
 
 
-def chebyshev(ws: WeightedSequence) -> float | complex:
-    """sum_i p_i <x_i - mean_x, y_i - mean_y> (complex on complex spaces)."""
-    return chebyshev_centered(ws)
+def _rows(ws: WeightedSequence, center) -> np.ndarray:
+    """The rows x_i - c, with c the weighted mean of xs when ``center`` is None."""
+    return _Centered(ws.space, ws.p.weights, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
 
 
-def vector_gruss(ws: WeightedSequence) -> np.ndarray:
-    """sum_i p_i (a_i - abar)(x_i - mean_x) as a vector."""
-    return vector_gruss_centered(ws)
-
-
-def chebyshev_centered(ws: WeightedSequence, center=None) -> float | complex:
-    """sum_i p_i <x_i - c, y_i - mean_y>; equals ``chebyshev`` for any c (default mean_x)."""
+def chebyshev(ws: WeightedSequence, center=None) -> float | complex:
+    """sum_i p_i <x_i - c, y_i - mean_y> (complex on complex spaces); the same for any c (default mean_x)."""
     ys = ws.require_ys()
-    w = ws.p.weights
-    cx = _Centered(ws.space, w, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
-    return _pair(ws.space, w, cx, _Centered(ws.space, w, ys).rows)
+    return _pair(ws.space, ws.p.weights, _rows(ws, center), _Centered(ws.space, ws.p.weights, ys).rows)
 
 
-def vector_gruss_centered(ws: WeightedSequence, center=None) -> np.ndarray:
-    """sum_i p_i (a_i - abar)(x_i - c); equals ``vector_gruss`` for any c (default mean_x)."""
-    ca = _CenteredScalars(ws.p.weights, ws.require_alphas())
-    cx = _Centered(ws.space, ws.p.weights, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
-    return _gruss(ca, cx)
+def vector_gruss(ws: WeightedSequence, center=None) -> np.ndarray:
+    """sum_i p_i (a_i - abar)(x_i - c) as a vector; the same for any c (default mean_x)."""
+    return _gruss(_CenteredScalars(ws.p.weights, ws.require_alphas()), _rows(ws, center))
 
 
 def variance(space: Space, p: ProbabilityVector, xs) -> float:
@@ -152,19 +145,14 @@ def mad(space: Space, p: ProbabilityVector, xs) -> float:
     return _Centered(space, p.weights, _checked(p, space.matrix(xs))).mad()
 
 
-def identity_residual_24(encl: Enclosure, ws: WeightedSequence, center=None) -> float:
-    """|chebyshev - sum_i p_i <x_i - c, y_i - mean_y>| with c = enclosure center.
-
-    The identity holds for any c; pass ``center`` to recenter elsewhere.
-    """
-    c = encl.center if center is None else center
-    return float(abs(chebyshev(ws) - chebyshev_centered(ws, center=c)))
+def identity_residual_24(encl: Enclosure, ws: WeightedSequence) -> float:
+    """|chebyshev - sum_i p_i <x_i - c, y_i - mean_y>| with c = enclosure center."""
+    return float(abs(chebyshev(ws) - chebyshev(ws, encl.center)))
 
 
-def identity_residual_210(encl: Enclosure, ws: WeightedSequence, center=None) -> float:
+def identity_residual_210(encl: Enclosure, ws: WeightedSequence) -> float:
     """Norm of vector_gruss - sum_i p_i (a_i - abar)(x_i - c), c = enclosure center."""
-    c = encl.center if center is None else center
-    return norm(ws.space, vector_gruss(ws) - vector_gruss_centered(ws, center=c))
+    return norm(ws.space, vector_gruss(ws) - vector_gruss(ws, encl.center))
 
 
 def pair_scale(ws: WeightedSequence) -> float:

@@ -354,8 +354,12 @@ def dumps(doc: dict) -> str:
 
 
 def dump(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dumps(doc))
+    """Write ``doc`` to ``path``; an unwritable path is a format error, as in :func:`_read`."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(dumps(doc))
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc}") from None
 
 
 def sha256_hex(text: str) -> str:

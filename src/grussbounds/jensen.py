@@ -3,11 +3,12 @@
 For a convex ``F`` with gradient ``grad F`` on a real space, nonnegative
 weights ``q`` (positive total, normalized internally) and points ``z_i``:
 
-* ``jensen_gap``    sum p_i F(z_i) - F(sum p_i z_i)         (>= 0 for convex F)
-* ``pairing_gap``   sum p_i <grad F(z_i), z_i> - <mean grad, mean z>
+* the Jensen gap    sum p_i F(z_i) - F(sum p_i z_i)         (>= 0 for convex F)
+* the pairing gap   sum p_i <grad F(z_i), z_i> - <mean grad, mean z>
 
-The gap never exceeds the pairing gap, and both are dominated by the chain
-built from an enclosure (m, M) of the gradient set:
+:func:`reverse_jensen` reports both (``gap`` and ``pairing_gap``). The gap
+never exceeds the pairing gap, and both are dominated by the chain built
+from an enclosure (m, M) of the gradient set:
 
     gap <= diam(grad)/2 * mad(z) <= diam(grad)/2 * std(z)
         <= diam(grad)/4 * diam(z)          (when a z-enclosure also holds)
@@ -24,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundChain, BoundLink, _same_space
-from .conditions import Enclosure, _fit, _report
-from .errors import ContractViolationError, DegenerateInputError, HypothesisError
+from .bounds import BoundChain, BoundLink, _gate, _links, _same_space
+from .conditions import Enclosure, _fit
+from .errors import ContractViolationError, DegenerateInputError
 from .functionals import _Centered, _checked, _pair
 from .space import ProbabilityVector, Space, pairing
 
@@ -71,13 +72,9 @@ def squared_norm_oracle(space: Space) -> ConvexOracle:
     return ConvexOracle("squared_norm", value, gradient)
 
 
-def diagonal_quadratic_oracle(space: Space, diag=None) -> ConvexOracle:
-    """F(z) = <Qz, z> for a positive diagonal Q (default q_k = 1 + k/dim)."""
-    if diag is None:
-        diag = 1.0 + np.arange(space.dim, dtype=np.float64) / space.dim
-    diag = np.asarray(diag, dtype=np.float64)
-    if diag.shape != (space.dim,) or np.any(diag <= 0.0):
-        raise ContractViolationError("diag must be a strictly positive vector of length dim")
+def diagonal_quadratic_oracle(space: Space) -> ConvexOracle:
+    """F(z) = <Qz, z> for the positive diagonal Q with q_k = 1 + k/dim."""
+    diag = 1.0 + np.arange(space.dim, dtype=np.float64) / space.dim
     m = _metric(space)
 
     def value(z: np.ndarray) -> np.ndarray:
@@ -199,25 +196,8 @@ def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
     return p.weights, _checked(p, space.matrix(zs))
 
 
-def _gap(oracle: ConvexOracle, w: np.ndarray, zs: np.ndarray, mean: np.ndarray) -> float:
-    return float(w @ _values(oracle, zs) - _values(oracle, mean))
-
-
-def jensen_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
-    """sum p_i F(z_i) - F(sum p_i z_i) with p = q / sum(q)."""
-    w, zs = _normalized(space, q, zs)
-    return _gap(oracle, w, zs, w @ zs)
-
-
-def pairing_gap(space: Space, oracle: ConvexOracle, q, zs) -> float:
-    """sum p_i <grad F(z_i), z_i> - <mean grad, mean z> (the gradient/point pairing)."""
-    w, zs = _normalized(space, q, zs)
-    grads = _gradients(space, oracle, zs)
-    return _pair(space, w, _Centered(space, w, grads).rows, _Centered(space, w, zs).rows)
-
-
-def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str):
-    """``encl`` (fitted when None) and its ball report on ``pts``; a failure raises."""
+def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str, name: str):
+    """``encl`` (fitted when None) and its ball report on ``pts``, the sequence ``name``; a failure raises."""
     if encl is None:
         try:
             return _fit(space, pts)  # whose report already holds
@@ -225,11 +205,7 @@ def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str):
             encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
     else:
         _same_space(encl.space, space, what)
-    report = _report(encl, pts, "ball")
-    if not report.holds:
-        i = int(report.failing_indices()[0])
-        raise HypothesisError(f"{what} fails the ball condition at index {i}", report=report)
-    return encl, report
+    return encl, _gate(encl, pts, "ball", True, name)
 
 
 def reverse_jensen(
@@ -251,17 +227,15 @@ def reverse_jensen(
     """
     w, zs = _normalized(space, q, zs)
     cz = _Centered(space, w, zs)
-    gap = _gap(oracle, w, zs, cz.mean)
+    gap = float(w @ _values(oracle, zs) - _values(oracle, cz.mean))
     grads = _gradients(space, oracle, zs)
     pgap = _pair(space, w, _Centered(space, w, grads).rows, cz.rows)
-    grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure")
-    z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure")
+    grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure", "gradients")
+    z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure", "zs")
 
     dg = grad_encl.diameter
     quarter = 0.25 * dg * z_encl.diameter
-    links = (
-        BoundLink("0.5*diam(grad)*mad(z)", 0.5 * dg * cz.mad(), "3.4"),
-        BoundLink("0.5*diam(grad)*std(z)", 0.5 * dg * math.sqrt(cz.variance()), "3.4"),
+    links = _links(dg, "diam(grad)", cz, "mad(z)", "std(z)", "3.4") + (
         BoundLink("0.25*diam(grad)*diam(z)", quarter, "3.9"),
     )
     improvement = links[0].value / quarter if quarter > 0.0 else None

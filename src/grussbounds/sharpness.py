@@ -3,8 +3,8 @@
 Two tools:
 
 * :func:`extremal_thm23` builds the exact two-point configuration (ys = xs,
-  endpoints of the enclosure) on which the first link of the "2.3" chain is
-  attained with equality, for any weight split and any dimension.
+  endpoints of the enclosure, equal weights) on which the first link of the
+  "2.3" chain is attained with equality.
 
 * :func:`search` runs randomized restarts of hypothesis-preserving hill
   climbing that maximizes functional / bound for a named target ratio. Every
@@ -71,30 +71,18 @@ class SharpnessResult:
     seed: int
 
 
-def extremal_thm23(p1: float = 0.5, space: Space | None = None, lo=None, hi=None) -> SharpnessResult:
+def extremal_thm23() -> SharpnessResult:
     """Exact equality configuration for the first link of the "2.3" chain.
 
-    Defaults to p = (1/2, 1/2) and endpoints 0, 1 on the real line. The
-    ratio is 1 for every 0 < p1 < 1 and any distinct endpoints: both sides
-    scale by 2 p1 p2 times the squared endpoint distance.
+    p = (1/2, 1/2) and endpoints 0, 1 on the real line: both sides equal
+    1/4, so the ratio is 1.
     """
-    if not 0.0 < p1 < 1.0:
-        raise ContractViolationError(f"p1 must lie strictly between 0 and 1, got {p1!r}")
-    if space is None:
-        space = Space(1)
-    lo = space.zero() if lo is None else space.vector(lo)
-    if hi is None:
-        e = np.zeros(space.dim, dtype=space.dtype)
-        e[0] = 1.0
-        hi = space.vector(e)
-    else:
-        hi = space.vector(hi)
-    encl = Enclosure(space, lo, hi)
-    pts = np.array([lo, hi])
-    ws = WeightedSequence(space, ProbabilityVector(np.array([p1, 1.0 - p1])), xs=pts, ys=pts)
+    space = Space(1)
+    encl = Enclosure(space, [0.0], [1.0])
+    pts = [encl.lo, encl.hi]
+    ws = WeightedSequence(space, ProbabilityVector(np.array([0.5, 0.5])), xs=pts, ys=pts)
     chain = bound_chebyshev(encl, ws)
-    denom = chain.links[0].value
-    ratio = chain.functional_value / denom if denom > 0.0 else 0.0
+    ratio = chain.functional_value / chain.links[0].value
     witness = instance_document(
         space, weights=ws.p, xs=ws.xs, ys=ws.ys, enclosures={"x": encl, "y": encl}
     )
@@ -113,9 +101,8 @@ class _Problem:
         self.space = Space(dim)
         e = np.zeros(dim)
         e[0] = 1.0
-        self.encl_x = Enclosure(self.space, -e, e)
-        self.encl_y = Enclosure(self.space, -e, e) if "y" in self.spec.enclosures else None
-        self.enclosures = {k: v for k, v in (("x", self.encl_x), ("y", self.encl_y)) if v is not None}
+        self.encl = Enclosure(self.space, -e, e)  # bounds xs, and ys where the chain encloses them
+        self.enclosures = {"x": self.encl, "y": self.encl} if "y" in self.spec.enclosures else {"x": self.encl}
         self.uniform = ProbabilityVector.uniform(n)
         self.vector_blocks = self.spec.sequences
 
@@ -130,9 +117,9 @@ class _Problem:
             nrm = 1.0
         return (u / nrm) * rng.random() ** (1.0 / self.dim)
 
-    def _project(self, row: np.ndarray, encl: Enclosure) -> np.ndarray:
-        c = encl.center
-        cap = encl.radius * (1.0 - 1e-12)
+    def _project(self, row: np.ndarray) -> np.ndarray:
+        c = self.encl.center
+        cap = self.encl.radius * (1.0 - 1e-12)
         dist = float(np.linalg.norm(row - c))
         if dist > cap:
             row = c + (row - c) * (cap / dist)
@@ -160,8 +147,8 @@ class _Problem:
         cand["xs"] = np.array([self._ball_point(rng) for _ in range(self.n)])
         if "ys" in self.vector_blocks:
             ys = rng.standard_normal((self.n, self.dim))
-            if self.encl_y is not None:
-                ys = np.array([self._project(row, self.encl_y) for row in ys])
+            if "y" in self.enclosures:
+                ys = np.array([self._project(row) for row in ys])
             cand["ys"] = ys
         if "alphas" in self.vector_blocks:
             cand["alphas"] = rng.standard_normal(self.n)
@@ -179,10 +166,8 @@ class _Problem:
             new["alphas"][i] += sigma * rng.standard_normal()
             return new
         row = new[block][i] + sigma * rng.standard_normal(self.dim)
-        if block == "xs":
-            row = self._project(row, self.encl_x)
-        elif self.encl_y is not None:
-            row = self._project(row, self.encl_y)
+        if block == "xs" or "y" in self.enclosures:
+            row = self._project(row)
         new[block][i] = row
         return self._normalize(new)
 
@@ -201,7 +186,7 @@ class _Problem:
         # hold for the computed arrays themselves (numerator and denominator
         # share the identical centered rows), so rounding alone can never
         # push the ratio past 1
-        cx = cand["xs"] - self.encl_x.center
+        cx = cand["xs"] - self.encl.center
         if "alphas" in self.vector_blocks:
             return norm(self.space, _gruss(_CenteredScalars(w, cand["alphas"]), cx))
         return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"]).rows))

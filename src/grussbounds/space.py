@@ -108,9 +108,6 @@ class Space:
         a.flags.writeable = False
         return a
 
-    def zero(self) -> np.ndarray:
-        return self.vector(np.zeros(self.dim))
-
     def compatible(self, other: "Space") -> bool:
         """True when the two spaces agree on dim, field and metric."""
         if self.dim != other.dim or self.field != other.field:
@@ -178,10 +175,6 @@ class ProbabilityVector:
 
     def __len__(self) -> int:
         return int(self.weights.size)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
 
 def _conform(space: Space, u) -> np.ndarray:

@@ -64,6 +64,17 @@ class TestChainChebyshev:
         assert chain.holds()
         assert chain.equation == "2.3"
 
+    def test_two_point_equality_any_weights_and_dimension(self, rng):
+        # ys = xs = the enclosure's endpoints: the p1 p2 factors cancel between
+        # functional and first link, so the first link is attained
+        for p1, dim in ((0.3, 1), (0.42, 5)):
+            sp = Space(dim)
+            lo = rng.standard_normal(dim)
+            encl = Enclosure(sp, lo, lo + rng.standard_normal(dim))
+            pts = np.array([encl.lo, encl.hi])
+            chain = bound_chebyshev(encl, WeightedSequence(sp, ProbabilityVector([p1, 1.0 - p1]), xs=pts, ys=pts))
+            assert chain.functional_value / chain.links[0].value == pytest.approx(1.0, abs=1e-12)
+
     def test_constant_ys(self, rng):
         sp = Space(2)
         encl = Enclosure(sp, [0.0, 0.0], [1.0, 1.0])

@@ -1,16 +1,21 @@
 import json
 import math
+import operator
 import os
 import re
 import warnings
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grussbounds
 from grussbounds import (
     ContractViolationError,
+    GrussBoundsError,
     InstanceFormatError,
     ProbabilityVector,
     Space,
@@ -26,7 +31,7 @@ from grussbounds import (
 )
 from grussbounds.bounds import CHAINS
 from grussbounds.cli import evaluate_tag, main
-from grussbounds.instancefile import Instance, parse_document
+from grussbounds.instancefile import Instance, load, parse_document
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -101,6 +106,35 @@ class TestBound:
         )
         assert code == 0
         assert "pnorm(dx,inf)" in out
+
+    @pytest.mark.parametrize("hp", ["1.0001", "10000"])
+    def test_holder_link_near_the_ends_does_not_overflow(self, capsys, hp):
+        # an exponent near 1 has a conjugate near 10^4: the powers of the
+        # difference norms overflow unless the largest norm is factored out
+        code, out, err = run(
+            capsys, "bound", str(INSTANCES / "forward_difference.json"), "--which", "1.6", "--holder-p", hp, "--json"
+        )
+        assert (code, err) == (0, "")
+        link = json.loads(out)["results"]["links"][1]
+        inst = load(INSTANCES / "forward_difference.json")
+        dx, dy = np.diff(inst.xs, axis=0), np.diff(inst.ys, axis=0)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            e = Decimal(hp)
+
+            def pnorm(d, e):
+                return sum(Decimal(float(v)) ** e for v in np.sqrt((d * d).sum(-1))) ** (1 / e)
+
+            exact = Decimal("0.625") * pnorm(dx, e) * pnorm(dy, e / (e - 1))  # pairidx(p) = 10/16 at n = 4
+        assert link["value"] == pytest.approx(float(exact), rel=1e-14)
+
+    def test_long_link_label_keeps_a_space_before_its_tag(self, capsys):
+        code, out, _ = run(
+            capsys, "bound", str(INSTANCES / "forward_difference.json"), "--which", "1.6", "--holder-p", "1.0001"
+        )
+        assert code == 0
+        assert "  <= pairidx(p)*pnorm(dx,1.0001)*pnorm(dy,10001) [1.6]  " in out
+        assert "  <= idxvar(p)*max|dx|*max|dy|              [1.6]  " in out
 
     def test_equal_weight_tag_rejects_nonuniform(self, capsys, tmp_path):
         doc = {
@@ -276,6 +310,69 @@ class TestChainTable:
     def test_error_order(self, doc, which, error, message):
         with pytest.raises(error, match=message):
             evaluate_tag(parse_document(doc), which, fit=False, check=True, holder_p=None)
+
+
+# -- fuzzing: every tag on every accepted document gives a chain or a library error --
+
+EXTREME = st.builds(operator.mul, st.sampled_from([0.0, 1e-300, -1e-300, 1.0, -1.0, 1e300, -1e300]), st.floats(1.0, 2.0))
+MODERATE = st.builds(operator.mul, st.sampled_from([1.0, -1.0]), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def chain_documents(draw, number, metric, weight, min_n=1):
+    """An instance document with xs, ys and alphas, maybe a metric, weights, an x-enclosure and a disc.
+
+    ``number`` draws the real and imaginary parts, ``metric`` the metric
+    weights and ``weight`` the raw weights, which are then normalized.
+    """
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(min_n, 5))
+    cplx = draw(st.booleans())
+
+    def scalar():
+        return [draw(number), draw(number)] if cplx else draw(number)
+
+    def vectors(k):
+        return [[scalar() for _ in range(dim)] for _ in range(k)]
+
+    space = {"dim": dim, "field": "complex" if cplx else "real"}
+    if draw(st.booleans()):
+        space["metric"] = draw(st.lists(metric, min_size=dim, max_size=dim))
+    q = draw(st.lists(weight, min_size=n, max_size=n))
+    doc = {
+        "space": space,
+        "weights": [v / sum(q) for v in q] if draw(st.booleans()) and sum(q) > 0.0 else [1.0 / n] * n,
+        "sequences": {"xs": vectors(n), "ys": vectors(n), "alphas": [scalar() for _ in range(n)]},
+        "holder_p": draw(st.one_of(st.just("inf"), st.floats(1.0, 1e6, exclude_min=True))),
+    }
+    if draw(st.booleans()):
+        doc.setdefault("enclosures", {}).update(x_lo=vectors(1)[0], x_hi=vectors(1)[0])
+    if draw(st.booleans()):
+        doc.setdefault("enclosures", {}).update(a=scalar(), A=scalar())
+    try:
+        return parse_document(doc)
+    except InstanceFormatError:  # a degenerate or overflowing enclosure or disc: fit it instead
+        del doc["enclosures"]
+        return parse_document(doc)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(chain_documents(EXTREME, st.sampled_from([1e-300, 0.5, 3.0, 1e300]), st.sampled_from([0.0, 1e-310, 1e-300, 0.5, 1.0])))
+def test_every_tag_gives_a_chain_or_a_library_error(inst):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tag in CHAINS:
+            try:
+                evaluate_tag(inst, tag, True, True, None)
+            except GrussBoundsError:
+                pass
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(chain_documents(MODERATE, st.floats(0.25, 4.0), st.floats(0.0, 1.0), min_n=2))
+def test_moderate_forward_difference_chains_evaluate_at_any_holder_exponent(inst):
+    for tag in ("1.6", "1.8"):
+        chain, _, _ = evaluate_tag(inst, tag, True, True, None)
+        assert chain.holds()
 
 
 class TestMalformedInput:
@@ -510,6 +607,15 @@ class TestSharpness:
         b2 = float(bound["results"]["links"][2]["value"])
         assert f1.hex() == f2.hex()
         assert b1.hex() == b2.hex()
+
+    @pytest.mark.parametrize("where", ["missing/witness.json", "."])
+    def test_unwritable_witness_path_is_a_usage_error(self, capsys, tmp_path, where):
+        path = tmp_path / where
+        code, out, err = run(
+            capsys, "sharpness", "--target", "thm23_first", "--budget", "10", "--dump-witness", str(path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_witness_roundtrip_other_targets(self, capsys, tmp_path):
         cases = {

@@ -16,6 +16,7 @@ from grussbounds import (
     check_scalar_disc,
     fit_enclosure,
 )
+from grussbounds.conditions import COND_TOL
 from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, norm
 from numpy_reference import reference_fit
 
@@ -33,7 +34,7 @@ class TestEnclosure:
 
     def test_degenerate_opt_in(self):
         encl = Enclosure(Space(1), [1.0], [1.0], allow_degenerate=True)
-        assert encl.degenerate and encl.radius == 0.0
+        assert encl.diameter == 0.0 and encl.radius == 0.0
 
 
 class TestCheckBox:
@@ -90,7 +91,7 @@ class TestScalarDisc:
             A = a + float(rng.uniform(0.05, 3.0))
             alpha = float(rng.uniform(a - 1.0, A + 1.0))
             report = check_scalar_disc(a, A, [alpha])
-            tol = report.tol * report.ball_scale
+            tol = COND_TOL * report.ball_scale
             assert report.holds == (a - tol <= alpha <= A + tol)
 
 
@@ -152,7 +153,7 @@ class TestOneFormReport:
     def test_verdicts_and_holds_derive_from_the_slacks(self, entry):
         make, form = ONE_FORM_REPORTS[entry]
         report = make()
-        assert np.array_equal(report.verdicts, report.slacks >= -report.tol * report.scale)
+        assert np.array_equal(report.verdicts, report.slacks >= -COND_TOL * report.scale)
         assert report.holds == bool(report.verdicts.all())
         assert report.verdicts.tolist() == [True, False, True, True]
         for field in ("slacks", "verdicts", "scale"):

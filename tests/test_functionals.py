@@ -23,7 +23,6 @@ from grussbounds import (
     variance,
     vector_gruss,
 )
-from grussbounds.functionals import chebyshev_centered, vector_gruss_centered
 from grussbounds.space import COMPLEX, norm, row_norms
 
 
@@ -171,11 +170,6 @@ class TestChebyshev:
             scale = pair_scale(shifted) + pair_scale(ws)
             assert abs(chebyshev(ws) - chebyshev(shifted)) <= 1e-10 * scale
 
-    def test_centered_form_matches(self, rng):
-        for _ in range(80):
-            ws = random_ws(rng)
-            assert abs(chebyshev(ws) - chebyshev_centered(ws)) <= 1e-10 * pair_scale(ws)
-
 
 class TestVectorGruss:
     def test_constant_alphas(self, rng):
@@ -199,12 +193,6 @@ class TestVectorGruss:
             got = vector_gruss(ws)
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(got - expected).max() <= 1e-12 * scale
-
-    def test_centered_form_matches(self, rng):
-        for _ in range(80):
-            ws = random_ws(rng, with_ys=False, with_alphas=True)
-            diff = norm(ws.space, vector_gruss(ws) - vector_gruss_centered(ws))
-            assert diff <= 1e-10 * max(1.0, norm(ws.space, vector_gruss(ws)))
 
 
 class TestVariance:
@@ -279,9 +267,8 @@ class TestIdentities:
         # the identity's mechanism is sum p_i (y_i - mean) = 0: any center works
         for _ in range(100):
             ws = random_ws(rng)
-            encl = random_enclosure(rng, ws.space)
             center = random_vector(rng, ws.space, scale=3.0)
-            assert identity_residual_24(encl, ws, center=center) <= 1e-10 * pair_scale(ws)
+            assert abs(chebyshev(ws) - chebyshev(ws, center)) <= 1e-10 * pair_scale(ws)
 
     def test_residual_210_random(self, rng):
         for _ in range(200):
@@ -301,7 +288,6 @@ class TestIdentities:
     def test_residual_210_arbitrary_center(self, rng):
         for _ in range(100):
             ws = random_ws(rng, with_ys=False, with_alphas=True)
-            encl = random_enclosure(rng, ws.space)
             center = random_vector(rng, ws.space, scale=3.0)
             scale = max(1.0, float((ws.p.weights * np.abs(ws.alphas) * row_norms(ws.space, ws.xs)).sum()))
-            assert identity_residual_210(encl, ws, center=center) <= 1e-10 * scale
+            assert norm(ws.space, vector_gruss(ws) - vector_gruss(ws, center)) <= 1e-10 * scale

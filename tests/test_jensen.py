@@ -15,11 +15,9 @@ from grussbounds import (
     get_oracle,
     gradient_check,
     inner,
-    jensen_gap,
-    pairing_gap,
     reverse_jensen,
 )
-from grussbounds import conditions, jensen
+from grussbounds import bounds, conditions
 from grussbounds.space import COMPLEX, REAL, pairing
 
 
@@ -150,21 +148,23 @@ class TestGaps:
         space = Space(1)
         oracle = get_oracle("squared_norm", space)
         zs = np.array([[0.0], [1.0]])
-        assert jensen_gap(space, oracle, [1.0, 1.0], zs) == pytest.approx(0.25)
-        assert pairing_gap(space, oracle, [1.0, 1.0], zs) == pytest.approx(0.5)
+        report = reverse_jensen(space, oracle, [1.0, 1.0], zs)
+        assert report.gap == pytest.approx(0.25)
+        assert report.pairing_gap == pytest.approx(0.5)
 
     def test_constant_points(self):
         space = Space(2)
         oracle = get_oracle("log_sum_exp", space)
         zs = np.tile([0.3, -0.7], (4, 1))
-        assert jensen_gap(space, oracle, np.ones(4), zs) == pytest.approx(0.0, abs=1e-12)
-        assert pairing_gap(space, oracle, np.ones(4), zs) == pytest.approx(0.0, abs=1e-12)
+        report = reverse_jensen(space, oracle, np.ones(4), zs)
+        assert report.gap == pytest.approx(0.0, abs=1e-12)
+        assert report.pairing_gap == pytest.approx(0.0, abs=1e-12)
 
     def test_affine_gap_zero(self, rng):
         space = Space(3)
         oracle = affine_oracle(space, [2.0, -1.0, 0.3])
         zs = np.array([random_vector(rng, space, 2.0) for _ in range(5)])
-        assert abs(jensen_gap(space, oracle, rng.exponential(size=5), zs)) <= 1e-12
+        assert abs(reverse_jensen(space, oracle, rng.exponential(size=5), zs).gap) <= 1e-12
 
     def test_gap_below_pairing_gap(self, rng):
         for _ in range(100):
@@ -173,8 +173,8 @@ class TestGaps:
             n = int(rng.integers(1, 9))
             q = rng.exponential(size=n)
             zs = np.array([random_vector(rng, space, 2.0) for _ in range(n)])
-            gap = jensen_gap(space, oracle, q, zs)
-            pgap = pairing_gap(space, oracle, q, zs)
+            report = reverse_jensen(space, oracle, q, zs)
+            gap, pgap = report.gap, report.pairing_gap
             scale = max(1.0, abs(gap), abs(pgap))
             assert gap >= -1e-9 * scale
             assert gap <= pgap + 1e-9 * scale
@@ -184,13 +184,13 @@ class TestGaps:
         oracle = get_oracle("squared_norm", space)
         zs = np.array([[0.0], [1.0]])
         # q and its rescaling produce the same normalized gap
-        assert jensen_gap(space, oracle, [3.0, 3.0], zs) == pytest.approx(0.25)
+        assert reverse_jensen(space, oracle, [3.0, 3.0], zs).gap == pytest.approx(0.25)
 
     def test_nonpositive_total_weight(self):
         space = Space(1)
         oracle = get_oracle("squared_norm", space)
         with pytest.raises(Exception):
-            jensen_gap(space, oracle, [0.0, 0.0], np.array([[0.0], [1.0]]))
+            reverse_jensen(space, oracle, [0.0, 0.0], np.array([[0.0], [1.0]]))
 
 
 class TestReverseJensen:
@@ -202,7 +202,7 @@ class TestReverseJensen:
             return report(encl, xs, kind)
 
         monkeypatch.setattr(conditions, "_report", counted)
-        monkeypatch.setattr(jensen, "_report", counted)
+        monkeypatch.setattr(bounds, "_report", counted)
         space = Space(3)
         zs = np.array([random_vector(rng, space) for _ in range(50)])
         report = reverse_jensen(space, get_oracle("norm_fourth", space), np.ones(50), zs)
@@ -236,7 +236,7 @@ class TestReverseJensen:
         oracle = affine_oracle(space, [1.0, 2.0])
         zs = np.array([random_vector(rng, space) for _ in range(4)])
         report = reverse_jensen(space, oracle, np.ones(4), zs)
-        assert report.grad_encl.degenerate
+        assert report.grad_encl.diameter == 0.0
         assert abs(report.gap) <= 1e-12
         assert report.chain.holds()
 
@@ -299,8 +299,10 @@ class TestReverseJensen:
         report = reverse_jensen(space, ConvexOracle("counted", value, gradient), q, zs)
         assert calls == {"eval": 2, "grad": 1}
         assert grad_shapes == [(n, 3)]
-        assert report.gap == jensen_gap(space, base, q, zs)
-        assert report.pairing_gap == pairing_gap(space, base, q, zs)
+        w = q / q.sum()
+        grads = base.grad(zs)
+        assert report.gap == pytest.approx(w @ base.eval(zs) - base.eval(w @ zs), rel=1e-12, abs=1e-15)
+        assert report.pairing_gap == pytest.approx(w @ pairing(space, grads - w @ grads, zs - w @ zs), rel=1e-12, abs=1e-15)
 
     def test_squared_norm_euler_identity(self, rng):
         # for F = ||.||^2 the pairing gap is exactly twice the Jensen gap
@@ -310,11 +312,11 @@ class TestReverseJensen:
             n = int(rng.integers(1, 9))
             zs = np.array([random_vector(rng, space, 2.0) for _ in range(n)])
             q = rng.exponential(size=n)
-            gap = jensen_gap(space, oracle, q, zs)
-            pgap = pairing_gap(space, oracle, q, zs)
+            report = reverse_jensen(space, oracle, q, zs)
+            gap, pgap = report.gap, report.pairing_gap
             assert abs(pgap - 2.0 * gap) <= 1e-10 * max(1.0, abs(pgap))
 
     def test_complex_space_rejected(self):
         space = Space(1, COMPLEX)
         with pytest.raises(ContractViolationError):
-            jensen_gap(space, get_oracle("squared_norm", Space(1)), [1.0], np.array([[1.0 + 0j]]))
+            reverse_jensen(space, get_oracle("squared_norm", Space(1)), [1.0], np.array([[1.0 + 0j]]))

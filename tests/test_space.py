@@ -145,7 +145,7 @@ class TestColumnPath:
 class TestNorm:
     def test_zero(self):
         sp = Space(3)
-        assert norm(sp, sp.zero()) == 0.0
+        assert norm(sp, sp.vector(np.zeros(3))) == 0.0
 
     def test_pythagorean(self):
         assert norm(Space(2), [3.0, 4.0]) == pytest.approx(5.0)
