@@ -103,8 +103,8 @@ def _same_space(a: Space, b: Space, what: str) -> None:
 
 
 def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) -> ConditionReport:
-    """The ``kind`` report on validated ``rows``; with ``check``, a failure raises."""
-    report = _report(encl, rows, kind)
+    """The ``kind`` report on validated ``rows`` (the fit's, for the very array fitted); with ``check``, a failure raises."""
+    report = encl._fitted[1] if kind == "ball" and encl._fitted[0]() is rows else _report(encl, rows, kind)
     if report.holds or not check:
         return report
     bad = report.failing_indices()
@@ -136,7 +136,7 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
     return BoundChain(
         equation="2.3",
         functional_label="|chebyshev(p;x,y)|",
-        functional_value=abs(_pair(ws.space, w, _Centered(ws.space, w, ws.xs).rows, cy.rows)),
+        functional_value=abs(_pair(ws.space, w, _Centered(ws.space, w, ws.xs), cy)),
         links=_links(encl_x.diameter, "diam(x)", cy, "mad(y)", "std(y)", "2.3"),
         hypothesis_reports=(report,),
         hypothesis_verified=report.holds,
@@ -209,7 +209,7 @@ def bound_scalar_weighted(
     return BoundChain(
         equation=equation,
         functional_label="||gruss(p;alpha,x)||",
-        functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs).rows)),
+        functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs))),
         links=links,
         hypothesis_reports=reports,
         hypothesis_verified=all(report.holds for report in reports),

@@ -19,6 +19,7 @@ boundary points pass deterministically.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, norm, pairing, row_distances
+from .space import COMPLEX, Space, _per_row, norm, pairing, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -53,6 +54,7 @@ class Enclosure:
     hi: np.ndarray
     allow_degenerate: bool = False
     diameter: float = field(init=False)
+    _fitted: tuple = field(default=(lambda: None, None), init=False, repr=False, compare=False)  # a fit's (rows ref, report)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", self.space.vector(self.lo))
@@ -64,6 +66,9 @@ class Enclosure:
         if d == 0.0 and not self.allow_degenerate:
             raise DegenerateInputError("degenerate enclosure: lo == hi")
         object.__setattr__(self, "diameter", d)
+
+    def __getstate__(self) -> dict:  # a fit's weak reference to its rows does not pickle; a copy measures again
+        return {k: v for k, v in vars(self).items() if k != "_fitted"}
 
     @property
     def center(self) -> np.ndarray:
@@ -116,7 +121,7 @@ class ConditionReport:
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
     if kind == "box":
-        slacks = np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo)).astype(np.float64)
+        slacks = _per_row(lambda x: np.real(pairing(encl.space, encl.hi - x, x - encl.lo)), xs).astype(np.float64)
         return ConditionReport(kind, slacks, encl.diameter * encl.diameter)
     return ConditionReport(kind, encl.radius - row_distances(encl.space, xs, encl.center), encl.diameter)
 
@@ -147,6 +152,7 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
     return _report(disc, disc.space.scalars(alphas)[:, None], "disc")
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite radius
 def fit_enclosure(space: Space, xs) -> Enclosure:
     """Fit an enclosure whose ball condition holds for every input point.
 
@@ -157,20 +163,13 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     The result is validated with the ball condition and inflated about its
     center by the minimal factor needed to cover all points, which absorbs
     the rounding of the antipode construction; a required factor above
-    ``MAX_INFLATION`` raises ``EnclosureFitError``.
-    """
-    return _fit(space, space.matrix(xs))[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite radius
-def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
-    """The fitted enclosure of validated ``xs`` and its ball report on them.
+    ``MAX_INFLATION`` raises ``EnclosureFitError``; ``_fitted`` keeps that report (and refers to its rows).
 
     Each pass is one :func:`row_distances` call: two for the seed pair, one per
-    sweep, and one or, after an inflation, two for the report. The sweep that
-    stops the expansion gives the tight radius, and the pass that finds the
-    inflation factor gives the ball slacks.
+    sweep, and one or, after an inflation, two for the report (the sweep that
+    stops the expansion gives the tight radius).
     """
+    xs = space.matrix(xs)
     dists = row_distances(space, xs, xs[0])
     if float(dists.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
@@ -210,7 +209,8 @@ def _fit(space: Space, xs: np.ndarray) -> tuple[Enclosure, ConditionReport]:
         c = encl.center
         encl = Enclosure(space, c + (encl.lo - c) * factor, c + (encl.hi - c) * factor)
         dists = row_distances(space, xs, encl.center)
-    report = ConditionReport("ball", encl.radius - dists, encl.diameter)
+    report = ConditionReport("ball", np.subtract(encl.radius, dists, dists), encl.diameter)
     if not report.holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
-    return encl, report
+    object.__setattr__(encl, "_fitted", (weakref.ref(xs), report))  # the rows may be freed with their owner
+    return encl

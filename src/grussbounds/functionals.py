@@ -26,7 +26,7 @@ import numpy as np
 
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
-from .space import COMPLEX, REAL, ProbabilityVector, Space, norm, pairing, row_norms
+from .space import COMPLEX, REAL, ProbabilityVector, Space, _distances, _pairing, _per_row, norm, row_norms
 
 
 def _checked(p: ProbabilityVector, a: np.ndarray) -> np.ndarray:
@@ -75,18 +75,20 @@ class WeightedSequence:
 class _Centered:
     """Centered view of one validated sequence, built once per chain.
 
-    Holds the weighted mean, the centered rows and their squared norms.
+    Holds the raw rows and their center (the weighted mean unless given). ``sq``, the squared norms of
+    x_i - center, are ``row_distances``' squares (on complex spaces kept as the real view of a complex
+    array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` centers a row
+    block at a time, so neither builds an (n, dim) copy; only ``_gruss`` forms the centered rows, whole.
     """
 
-    def __init__(self, space: Space, w: np.ndarray, rows: np.ndarray):
-        self.space = space
-        self.w = w
-        self.mean = w @ rows
-        self.rows = rows - self.mean
+    def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
+        self.space, self.w, self.raw = space, w, raw
+        self.center = w @ raw if center is None else center
 
     @cached_property
     def sq(self) -> np.ndarray:
-        return np.real(pairing(self.space, self.rows, self.rows))
+        sq = _per_row(lambda r: _distances(self.space, r, self.center, False), self.raw)
+        return sq.astype(np.complex128).real if self.space.is_complex else sq
 
     def mad(self) -> float:
         return float(self.w @ np.sqrt(self.sq))
@@ -110,29 +112,30 @@ class _CenteredScalars:
         return float((self.w * np.abs(self.dev) ** 2).sum())
 
 
-def _pair(space: Space, w: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> float | complex:
-    total = (w * pairing(space, cx, cy)).sum()
+def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered) -> float | complex:
+    """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
+    total = (w * _per_row(lambda x, y: _pairing(space, x - cx.center, y - cy.center), cx.raw, cy.raw)).sum()
     return complex(total) if space.is_complex else float(np.real(total))
 
 
-def _gruss(ca: _CenteredScalars, cx: np.ndarray) -> np.ndarray:
-    return ((ca.w * ca.dev)[:, None] * cx).sum(axis=0)
+def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
+    return ((ca.w * ca.dev)[:, None] * (cx.raw - cx.center)).sum(axis=0)
 
 
-def _rows(ws: WeightedSequence, center) -> np.ndarray:
-    """The rows x_i - c, with c the weighted mean of xs when ``center`` is None."""
-    return _Centered(ws.space, ws.p.weights, ws.xs).rows if center is None else ws.xs - ws.space.vector(center)
+def _xs(ws: WeightedSequence, center) -> _Centered:
+    """xs about c, the weighted mean of xs when ``center`` is None."""
+    return _Centered(ws.space, ws.p.weights, ws.xs, None if center is None else ws.space.vector(center))
 
 
 def chebyshev(ws: WeightedSequence, center=None) -> float | complex:
     """sum_i p_i <x_i - c, y_i - mean_y> (complex on complex spaces); the same for any c (default mean_x)."""
     ys = ws.require_ys()
-    return _pair(ws.space, ws.p.weights, _rows(ws, center), _Centered(ws.space, ws.p.weights, ys).rows)
+    return _pair(ws.space, ws.p.weights, _xs(ws, center), _Centered(ws.space, ws.p.weights, ys))
 
 
 def vector_gruss(ws: WeightedSequence, center=None) -> np.ndarray:
     """sum_i p_i (a_i - abar)(x_i - c) as a vector; the same for any c (default mean_x)."""
-    return _gruss(_CenteredScalars(ws.p.weights, ws.require_alphas()), _rows(ws, center))
+    return _gruss(_CenteredScalars(ws.p.weights, ws.require_alphas()), _xs(ws, center))
 
 
 def variance(space: Space, p: ProbabilityVector, xs) -> float:

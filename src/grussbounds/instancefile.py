@@ -132,7 +132,7 @@ def _decode(space: Space, node, path: str, vector: bool, sequence: str | None = 
         row = items[rows]
         _fail(at(rows), f"expected {dim} coordinates, got {len(row)}" if isinstance(row, list) else "expected an array of coordinates")
     out = (values.view(np.complex128) if cplx else values).reshape((len(items), dim) if vector else len(items))
-    out.flags.writeable = False
+    out.flags.writeable = out.base.flags.writeable = False  # read-only throughout: the validators take it uncopied
     return out if sequence is not None else out[0]
 
 

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import BoundChain, BoundLink, _gate, _links, _same_space
-from .conditions import Enclosure, _fit
+from .conditions import Enclosure, fit_enclosure
 from .errors import ContractViolationError, DegenerateInputError
 from .functionals import _Centered, _checked, _pair
 from .space import ProbabilityVector, Space, pairing
@@ -200,7 +200,7 @@ def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str, 
     """``encl`` (fitted when None) and its ball report on ``pts``, the sequence ``name``; a failure raises."""
     if encl is None:
         try:
-            return _fit(space, pts)  # whose report already holds
+            encl = fit_enclosure(space, pts)  # whose report _gate takes
         except DegenerateInputError:
             encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
     else:
@@ -227,9 +227,9 @@ def reverse_jensen(
     """
     w, zs = _normalized(space, q, zs)
     cz = _Centered(space, w, zs)
-    gap = float(w @ _values(oracle, zs) - _values(oracle, cz.mean))
+    gap = float(w @ _values(oracle, zs) - _values(oracle, cz.center))
     grads = _gradients(space, oracle, zs)
-    pgap = _pair(space, w, _Centered(space, w, grads).rows, cz.rows)
+    pgap = _pair(space, w, _Centered(space, w, grads), cz)
     grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure", "gradients")
     z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure", "zs")
 

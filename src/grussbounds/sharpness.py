@@ -186,10 +186,10 @@ class _Problem:
         # hold for the computed arrays themselves (numerator and denominator
         # share the identical centered rows), so rounding alone can never
         # push the ratio past 1
-        cx = cand["xs"] - self.encl.center
+        cx = _Centered(self.space, w, cand["xs"], self.encl.center)
         if "alphas" in self.vector_blocks:
             return norm(self.space, _gruss(_CenteredScalars(w, cand["alphas"]), cx))
-        return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"]).rows))
+        return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"])))
 
     def ratio(self, cand: dict) -> float:
         p = self._weights(cand)

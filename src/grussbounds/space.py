@@ -5,7 +5,8 @@ an optional diagonal metric of strictly positive weights. All operations are
 pure functions over immutable values.
 
 Each kind of array input has one validator, which copies numbers (only) into
-the field, checks shape, nonemptiness and finiteness, and returns it read-only:
+the field, checks shape, nonemptiness and finiteness, and returns it read-only
+(an array that nothing can write to is checked but not copied):
 
 * ``Space.vector``   one vector, shape ``(dim,)`` (enclosure endpoints, centers);
 * ``Space.matrix``   a sequence of vectors, shape ``(n, dim)`` (xs, ys, zs, gradients);
@@ -15,6 +16,11 @@ the field, checks shape, nonemptiness and finiteness, and returns it read-only:
 
 Convention: the inner product is linear in the first argument and
 conjugate-linear in the second. Every norm is the induced one.
+
+Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` and what builds on
+them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
+output, with the bits of one whole-array call (their one call up to one block). Sums over the rows
+stay whole: in blocks they would round differently.
 """
 from __future__ import annotations
 
@@ -34,6 +40,9 @@ PROB_SUM_TOL = 1e-9
 #: Fewest rows that are summed column by column (see ``pairing``); the
 #: crossover measured at 2 to 7 columns lies between 128 and 1024 rows.
 COLUMN_ROWS = 512
+
+#: Elements per row block of the per-row kernels (a block and its temporaries fit in L2).
+BLOCK_ELEMS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,13 +101,13 @@ class Space:
                            "expected shape (n,)", "scalars", "sequence of scalars")
 
     def _array(self, values, shape: tuple, what: str, expected: str, entries: str, sequence: str = "") -> np.ndarray:
-        """A read-only finite copy of ``values`` in this field, of ``shape``.
+        """A read-only finite copy of ``values`` (or, if :func:`_frozen`, itself) in this field, of ``shape``.
 
         With ``sequence`` naming the items, the leading length (``None`` in
         ``shape``) is free but must be nonzero.
         """
-        a = np.array(_numeric(values, self.field, what), dtype=self.dtype,
-                     ndmin=1 if shape == (None,) else 0)  # a bare scalar reads as (1,)
+        a = values if _frozen(values, self, len(shape)) else np.array(
+            _numeric(values, self.field, what), dtype=self.dtype, ndmin=1 if shape == (None,) else 0)  # () reads as (1,)
         if sequence and a.shape[:1] == (0,):
             raise DegenerateInputError(f"{sequence} must be nonempty")
         if a.shape != (shape if shape[0] is not None else a.shape[:1] + shape[1:]):
@@ -115,6 +124,14 @@ class Space:
         if (self.metric is None) != (other.metric is None):
             return False
         return self.metric is None or bool(np.array_equal(self.metric, other.metric))
+
+
+def _frozen(a, space: Space, ndim: int) -> bool:
+    """Whether ``a`` is a contiguous ``ndim``-d array of ``space``'s dtype, read-only down its whole ``.base`` chain."""
+    ok = type(a) is np.ndarray and not a.flags.writeable and a.dtype == space.dtype and a.ndim == ndim and a.flags.forc
+    while ok and type(a) is np.ndarray:
+        ok, a = not a.flags.writeable, a.base
+    return ok and a is None
 
 
 def _numeric(values, field: str, what: str) -> np.ndarray:
@@ -189,19 +206,34 @@ def _by_columns(space: Space, rows: np.ndarray) -> bool:
     return rows.ndim == 2 and rows.shape[0] >= COLUMN_ROWS and 1 < rows.shape[1] * (1 + space.is_complex) < 8
 
 
+def _per_row(kernel, *arrays) -> np.ndarray:
+    """``kernel(*arrays)``, one value per row of the (n, dim) ``arrays``, a row block at a time."""
+    n, dim = arrays[0].shape
+    if n <= COLUMN_ROWS or n * dim <= BLOCK_ELEMS:  # one block
+        return kernel(*arrays)
+    out, step = None, max(COLUMN_ROWS, BLOCK_ELEMS // dim)
+    for lo in range(0, n, step):
+        part = kernel(*(a[lo:lo + step] for a in arrays))
+        out = np.empty(n, part.dtype) if out is None else out
+        out[lo:lo + step] = part
+    return out
+
+
 def pairing(space: Space, a, b):
     """sum_k metric_k * a_k * conj(b_k) over the last axis of conforming arrays.
 
-    Two vectors give a scalar; ``(n, dim)`` rows give one value per row.
+    Two vectors give a scalar; ``(n, dim)`` rows give one value per row, a row block at a time.
 
-    Real sums keep the multiply-then-sum rounding of ``(a * b * metric).sum(-1)``
-    that the sharpness search's results follow. Below 8 columns numpy adds the
-    columns of that product left to right, starting from +0.0, so where
-    :func:`_by_columns` holds the columns are summed one by one instead: the same
-    bits, without the ``(n, dim)`` product. From 8 columns numpy sums pairwise,
-    and below ``COLUMN_ROWS`` rows the one product costs less than the
-    per-column calls, so those keep the product.
+    Real sums keep the rounding of ``(a * b * metric).sum(-1)`` that the sharpness search's results
+    follow. Below 8 columns numpy adds that product's columns left to right from +0.0, so where
+    :func:`_by_columns` holds they are summed one by one instead: the same bits, without the
+    ``(n, dim)`` product. From 8 columns numpy sums pairwise; below ``COLUMN_ROWS`` rows one product is cheaper.
     """
+    per_row = a.ndim == 2 and a.shape[0] > COLUMN_ROWS and a.shape == np.shape(b)  # up to COLUMN_ROWS rows are one block
+    return _per_row(lambda a, b: _pairing(space, a, b), a, b) if per_row else _pairing(space, a, b)
+
+
+def _pairing(space: Space, a, b):
     if space.is_complex:
         # einsum skips the complex (n, dim) product
         b = np.conj(b) if space.metric is None else np.conj(b) * space.metric
@@ -247,11 +279,15 @@ def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
 def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
     """||x_i - c|| for every row x_i of ``rows``, to the bit ``row_norms(space, rows - c)``.
 
-    Where :func:`_by_columns` holds, each column of ``rows - c`` is formed,
-    squared and added in turn, in the order of ``pairing``'s sums (einsum's
-    on complex rows), so no ``(n, dim)`` array is built. Otherwise real rows
-    square ``rows - c`` in place, where ``pairing`` would build a second array.
+    Where :func:`_by_columns` holds, each column of a block of ``rows - c`` is formed,
+    squared and added in ``pairing``'s order (einsum's on complex rows), so no
+    ``(n, dim)`` array is built; other real rows square ``rows - c`` in place.
     """
+    return _per_row(lambda r: _distances(space, r, c, True), rows)
+
+
+def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
+    """:func:`row_distances` of one block, or (``root`` false) their squares."""
     m = space.metric
     if _by_columns(space, rows):
         sq = np.zeros(rows.shape[0])
@@ -269,12 +305,13 @@ def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
     else:
         d = rows - c
         if space.is_complex:
-            return row_norms(space, d)
-        d *= d
-        if m is not None:
-            d *= m
-        sq = d.sum(axis=-1)
-    return np.sqrt(sq, out=sq)
+            sq = np.real(_pairing(space, d, d))
+        else:
+            d *= d
+            if m is not None:
+                d *= m
+            sq = d.sum(axis=-1)
+    return np.sqrt(sq, out=sq) if root else sq
 
 
 def forward_differences(xs) -> np.ndarray:

@@ -9,15 +9,20 @@ passes were fused.
 import numpy as np
 
 
-def reference_norms(rows, metric=None):
-    """Row norms as plain numpy expressions over one fresh product."""
-    if np.iscomplexobj(rows):
-        b = np.conj(rows) if metric is None else np.conj(rows) * metric
-        return np.sqrt(np.real(np.einsum("...k,...k->...", rows, b)))
-    prod = rows * rows
+def reference_pairing(a, b, metric=None):
+    """Row pairings as plain numpy expressions over one fresh product, on the whole arrays."""
+    if np.iscomplexobj(a):
+        b = np.conj(b) if metric is None else np.conj(b) * metric
+        return np.einsum("...k,...k->...", a, b)
+    prod = a * b
     if metric is not None:
         prod = prod * metric
-    return np.sqrt(prod.sum(axis=-1))
+    return prod.sum(axis=-1)
+
+
+def reference_norms(rows, metric=None):
+    """Row norms as plain numpy expressions over one fresh product."""
+    return np.sqrt(np.real(reference_pairing(rows, rows, metric)))
 
 
 def reference_fit(xs, metric=None, max_sweeps=200):

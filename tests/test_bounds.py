@@ -380,6 +380,92 @@ class TestFittedEnclosureChains:
             assert chain.holds(), chain.values()
 
 
+class TestFittedReports:
+    """A fitted enclosure carries its ball report on the rows it was fitted to;
+    the chain builders take it for that very array, never for equal values."""
+
+    @pytest.fixture
+    def report_calls(self, monkeypatch):
+        from grussbounds import bounds, conditions
+
+        calls = []
+
+        def counted(encl, xs, kind, report=conditions._report):
+            calls.append(kind)
+            return report(encl, xs, kind)
+
+        monkeypatch.setattr(conditions, "_report", counted)
+        monkeypatch.setattr(bounds, "_report", counted)
+        return calls
+
+    def test_the_fit_report_is_taken_for_the_same_array(self, rng, report_calls):
+        from grussbounds import fit_enclosure
+
+        space = Space(3, COMPLEX)
+        ws = WeightedSequence(space, random_prob(rng, 40), xs=rng.standard_normal((40, 3)), ys=rng.standard_normal((40, 3)))
+        encl = fit_enclosure(space, ws.xs)
+        chain = bound_chebyshev(encl, ws)
+        assert report_calls == []
+        assert chain.hypothesis_reports[0] is encl._fitted[1]
+        bound_variance(encl, ws.p, ws.xs)
+        assert report_calls == []
+
+    def test_equal_values_are_measured_again(self, rng, report_calls):
+        from grussbounds import fit_enclosure
+
+        space = Space(2)
+        xs = space.matrix(rng.standard_normal((30, 2)))
+        encl = fit_enclosure(space, xs)
+        ws = WeightedSequence(space, random_prob(rng, 30), xs=xs.copy(), ys=xs)
+        chain = bound_chebyshev(encl, ws)
+        assert report_calls == ["ball"]
+        assert np.array_equal(chain.hypothesis_reports[0].slacks, encl._fitted[1].slacks)
+
+    def test_the_fit_does_not_keep_its_rows_alive(self, rng):
+        import weakref
+
+        from grussbounds import fit_enclosure
+
+        space = Space(2)
+        xs = space.matrix(rng.standard_normal((10, 2)))
+        encl, rows = fit_enclosure(space, xs), weakref.ref(xs)
+        del xs
+        assert rows() is None and encl._fitted[0]() is None and encl._fitted[1].holds
+
+    def test_a_fitted_enclosure_pickles_without_its_report(self, rng):
+        import pickle
+
+        from grussbounds import fit_enclosure
+
+        space = Space(2)
+        xs = space.matrix(rng.standard_normal((10, 2)))
+        encl = fit_enclosure(space, xs)
+        copy = pickle.loads(pickle.dumps(encl))
+        assert np.array_equal(copy.lo, encl.lo) and np.array_equal(copy.hi, encl.hi) and copy.diameter == encl.diameter
+        assert copy._fitted[0]() is None and encl._fitted[0]() is xs
+
+    def test_the_fit_report_is_not_shown_or_compared(self, rng):
+        from grussbounds import fit_enclosure
+
+        encl = fit_enclosure(Space(2), rng.standard_normal((10, 2)))
+        assert "_fitted" not in repr(encl) and "slacks" not in repr(encl)
+
+
+def test_chebyshev_chain_peak_is_under_three_inputs(rng):
+    # no centered (n, dim) copy of xs or ys: the n-length slacks, norms and pairing terms only
+    space = Space(3)
+    n = 200_000
+    ws = WeightedSequence(space, random_prob(rng, n), xs=rng.standard_normal((n, 3)), ys=rng.standard_normal((n, 3)))
+    encl = Enclosure(space, [-6.0, -6.0, -6.0], [6.0, 6.0, 6.0])  # not fitted: the gate measures xs
+    tracemalloc.start()
+    try:
+        bound_chebyshev(encl, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ws.xs.nbytes  # 3.04 inputs with the centered copies
+
+
 class TestLargeOffset:
     """Unit spread at offset 1e8: raw second-moment differences cancel to 0 here."""
 

@@ -167,6 +167,27 @@ class TestBound:
         code, out, _ = run(capsys, "bound", str(path), "--which", "2.3", "--fit")
         assert code == 0
 
+    def test_fitted_ball_report_is_not_recomputed(self, capsys, tmp_path, monkeypatch):
+        from grussbounds import bounds, conditions
+
+        calls = []
+
+        def counted(encl, xs, kind, report=conditions._report):
+            calls.append(kind)
+            return report(encl, xs, kind)
+
+        monkeypatch.setattr(conditions, "_report", counted)
+        monkeypatch.setattr(bounds, "_report", counted)
+        doc = json.loads((INSTANCES / "two_point.json").read_text())
+        del doc["enclosures"]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "bound", str(path), "--which", "2.3", "--fit")
+        assert code == 0 and "hypothesis verified" in out
+        assert calls == []  # the fit measured xs; the chain takes that report
+        code, _, _ = run(capsys, "bound", str(INSTANCES / "two_point.json"), "--which", "2.3")
+        assert code == 0 and calls == ["ball"]  # a supplied enclosure is measured
+
     def test_hypothesis_failure_and_unchecked(self, capsys, tmp_path):
         code, _, err = run(capsys, "bound", str(INSTANCES / "exterior_point.json"), "--which", "2.8")
         assert code == 1

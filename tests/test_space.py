@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from grussbounds import (
 )
 from brute import brute_inner
 from conftest import random_space, random_vector
-from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, pairing, row_distances, row_norms
-from numpy_reference import reference_norms
+from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, pairing, row_distances, row_norms
+from numpy_reference import reference_norms, reference_pairing
 
 
 class TestSpace:
@@ -66,6 +68,52 @@ class TestSpace:
         # numpy would parse the strings and read the bools as 0 and 1
         with pytest.raises(DimensionMismatchError, match="cannot interpret"):
             validate()
+
+
+class TestValidatedInputs:
+    """An array nothing can write to is validated without a copy; any other is copied."""
+
+    def test_a_read_only_array_is_taken_as_it_is(self, rng):
+        space = Space(3, COMPLEX)
+        rows = space.matrix(random_rows(rng, space, 5))
+        assert space.matrix(rows) is rows
+        assert space.matrix(rows[1:]).base is rows  # a read-only view of a read-only array
+        alphas = space.scalars(random_rows(rng, space, 4)[:, 0])
+        assert space.scalars(alphas) is alphas
+
+    def test_a_writeable_array_is_copied(self, rng):
+        space = Space(3)
+        rows = rng.standard_normal((5, 3))
+        out = space.matrix(rows)
+        assert not np.shares_memory(out, rows) and not out.flags.writeable
+        rows[0, 0] = 7.0
+        assert out[0, 0] != 7.0
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self, rng):
+        space = Space(3)
+        rows = rng.standard_normal((5, 3))
+        view = rows[:]
+        view.flags.writeable = False
+        out = space.matrix(view)
+        assert not np.shares_memory(out, rows)
+        rows[0, 0] = 7.0
+        assert out[0, 0] != 7.0
+
+    def test_another_dtype_or_shape_is_copied_or_rejected(self):
+        ints = np.arange(6).reshape(2, 3)
+        ints.flags.writeable = False
+        assert Space(3).matrix(ints).dtype == np.float64
+        one = np.array(2.5)
+        one.flags.writeable = False
+        assert Space(1).scalars(one).shape == (1,)
+        with pytest.raises(DimensionMismatchError):
+            Space(2).matrix(Space(3).matrix(np.ones((2, 3))))
+
+    def test_a_read_only_array_is_still_checked_finite(self):
+        rows = np.array([[1.0, np.inf]])
+        rows.flags.writeable = False
+        with pytest.raises(ContractViolationError, match="finite"):
+            Space(2).matrix(rows)
 
 
 class TestInner:
@@ -140,6 +188,63 @@ class TestColumnPath:
         c = random_vector(rng, space, 10.0)
         assert same_bits(row_norms(space, a), reference_norms(a, metric))
         assert same_bits(row_distances(space, a, c), reference_norms(a - c, metric))
+
+
+def random_rows(rng, space, n, scale=10.0):
+    a = rng.standard_normal((n, space.dim)) * scale
+    return a + 1j * rng.standard_normal((n, space.dim)) * scale if space.is_complex else a
+
+
+def block_rows(dim):
+    """Rows in one block of the per-row kernels at width ``dim``."""
+    return max(COLUMN_ROWS, BLOCK_ELEMS // dim)
+
+
+class TestRowBlocks:
+    """The per-row kernels run a block of rows at a time; at and around the block
+    boundaries they give the bits of the whole-array expressions."""
+
+    @pytest.mark.parametrize(
+        "rows_for", [lambda s: s - 1, lambda s: s, lambda s: s + 1, lambda s: 2 * s + 7],
+        ids=["step-1", "step", "step+1", "2step+7"],
+    )
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 32])
+    def test_kernels_equal_the_whole_array_reference(self, rng, dim, with_metric, field, rows_for):
+        metric = rng.uniform(0.2, 3.0, dim) if with_metric else None
+        space = Space(dim, field, metric)
+        step = block_rows(dim)
+        n = rows_for(step)
+        a, b = random_rows(rng, space, n), random_rows(rng, space, n)
+        a[min(step, n - 1)] = -0.0  # the first row of the second block, where there is one
+        c = random_vector(rng, space, 10.0)
+        assert same_bits(pairing(space, a, b), reference_pairing(a, b, metric))
+        assert same_bits(row_norms(space, a), reference_norms(a, metric))
+        assert same_bits(row_distances(space, a, c), reference_norms(a - c, metric))
+
+    def test_row_distances_peak_is_the_output_and_two_blocks(self, rng):
+        space = Space(3)
+        rows = space.matrix(rng.standard_normal((200_000, 3)))
+        c = rows[0]
+        tracemalloc.start()
+        try:
+            out = row_distances(space, rows, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 2 * block_rows(3) * rows.itemsize * 3
+
+    def test_a_block_of_rows_or_fewer_is_one_whole_array_call(self, rng, monkeypatch):
+        from grussbounds import space as space_module
+
+        space, calls = Space(3), []
+        kernel = space_module._pairing
+        monkeypatch.setattr(space_module, "_pairing", lambda *args: calls.append(args[1].shape) or kernel(*args))
+        for n in (block_rows(3), block_rows(3) + 1):
+            a = random_rows(rng, space, n)
+            pairing(space, a, a)
+        assert calls == [(block_rows(3), 3), (block_rows(3), 3), (1, 3)]
 
 
 class TestNorm:
