@@ -451,7 +451,7 @@ class TestFittedReports:
         assert "_fitted" not in repr(encl) and "slacks" not in repr(encl)
 
 
-def test_chebyshev_chain_peak_is_under_three_inputs(rng):
+def test_chebyshev_chain_peak_is_under_one_and_a_half_inputs(rng):
     # no centered (n, dim) copy of xs or ys: the n-length slacks, norms and pairing terms only
     space = Space(3)
     n = 200_000
