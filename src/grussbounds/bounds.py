@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, _disc, _report
+from .conditions import ConditionReport, Enclosure, _disc, _measured
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -104,7 +104,7 @@ def _same_space(a: Space, b: Space, what: str) -> None:
 
 def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) -> ConditionReport:
     """The ``kind`` report on validated ``rows`` (the fit's, for the very array fitted); with ``check``, a failure raises."""
-    report = encl._fitted[1] if kind == "ball" and encl._fitted[0]() is rows else _report(encl, rows, kind)
+    report = _measured(encl, rows, kind)
     if report.holds or not check:
         return report
     bad = report.failing_indices()

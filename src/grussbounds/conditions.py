@@ -29,7 +29,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _per_row, norm, pairing, row_distances
+from .space import COMPLEX, Space, _blocks, _per_row, norm, pairing, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -121,9 +121,20 @@ class ConditionReport:
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
     if kind == "box":
-        slacks = _per_row(lambda x: np.real(pairing(encl.space, encl.hi - x, x - encl.lo)), xs).astype(np.float64)
-        return ConditionReport(kind, slacks, encl.diameter * encl.diameter)
+        return ConditionReport(kind, _box_slacks(encl, xs).astype(np.float64), encl.diameter * encl.diameter)
     return ConditionReport(kind, encl.radius - row_distances(encl.space, xs, encl.center), encl.diameter)
+
+
+def _box_slacks(encl: Enclosure, xs: np.ndarray) -> np.ndarray:
+    """Re<hi - x_i, x_i - lo> for every row, a row block at a time (one direct call at one block)."""
+    if _blocks(xs) is not None:
+        return _per_row(lambda x: _box_slacks(encl, x), xs)
+    return np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo))
+
+
+def _measured(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
+    """:func:`_report`, or the fit's own ball report when ``xs`` is the very array ``encl`` was fitted to."""
+    return encl._fitted[1] if kind == "ball" and encl._fitted[0]() is xs else _report(encl, xs, kind)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
@@ -132,8 +143,8 @@ def check_box(encl: Enclosure, xs) -> ConditionReport:
 
 
 def check_ball(encl: Enclosure, xs) -> ConditionReport:
-    """Check ||x_i - center|| <= radius for every point."""
-    return _report(encl, encl.space.matrix(xs), "ball")
+    """Check ||x_i - center|| <= radius for every point (a fit's report, for the array it was fitted to)."""
+    return _measured(encl, encl.space.matrix(xs), "ball")
 
 
 def _disc(a, A) -> Enclosure:
@@ -165,9 +176,13 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     the rounding of the antipode construction; a required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``; ``_fitted`` keeps that report (and refers to its rows).
 
-    Each pass is one :func:`row_distances` call: two for the seed pair, one per
-    sweep, and one or, after an inflation, two for the report (the sweep that
-    stops the expansion gives the tight radius).
+    Full passes are :func:`row_distances` calls over every row: two for the seed
+    pair, one for the first sweep, and one or, after an inflation, two for the
+    report (the sweep that stops the expansion gives the tight radius). On rows of
+    more than one block, a later sweep measures only the rows that can still be
+    farthest (see :func:`_sweep_rows`), so a fit of well-spread rows makes about
+    four full passes; a sweep that would measure over a quarter of the rows is a
+    full pass again.
     """
     xs = space.matrix(xs)
     dists = row_distances(space, xs, xs[0])
@@ -177,20 +192,9 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     i1 = int(np.argmax(dists))
     dists = row_distances(space, xs, xs[i1])
     i2 = int(np.argmax(dists))
-    center = (xs[i1] + xs[i2]) / 2.0
     radius = float(dists[i2]) / 2.0
-    for _ in range(MAX_SWEEPS):
-        dists = row_distances(space, xs, center)
-        far = int(np.argmax(dists))
-        dmax = float(dists[far])
-        if not dmax > radius:  # NaN after an overflow stops too
-            break
-        new_radius = (radius + dmax) / 2.0
-        center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
-        radius = new_radius
-    else:
-        dmax = float(row_distances(space, xs, center).max())
-    radius = dmax
+    del dists  # the sweeps hold their own
+    center, radius = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, radius)
     if not np.isfinite(radius):
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
     u = xs[i2] - xs[i1]
@@ -214,3 +218,55 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
     object.__setattr__(encl, "_fitted", (weakref.ref(xs), report))  # the rows may be freed with their owner
     return encl
+
+
+#: Relative widening of the pruned sweeps' triangle-inequality test, far above the distances' rounding.
+_PRUNE_MARGIN = 1e-9
+
+
+def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
+    """Ritter expansion sweeps from the ball (center, radius): the final center and its farthest distance.
+
+    Each sweep finds the row farthest from the center (the first of equals) and, while it lies
+    outside, moves the ball to cover it. On rows of more than one block the last full sweep stays
+    as the anchor: a later sweep measures only :func:`_sweep_rows`, with the same result.
+    """
+    anchor = None  # (center, distances of every row) of the last full sweep, where sweeps are pruned
+    prune = _blocks(xs) is not None
+    for _ in range(MAX_SWEEPS):
+        rows = None if anchor is None else _sweep_rows(space, xs, center, far, *anchor)
+        if rows is None:
+            anchor = None
+            dists = row_distances(space, xs, center)
+            far = int(np.argmax(dists))
+            dmax = float(dists[far])
+            if prune and math.isfinite(dmax):
+                anchor = (center, dists)
+        else:
+            dists = row_distances(space, xs[rows], center)
+            j = int(np.argmax(dists))
+            far, dmax = int(rows[j]), float(dists[j])
+        if not dmax > radius:  # NaN after an overflow stops too
+            return center, dmax
+        new_radius = (radius + dmax) / 2.0
+        center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
+        radius = new_radius
+    return center, float(row_distances(space, xs, center).max())
+
+
+def _sweep_rows(space: Space, xs: np.ndarray, center: np.ndarray, far: int, c0: np.ndarray, d0: np.ndarray):
+    """The rows that can be farthest from ``center``, ascending, or None when a full sweep is due.
+
+    ``d0`` are the distances of every row from ``c0``. Row i lies within d0_i + ||center - c0|| of
+    the center, and the farthest row no nearer than ``far`` (the previous farthest row), so a row
+    whose bound, widened by ``_PRUNE_MARGIN``, falls below far's distance is strictly nearer than the
+    farthest row and never the first of equals. The widening covers the rounding while the squared
+    distances are normal numbers; below that, or at an overflow, every row is measured.
+    """
+    floor = float(row_distances(space, xs[far:far + 1], center)[0])
+    moved = norm(space, center - c0)
+    if not (space.dim * np.finfo(np.float64).tiny < (floor * _PRUNE_MARGIN) ** 2 < math.inf and moved < math.inf):
+        return None
+    keep = d0 >= floor * (1.0 - _PRUNE_MARGIN) - moved * (1.0 + _PRUNE_MARGIN)
+    keep[far] = True
+    return np.flatnonzero(keep) if 4 * np.count_nonzero(keep) <= keep.size else None

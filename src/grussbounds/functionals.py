@@ -26,7 +26,7 @@ import numpy as np
 
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
-from .space import COMPLEX, REAL, ProbabilityVector, Space, _distances, _pairing, _per_row, norm, row_norms
+from .space import COMPLEX, REAL, ProbabilityVector, Space, _blocks, _distances, _pairing, _per_row, norm, row_norms
 
 
 def _checked(p: ProbabilityVector, a: np.ndarray) -> np.ndarray:
@@ -77,8 +77,8 @@ class _Centered:
 
     Holds the raw rows and their center (the weighted mean unless given). ``sq``, the squared norms of
     x_i - center, are ``row_distances``' squares (on complex spaces kept as the real view of a complex
-    array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` centers a row
-    block at a time, so neither builds an (n, dim) copy; only ``_gruss`` forms the centered rows, whole.
+    array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` and ``_gruss``
+    center a row block at a time, so none builds an (n, dim) copy (``_gruss`` does at a width of 1).
     """
 
     def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
@@ -87,7 +87,7 @@ class _Centered:
 
     @cached_property
     def sq(self) -> np.ndarray:
-        sq = _per_row(lambda r: _distances(self.space, r, self.center, False), self.raw)
+        sq = _distances(self.space, self.raw, self.center, False)
         return sq.astype(np.complex128).real if self.space.is_complex else sq
 
     def mad(self) -> float:
@@ -114,12 +114,39 @@ class _CenteredScalars:
 
 def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered) -> float | complex:
     """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
-    total = (w * _per_row(lambda x, y: _pairing(space, x - cx.center, y - cy.center), cx.raw, cy.raw)).sum()
+    total = (w * _centered_pairing(space, cx.raw, cx.center, cy.raw, cy.center)).sum()
     return complex(total) if space.is_complex else float(np.real(total))
 
 
+def _centered_pairing(space: Space, x: np.ndarray, x0, y: np.ndarray, y0) -> np.ndarray:
+    """<x_i - x0, y_i - y0> for every row, a row block at a time (one direct call at one block)."""
+    if _blocks(x) is not None:
+        return _per_row(lambda x, y: _centered_pairing(space, x, x0, y, y0), x, y)
+    return _pairing(space, x - x0, y - y0)
+
+
 def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
-    return ((ca.w * ca.dev)[:, None] * (cx.raw - cx.center)).sum(axis=0)
+    """sum_i w_i dev_i (x_i - cx.center), with the bits of the whole-array column sums.
+
+    numpy sums axis 0 of an (m, dim >= 2) array row after row from +0.0, so over row blocks each
+    block's terms go to rows 1... of one buffer whose row 0 carries the running sum; a width of 1
+    is summed pairwise and stays whole.
+    """
+    wd = ca.w * ca.dev
+    blocks = _blocks(cx.raw) if cx.raw.shape[1] > 1 else None
+    if blocks is None:
+        return (wd[:, None] * (cx.raw - cx.center)).sum(axis=0)
+    buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), np.result_type(wd, cx.raw)), None
+    for lo in blocks:
+        x = cx.raw[lo:lo + blocks.step]
+        terms = np.subtract(x, cx.center, out=buf[1:len(x) + 1])
+        np.multiply(wd[lo:lo + blocks.step, None], terms, out=terms)
+        if total is None:
+            total = terms.sum(axis=0)
+        else:
+            buf[0] = total
+            total = buf[:len(x) + 1].sum(axis=0)
+    return total
 
 
 def _xs(ws: WeightedSequence, center) -> _Centered:

@@ -128,7 +128,9 @@ class Space:
 
 def _frozen(a, space: Space, ndim: int) -> bool:
     """Whether ``a`` is a contiguous ``ndim``-d array of ``space``'s dtype, read-only down its whole ``.base`` chain."""
-    ok = type(a) is np.ndarray and not a.flags.writeable and a.dtype == space.dtype and a.ndim == ndim and a.flags.forc
+    if type(a) is not np.ndarray or a.flags.writeable:
+        return False
+    ok = a.dtype == space.dtype and a.ndim == ndim and a.flags.forc
     while ok and type(a) is np.ndarray:
         ok, a = not a.flags.writeable, a.base
     return ok and a is None
@@ -206,16 +208,23 @@ def _by_columns(space: Space, rows: np.ndarray) -> bool:
     return rows.ndim == 2 and rows.shape[0] >= COLUMN_ROWS and 1 < rows.shape[1] * (1 + space.is_complex) < 8
 
 
+def _blocks(rows: np.ndarray) -> range | None:
+    """The first rows of the row blocks of (n, dim) ``rows`` (``.step`` rows each), or None when they are one block."""
+    if rows.size <= BLOCK_ELEMS or len(rows) <= COLUMN_ROWS:
+        return None
+    return range(0, len(rows), max(COLUMN_ROWS, BLOCK_ELEMS // rows.shape[1]))
+
+
 def _per_row(kernel, *arrays) -> np.ndarray:
     """``kernel(*arrays)``, one value per row of the (n, dim) ``arrays``, a row block at a time."""
-    n, dim = arrays[0].shape
-    if n <= COLUMN_ROWS or n * dim <= BLOCK_ELEMS:  # one block
+    blocks = _blocks(arrays[0])
+    if blocks is None:
         return kernel(*arrays)
-    out, step = None, max(COLUMN_ROWS, BLOCK_ELEMS // dim)
-    for lo in range(0, n, step):
-        part = kernel(*(a[lo:lo + step] for a in arrays))
-        out = np.empty(n, part.dtype) if out is None else out
-        out[lo:lo + step] = part
+    out = None
+    for lo in blocks:
+        part = kernel(*(a[lo:lo + blocks.step] for a in arrays))
+        out = np.empty(len(arrays[0]), part.dtype) if out is None else out
+        out[lo:lo + blocks.step] = part
     return out
 
 
@@ -249,7 +258,7 @@ def _pairing(space: Space, a, b):
     prod = a * b
     if space.metric is not None:
         prod = prod * space.metric
-    return prod.sum(axis=-1)
+    return np.add.reduce(prod, axis=-1)  # .sum(axis=-1) without its Python wrapper
 
 
 def inner(space: Space, u, v) -> float | complex:
@@ -283,11 +292,13 @@ def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
     squared and added in ``pairing``'s order (einsum's on complex rows), so no
     ``(n, dim)`` array is built; other real rows square ``rows - c`` in place.
     """
-    return _per_row(lambda r: _distances(space, r, c, True), rows)
+    return _distances(space, rows, c, True)
 
 
 def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
-    """:func:`row_distances` of one block, or (``root`` false) their squares."""
+    """:func:`row_distances`, or (``root`` false) their squares; one block is one direct call."""
+    if _blocks(rows) is not None:
+        return _per_row(lambda r: _distances(space, r, c, root), rows)
     m = space.metric
     if _by_columns(space, rows):
         sq = np.zeros(rows.shape[0])
@@ -310,7 +321,7 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
             d *= d
             if m is not None:
                 d *= m
-            sq = d.sum(axis=-1)
+            sq = np.add.reduce(d, axis=-1)
     return np.sqrt(sq, out=sq) if root else sq
 
 

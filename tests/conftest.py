@@ -10,6 +10,21 @@ def rng():
     return np.random.default_rng(20250811)
 
 
+@pytest.fixture
+def report_calls(monkeypatch):
+    """The kinds of the condition reports measured afresh while the test runs."""
+    from grussbounds import conditions
+
+    calls = []
+
+    def counted(encl, xs, kind, report=conditions._report):
+        calls.append(kind)
+        return report(encl, xs, kind)
+
+    monkeypatch.setattr(conditions, "_report", counted)
+    return calls
+
+
 def random_space(rng, max_dim=8, field=None, metric_prob=0.25):
     dim = int(rng.integers(1, max_dim + 1))
     if field is None:

@@ -384,20 +384,6 @@ class TestFittedReports:
     """A fitted enclosure carries its ball report on the rows it was fitted to;
     the chain builders take it for that very array, never for equal values."""
 
-    @pytest.fixture
-    def report_calls(self, monkeypatch):
-        from grussbounds import bounds, conditions
-
-        calls = []
-
-        def counted(encl, xs, kind, report=conditions._report):
-            calls.append(kind)
-            return report(encl, xs, kind)
-
-        monkeypatch.setattr(conditions, "_report", counted)
-        monkeypatch.setattr(bounds, "_report", counted)
-        return calls
-
     def test_the_fit_report_is_taken_for_the_same_array(self, rng, report_calls):
         from grussbounds import fit_enclosure
 

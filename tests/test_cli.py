@@ -74,6 +74,17 @@ class TestCheck:
         assert doc["results"]["holds"] is True
         assert {c["name"] for c in doc["results"]["conditions"]} >= {"ball(x)", "box(x)", "disc(alpha)"}
 
+    def test_fit_reuses_the_fitted_ball_reports(self, capsys, tmp_path, report_calls):
+        doc = json.loads((INSTANCES / "two_point.json").read_text())
+        del doc["enclosures"]
+        path = tmp_path / "fit.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check", str(path), "--fit", "--json")
+        assert code == 0
+        assert report_calls == ["box", "box", "box", "disc"]  # each ball form is its fit's own report
+        names = [c["name"] for c in json.loads(out)["results"]["conditions"]]
+        assert names == ["ball(x)", "box(x)", "ball(y)", "box(y)", "ball(z)", "box(z)", "disc(alpha)"]
+
 
 class TestBound:
     def test_two_point_chain(self, capsys):
@@ -167,17 +178,8 @@ class TestBound:
         code, out, _ = run(capsys, "bound", str(path), "--which", "2.3", "--fit")
         assert code == 0
 
-    def test_fitted_ball_report_is_not_recomputed(self, capsys, tmp_path, monkeypatch):
-        from grussbounds import bounds, conditions
-
-        calls = []
-
-        def counted(encl, xs, kind, report=conditions._report):
-            calls.append(kind)
-            return report(encl, xs, kind)
-
-        monkeypatch.setattr(conditions, "_report", counted)
-        monkeypatch.setattr(bounds, "_report", counted)
+    def test_fitted_ball_report_is_not_recomputed(self, capsys, tmp_path, report_calls):
+        calls = report_calls
         doc = json.loads((INSTANCES / "two_point.json").read_text())
         del doc["enclosures"]
         path = tmp_path / "fit.json"

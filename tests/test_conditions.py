@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_enclosure, random_space, random_vector, sample_in_ball
 from grussbounds import (
+    ContractViolationError,
     DegenerateInputError,
     Enclosure,
     ProbabilityVector,
@@ -17,8 +18,8 @@ from grussbounds import (
     fit_enclosure,
 )
 from grussbounds.conditions import COND_TOL
-from grussbounds.space import COLUMN_ROWS, COMPLEX, REAL, norm
-from numpy_reference import reference_fit
+from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm
+from numpy_reference import reference_fit, reference_norms
 
 
 class TestEnclosure:
@@ -234,3 +235,111 @@ class TestFitEnclosure:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * pts.nbytes  # the validated copy and a few (n,) arrays
+
+
+def block_rows(dim):
+    """Rows in one block of the per-row kernels at width ``dim``."""
+    return max(COLUMN_ROWS, BLOCK_ELEMS // dim)
+
+
+def several_blocks(rng, dim, field=REAL, kind="normal", scale=1.0):
+    """3 * step + 5 rows of one kind, ``step`` the rows of one block ``dim`` wide."""
+    shape = (3 * block_rows(dim) + 5, dim)
+    draw = {
+        "normal": rng.standard_normal,
+        "cauchy": rng.standard_cauchy,
+        "ties": lambda s: np.round(rng.standard_normal(s) * 2.0),  # many copies of each row
+        "sphere": lambda s: (lambda a: a / np.linalg.norm(a, axis=1, keepdims=True))(rng.standard_normal(s)),
+    }[kind]
+    xs = draw(shape) * scale
+    return xs + 1j * draw(shape) * scale if field == COMPLEX else xs
+
+
+class TestPrunedSweeps:
+    """On rows of more than one block, Ritter sweeps after the first measure only the rows
+    that can still be farthest; every fit keeps the bits of the full-pass reference."""
+
+    CASES = {
+        "cauchy": (3, REAL, False, "cauchy", 1.0),
+        "ties": (3, REAL, False, "ties", 1.0),
+        "metric": (3, REAL, True, "normal", 1.0),
+        "complex": (3, COMPLEX, False, "normal", 1.0),
+        "complex_metric_cauchy": (2, COMPLEX, True, "cauchy", 1.0),
+        "disc": (1, COMPLEX, False, "normal", 1.0),
+        "real_dim1": (1, REAL, False, "cauchy", 1.0),
+        "dim32": (32, REAL, False, "normal", 1.0),
+        "dim32_ties": (32, REAL, True, "ties", 1.0),
+        "sphere": (3, REAL, False, "sphere", 1.0),
+        "huge": (3, REAL, False, "normal", 1e150),
+        "small": (3, REAL, False, "normal", 1e-140),
+    }
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The row subsets the pruned sweeps chose (None for a fallback to a full pass)."""
+        from grussbounds import conditions
+
+        chosen, pick = [], conditions._sweep_rows
+        monkeypatch.setattr(conditions, "_sweep_rows", lambda *args: chosen.append(pick(*args)) or chosen[-1])
+        return chosen
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_reference_fit_bit_for_bit(self, rng, case, sweeps):
+        dim, field, with_metric, kind, scale = self.CASES[case]
+        for _ in range(3):
+            space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
+            pts = space.matrix(several_blocks(rng, dim, field, kind, scale))
+            lo, hi, _ = reference_fit(pts, space.metric)
+            encl = fit_enclosure(space, pts)
+            assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+            assert check_ball(encl, pts) is encl._fitted[1] and encl._fitted[1].holds
+        # a real line needs no sweep; the others measured fewer rows at least once
+        assert case in ("real_dim1", "sphere") or any(rows is not None for rows in sweeps)
+
+    def test_rows_near_the_sphere_fall_back_to_a_full_pass(self, rng, sweeps):
+        space = Space(3)
+        pts = space.matrix(several_blocks(rng, 3, kind="sphere"))
+        lo, hi, _ = reference_fit(pts)
+        encl = fit_enclosure(space, pts)
+        assert None in sweeps  # the rows all lie near the farthest distance
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+
+    def test_the_first_of_tied_farthest_rows_wins(self, rng, monkeypatch):
+        from grussbounds import conditions
+
+        calls, pick = [], conditions._sweep_rows
+
+        def recorded(space, xs, center, far, *anchor):
+            calls.append((center, far))  # far: the farthest row of the sweep before, at the center before
+            return pick(space, xs, center, far, *anchor)
+
+        monkeypatch.setattr(conditions, "_sweep_rows", recorded)
+        compared = 0
+        for _ in range(3):
+            calls.clear()
+            half = several_blocks(rng, 3, kind="ties")[: 2 * block_rows(3)]
+            pts = np.concatenate([half, half])  # every row has an equal row in a later block
+            fit_enclosure(Space(3), pts)
+            for (center, _), (_, far) in zip(calls, calls[1:]):
+                assert far == int(np.argmax(reference_norms(pts - center))) < len(half)
+                compared += 1
+        assert compared
+
+    def test_tiny_distances_are_never_pruned(self, rng, sweeps):
+        # below the normal range the squares round too coarsely for the margin
+        fit_enclosure(Space(3), several_blocks(rng, 3, scale=1e-160))
+        assert sweeps and all(rows is None for rows in sweeps)
+
+    def test_an_overflowing_input_raises(self, rng):
+        pts = several_blocks(rng, 3, scale=1e200)
+        with pytest.raises(ContractViolationError, match="overflow"):
+            fit_enclosure(Space(3), pts)
+
+    def test_a_fit_measures_about_four_full_passes(self, monkeypatch):
+        from grussbounds import conditions
+
+        rows, measure = [], conditions.row_distances
+        monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
+        pts = np.random.default_rng(0).standard_normal((200_000, 3))
+        fit_enclosure(Space(3), pts)
+        assert sum(rows) <= 4.5 * len(pts)  # six full passes without the pruning

@@ -23,7 +23,7 @@ from grussbounds import (
     variance,
     vector_gruss,
 )
-from grussbounds.space import COMPLEX, norm, row_norms
+from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm, row_norms
 
 
 def random_ws(rng, space=None, n=None, with_ys=True, with_alphas=False, scale=2.0):
@@ -193,6 +193,19 @@ class TestVectorGruss:
             got = vector_gruss(ws)
             scale = max(1.0, float(np.abs(expected).max()))
             assert np.abs(got - expected).max() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("rows_for", [lambda s: s + 1, lambda s: 2 * s + 7], ids=["step+1", "2step+7"])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 9, 32])
+    def test_row_blocks_give_the_whole_array_bits(self, rng, dim, field, rows_for):
+        space = Space(dim, field)
+        n = rows_for(max(COLUMN_ROWS, BLOCK_ELEMS // dim))
+        ws = WeightedSequence(space, random_prob(rng, n), xs=[random_vector(rng, space, 3.0) for _ in range(n)],
+                              alphas=random_vector(rng, Space(n, field)))
+        w, x, a = ws.p.weights, ws.xs, ws.alphas
+        for c in (w @ x, random_vector(rng, space)):
+            whole = ((w * (a - (w * a).sum()))[:, None] * (x - c)).sum(axis=0)
+            assert vector_gruss(ws, c).tobytes() == whole.tobytes()
 
 
 class TestVariance:

@@ -17,7 +17,6 @@ from grussbounds import (
     inner,
     reverse_jensen,
 )
-from grussbounds import bounds, conditions
 from grussbounds.space import COMPLEX, REAL, pairing
 
 
@@ -194,15 +193,8 @@ class TestGaps:
 
 
 class TestReverseJensen:
-    def test_fitted_enclosures_reuse_the_fits_reports(self, rng, monkeypatch):
-        calls = []
-
-        def counted(encl, xs, kind, report=conditions._report):
-            calls.append(kind)
-            return report(encl, xs, kind)
-
-        monkeypatch.setattr(conditions, "_report", counted)
-        monkeypatch.setattr(bounds, "_report", counted)
+    def test_fitted_enclosures_reuse_the_fits_reports(self, rng, report_calls):
+        calls = report_calls
         space = Space(3)
         zs = np.array([random_vector(rng, space) for _ in range(50)])
         report = reverse_jensen(space, get_oracle("norm_fourth", space), np.ones(50), zs)

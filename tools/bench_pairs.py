@@ -17,6 +17,10 @@ line and, per end-to-end metric of ``BENCHMARK.json``, each side's median and
 quartiles, the change/parent ratio of the medians, the pairs the change won,
 and ``gain_shown``: the change won at least 9 pairs in 10 and its median beats
 the parent's by more than the parent's quartile spread.
+
+Last, ``traced`` holds one ``--trace 1`` run of ``TRACED_WORKLOAD`` per side
+(seed ``FIRST_SEED``, parent first): its per-layer metrics and the change/parent
+ratio of each, which show in which layer a change of the end-to-end metrics sits.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 101
+TRACED_WORKLOAD = "large_n"
 
 
 def git(*args: str) -> str:
@@ -45,9 +50,9 @@ def export(commit: str, dest: Path) -> Path:
     return dest
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
@@ -74,7 +79,7 @@ def summary(runs: list, metrics: list) -> dict:
             **stats,
             "ratio": stats["change"]["median"] / stats["parent"]["median"],
             "wins": wins,
-                        "gain_shown": wins * 10 >= 9 * PAIRS and (gain if higher else -gain) > spread,
+            "gain_shown": wins * 10 >= 9 * PAIRS and (gain if higher else -gain) > spread,
         }
     return out
 
@@ -109,6 +114,18 @@ def main(argv=None) -> int:
             for name, m in doc["workloads"][workload]["summary"].items():
                 print(f"{workload} {name:<14} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
                       f"ratio {m['ratio']:.3f} wins {m['wins']}/{PAIRS} gain_shown={m['gain_shown']}", flush=True)
+        traced = {side: run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1)
+                  for side in ("parent", "change")}
+        values = {side: {k: v["value"] for k, v in r["metrics"].items()} for side, r in traced.items()}
+        doc["traced"] = {
+            "workload": TRACED_WORKLOAD,
+            "seed": FIRST_SEED,
+            **traced,
+            "ratios": {k: values["change"][k] / v if v else None for k, v in values["parent"].items()},
+        }
+        for name, ratio in doc["traced"]["ratios"].items():
+            print(f"traced {TRACED_WORKLOAD} {name:<44} parent {values['parent'][name]:.4g} "
+                  f"change {values['change'][name]:.4g} ratio {ratio if ratio is None else round(ratio, 3)}", flush=True)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
