@@ -176,13 +176,12 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     the rounding of the antipode construction; a required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``; ``_fitted`` keeps that report (and refers to its rows).
 
-    Full passes are :func:`row_distances` calls over every row: two for the seed
-    pair, one for the first sweep, and one or, after an inflation, two for the
-    report (the sweep that stops the expansion gives the tight radius). On rows of
-    more than one block, a later sweep measures only the rows that can still be
-    farthest (see :func:`_sweep_rows`), so a fit of well-spread rows makes about
-    four full passes; a sweep that would measure over a quarter of the rows is a
-    full pass again.
+    A full pass is one :func:`row_distances` call over every row: two for the seed
+    pair, one per sweep, and one or, after an inflation, two for the report (the
+    sweep that stops the expansion gives the tight radius). On rows of more than
+    one block, a sweep after a full one measures only the rows that can still be
+    farthest (:func:`_sweep_rows`), or all of them when over a quarter can; so a
+    fit of well-spread rows makes about four full passes.
     """
     xs = space.matrix(xs)
     dists = row_distances(space, xs, xs[0])

@@ -301,7 +301,7 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
         return _per_row(lambda r: _distances(space, r, c, root), rows)
     m = space.metric
     if _by_columns(space, rows):
-        sq = np.zeros(rows.shape[0])
+        sq = None
         for k in range(rows.shape[1]):
             if space.is_complex:  # re * (re * m) + im * (im * m)
                 re, im = rows.real[:, k] - c.real[k], rows.imag[:, k] - c.imag[k]
@@ -312,7 +312,10 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
                 term *= term
                 if m is not None:
                     term *= m[k]
-            sq += term
+            if sq is None:  # the sum starts from +0.0, and +0.0 + term is term: a square is never -0.0
+                sq = term
+            else:
+                sq += term
     else:
         d = rows - c
         if space.is_complex:

@@ -293,7 +293,7 @@ class TestPrunedSweeps:
             encl = fit_enclosure(space, pts)
             assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
             assert check_ball(encl, pts) is encl._fitted[1] and encl._fitted[1].holds
-        # a real line needs no sweep; the others measured fewer rows at least once
+        # a real line needs no sweep and rows near a sphere fall back; the others measured fewer rows
         assert case in ("real_dim1", "sphere") or any(rows is not None for rows in sweeps)
 
     def test_rows_near_the_sphere_fall_back_to_a_full_pass(self, rng, sweeps):
