@@ -1,18 +1,19 @@
 """Upper-bound chains for the weighted-sequence functionals.
 
-Each builder evaluates one inequality family and returns a
-:class:`BoundChain`: the functional value together with its ordered bound
-links (or, for the forward-difference families, three parallel alternative
-bounds, since no ordering among the branches holds in general).
+A chain is a functional and the links that dominate it: ordered links, or,
+for the forward-difference families, three parallel alternatives (no
+ordering among the branches holds in general). Its tag is an equation
+identifier: "2.3", "2.7", "2.8", "2.9", "2.11", "R2.7" for the
+enclosure-hypothesis families, "1.6"/"1.8" for the forward-difference
+families; final links carry the classical tags "1.2", "1.4", "1.5".
 
-Chains are tagged with the equation identifiers used throughout reports:
-"2.3", "2.7", "2.8", "2.9", "2.11", "R2.7" for the enclosure-hypothesis
-families, and "1.6"/"1.8" for the forward-difference families whose final
-links carry the classical tags "1.2", "1.4", "1.5".
-
-:data:`CHAINS` maps every tag accepted by ``bound --which`` to the inputs
-its chain needs and to an adapter that calls the builder; the CLI and the
-sharpness search both dispatch through it.
+A :class:`ChainSpec` holds a chain as data: its gates (hypotheses), its
+functional and its links, each link a constant times statistics of the
+inputs, as a formula. One path evaluates every chain: the gates in the order
+x, y, disc, then the statistics, each computed on first use and once, then
+the links. :data:`CHAINS` maps every ``bound --which`` tag to its spec; the
+public builders call the same path, and the sharpness search evaluates only
+the link its target names.
 
 Hypotheses (ball condition on sequences, disc condition on scalars) are
 verified by default; builders raise :class:`HypothesisError` on failure.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,11 +37,14 @@ from .errors import (
     DimensionMismatchError,
     HypothesisError,
 )
-from .functionals import WeightedSequence, _Centered, _CenteredScalars, _checked, _gruss, _pair, chebyshev
+from .functionals import WeightedSequence, _Centered, _CenteredScalars, _checked, _gruss, _pair
 from .space import ProbabilityVector, Space, forward_differences, norm, row_norms
 
 #: Relative slack allowed when verifying chain ordering.
 CHAIN_TOL = 1e-10
+
+#: The sequence each enclosure (or the scalar disc) bounds.
+ENCLOSED_SEQUENCE = {"x": "xs", "y": "ys", "z": "zs", "disc": "alphas"}
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,12 @@ class BoundChain:
     hypothesis_verified: bool = True
 
     def __post_init__(self) -> None:
+        values = self.values()
+        if all(map(math.isfinite, values)):
+            return
         labels = (self.functional_label,) + tuple(link.label for link in self.links)
-        for label, value in zip(labels, self.values()):
-            if not math.isfinite(value):
-                raise ContractViolationError(
-                    f"chain {self.equation}: {label} is {value!r}; the inputs overflow double precision"
-                )
+        label, value = next((label, value) for label, value in zip(labels, values) if not math.isfinite(value))
+        raise ContractViolationError(f"chain {self.equation}: {label} is {value!r}; the inputs overflow double precision")
 
     def values(self) -> tuple[float, ...]:
         return (self.functional_value,) + tuple(link.value for link in self.links)
@@ -98,7 +102,7 @@ class BoundChain:
 
 
 def _same_space(a: Space, b: Space, what: str) -> None:
-    if not a.compatible(b):
+    if a is not b and not a.compatible(b):
         raise DimensionMismatchError(f"{what} lives in an incompatible space")
 
 
@@ -115,12 +119,99 @@ def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) 
     )
 
 
-def _links(d: float, dlabel: str, view, mad_label: str, std_label: str, eq: str) -> tuple[BoundLink, BoundLink]:
-    """The Cauchy-Schwarz step every enclosure chain takes: d/2 * mad <= d/2 * std of the centered ``view``."""
+class _Stats(dict):
+    """The statistics of one chain's validated inputs, each computed on first use and kept.
+
+    Keys are (name, kind): ``(seq, "centered")`` the centered view of a sequence, ``(seq, "diff")`` the row
+    norms of its forward differences and ``(seq, "max")`` their largest, ``(encl, "diam")`` an enclosure's
+    diameter (the disc's |A - a|).
+    """
+
+    def __init__(self, space: Space, p: ProbabilityVector, arrays: dict, encls: dict, holder_p: float | None = None):
+        self.space, self.p, self.w, self.arrays, self.encls, self.holder_p = space, p, p.weights, arrays, encls, holder_p
+
+    def __missing__(self, key: tuple[str, str]):
+        name, kind = key
+        if kind == "centered":
+            rows = self.arrays[name]
+            value = self[key] = _CenteredScalars(self.w, rows) if rows.ndim == 1 else _Centered(self.space, self.w, rows)
+        elif kind == "diam":
+            encl = self.encls[name]
+            value = self[key] = abs(complex(encl.hi[0]) - complex(encl.lo[0])) if name == "disc" else encl.diameter
+        else:  # "diff" or "max", made together
+            rows = self.arrays[name]
+            if rows.shape[0] < 2:
+                raise DegenerateInputError("forward-difference bounds need n >= 2")
+            norms = self[name, "diff"] = row_norms(self.space, forward_differences(rows))
+            self[name, "max"] = float(norms.max())
+            value = self[key]
+        return value
+
+
+class Link(NamedTuple):
+    """One link of a chain: its label (a Holder chain's holds ``{}`` for each exponent), equation and formula."""
+
+    label: str
+    equation: str
+    formula: Callable[[_Stats], float]
+
+
+def _diam_label(encl: str) -> str:
+    return "|A-a|" if encl == "disc" else f"diam({encl})"
+
+
+def _spread(encl: str, seq: str, eq: str) -> tuple[Link, Link]:
+    """The Cauchy-Schwarz step every enclosure chain takes: d/2 * mad <= d/2 * std of the centered ``seq``."""
+    d = _diam_label(encl)
+    mad, std = ("amad(alpha)", "astd(alpha)") if seq == "alphas" else (f"mad({seq[0]})", f"std({seq[0]})")
     return (
-        BoundLink(f"0.5*{dlabel}*{mad_label}", 0.5 * d * view.mad(), eq),
-        BoundLink(f"0.5*{dlabel}*{std_label}", 0.5 * d * math.sqrt(view.variance()), eq),
+        Link(f"0.5*{d}*{mad}", eq, lambda s: 0.5 * s[encl, "diam"] * s[seq, "centered"].mad()),
+        Link(f"0.5*{d}*{std}", eq, lambda s: 0.5 * s[encl, "diam"] * math.sqrt(s[seq, "centered"].variance())),
     )
+
+
+def _quarter(a: str, b: str, eq: str) -> Link:
+    """The classical final link d(a) * d(b) / 4 of two enclosures."""
+    label = f"0.25*{_diam_label(a)}^2" if a == b else f"0.25*{_diam_label(a)}*{_diam_label(b)}"
+    return Link(label, eq, lambda s: 0.25 * s[a, "diam"] * s[b, "diam"])
+
+
+def _gated(
+    gates: tuple[str, ...], space: Space, p: ProbabilityVector, arrays: dict, encls: dict, check: bool, holder_p=None
+) -> tuple[tuple[ConditionReport, ...], _Stats]:
+    """The reports of ``gates`` (enclosure names) on their sequences, and the statistics they guard.
+
+    ``encls["disc"]`` may be the antipodes (a, A), made into the disc at its gate, after the others.
+    """
+    reports = []
+    for name in gates:
+        seq = ENCLOSED_SEQUENCE[name]
+        if name != "disc":
+            reports.append(_gate(encls[name], arrays[seq], "ball", check, seq))
+        else:
+            encls[name] = encls[name] if isinstance(encls[name], Enclosure) else _disc(*encls[name])
+            reports.append(_gate(encls[name], arrays[seq][:, None], "disc", check, seq))
+    return tuple(reports), _Stats(space, p, arrays, encls, holder_p)
+
+
+def _links(links: tuple[Link, ...], stats: _Stats, holder: bool = False) -> tuple[BoundLink, ...]:
+    """The links over ``stats``; a Holder chain's labels name its exponents, which its formulas validate."""
+    if not holder:
+        return tuple([BoundLink(label, formula(stats), eq) for label, eq, formula in links])
+    values = [formula(stats) for _, _, formula in links]
+    texts = ["inf" if math.isinf(e) else f"{e:g}" for e in _holder_pair(stats.holder_p)]
+    return tuple([BoundLink(label.format(*texts), value, eq) for (label, eq, _), value in zip(links, values)])
+
+
+def _evaluate(
+    spec: ChainSpec, space: Space, p: ProbabilityVector, arrays: dict, encls: dict, check: bool, holder_p=None
+) -> BoundChain:
+    """The one chain path on validated ``arrays``: gates, then statistics, then links, then the chain."""
+    reports, stats = _gated(spec.gates, space, p, arrays, encls, check, holder_p)
+    links = _links(spec.links, stats, spec.holder)
+    verified = check or all(report.holds for report in reports)  # with check, a failing gate has raised
+    label, functional = spec.functional
+    return BoundChain(spec.equation, label, functional(stats), links, reports, spec.ordered, verified)
 
 
 def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = True) -> BoundChain:
@@ -130,17 +221,7 @@ def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = Tr
     """
     ys = ws.require_ys()
     _same_space(encl_x.space, ws.space, "enclosure")
-    report = _gate(encl_x, ws.xs, "ball", check, "xs")
-    w = ws.p.weights
-    cy = _Centered(ws.space, w, ys)
-    return BoundChain(
-        equation="2.3",
-        functional_label="|chebyshev(p;x,y)|",
-        functional_value=abs(_pair(ws.space, w, _Centered(ws.space, w, ws.xs), cy)),
-        links=_links(encl_x.diameter, "diam(x)", cy, "mad(y)", "std(y)", "2.3"),
-        hypothesis_reports=(report,),
-        hypothesis_verified=report.holds,
-    )
+    return _evaluate(_CHEBYSHEV, ws.space, ws.p, {"xs": ws.xs, "ys": ys}, {"x": encl_x}, check)
 
 
 def bound_chebyshev_gruss(
@@ -152,37 +233,13 @@ def bound_chebyshev_gruss(
     """
     ys = ws.require_ys()
     _same_space(encl_y.space, ws.space, "y-enclosure")
-    base = bound_chebyshev(encl_x, ws, check=check)
-    report_y = _gate(encl_y, ys, "ball", check, "ys")
-    final = BoundLink("0.25*diam(x)*diam(y)", 0.25 * encl_x.diameter * encl_y.diameter, "1.4")
-    return BoundChain(
-        equation="2.7",
-        functional_label=base.functional_label,
-        functional_value=base.functional_value,
-        links=base.links + (final,),
-        hypothesis_reports=base.hypothesis_reports + (report_y,),
-        hypothesis_verified=report_y.holds and base.hypothesis_verified,
-    )
+    _same_space(encl_x.space, ws.space, "enclosure")
+    return _evaluate(_CHEBYSHEV_GRUSS, ws.space, ws.p, {"xs": ws.xs, "ys": ys}, {"x": encl_x, "y": encl_y}, check)
 
 
 def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = True) -> BoundChain:
     """Chain "2.8": variance <= diam(x)/2 * mad(x) <= diam(x)^2 / 4."""
-    space = encl.space
-    xs = _checked(p, space.matrix(xs))
-    report = _gate(encl, xs, "ball", check, "xs")
-    cx = _Centered(space, p.weights, xs)
-    dx = encl.diameter
-    return BoundChain(
-        equation="2.8",
-        functional_label="variance(p;x)",
-        functional_value=cx.variance(),
-        links=(
-            BoundLink("0.5*diam(x)*mad(x)", 0.5 * dx * cx.mad(), "2.8"),
-            BoundLink("0.25*diam(x)^2", 0.25 * dx * dx, "1.5"),
-        ),
-        hypothesis_reports=(report,),
-        hypothesis_verified=report.holds,
-    )
+    return _evaluate(_VARIANCE, encl.space, p, {"xs": _checked(p, encl.space.matrix(xs))}, {"x": encl}, check)
 
 
 def bound_scalar_weighted(
@@ -196,40 +253,15 @@ def bound_scalar_weighted(
     """
     al = ws.require_alphas()
     _same_space(encl_x.space, ws.space, "enclosure")
-    reports = (_gate(encl_x, ws.xs, "ball", check, "xs"),)
-    ca = _CenteredScalars(ws.p.weights, al)
-    dx = encl_x.diameter
-    links = _links(dx, "diam(x)", ca, "amad(alpha)", "astd(alpha)", "2.9")
-    equation = "2.9"
-    if disc is not None:
-        a, A = disc
-        reports = reports + (_gate(_disc(a, A), al[:, None], "disc", check, "alphas"),)
-        links += (BoundLink("0.25*|A-a|*diam(x)", 0.25 * abs(complex(A) - complex(a)) * dx, "1.2"),)
-        equation = "2.11"
-    return BoundChain(
-        equation=equation,
-        functional_label="||gruss(p;alpha,x)||",
-        functional_value=norm(ws.space, _gruss(ca, _Centered(ws.space, ws.p.weights, ws.xs))),
-        links=links,
-        hypothesis_reports=reports,
-        hypothesis_verified=all(report.holds for report in reports),
-    )
+    spec = _SCALAR_WEIGHTED if disc is None else _SCALAR_WEIGHTED_DISC
+    return _evaluate(spec, ws.space, ws.p, {"xs": ws.xs, "alphas": al}, {"x": encl_x, "disc": disc}, check)
 
 
 def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = True) -> BoundChain:
     """Chain "R2.7" for scalars: |sum p a^2 - (sum p a)^2| = |sum p (a - abar)^2| under a disc condition."""
     disc = _disc(a, A)
     alphas = _checked(p, disc.space.scalars(alphas))
-    report = _gate(disc, alphas[:, None], "disc", check, "alphas")
-    ca = _CenteredScalars(p.weights, alphas)
-    return BoundChain(
-        equation="R2.7",
-        functional_label="|sq_gruss(p;alpha)|",
-        functional_value=float(abs((ca.w * ca.dev**2).sum())),
-        links=_links(abs(complex(A) - complex(a)), "|A-a|", ca, "amad(alpha)", "astd(alpha)", "R2.7"),
-        hypothesis_reports=(report,),
-        hypothesis_verified=report.holds,
-    )
+    return _evaluate(_COMPLEX_SEQUENCE, disc.space, p, {"alphas": alphas}, {"disc": disc}, check)
 
 
 def index_variance(p: ProbabilityVector) -> float:
@@ -279,27 +311,22 @@ def _holder_pair(holder_p: float) -> tuple[float, float]:
     return hp, hp / (hp - 1.0)
 
 
-def _difference_links(
-    cx: np.ndarray, cy: np.ndarray, p: ProbabilityVector, holder_p: float, squared_label: bool
-) -> tuple[BoundLink, ...]:
-    hp, hq = _holder_pair(holder_p)
-    c1 = index_variance(p)
-    c2 = pair_index_coefficient(p)
-    c3 = half_complementary_weight(p)
-    sx = "dx"
-    sy = "dx" if squared_label else "dy"
-    eq = "1.8" if squared_label else "1.6"
-    hp_txt = "inf" if math.isinf(hp) else f"{hp:g}"
-    hq_txt = "inf" if math.isinf(hq) else f"{hq:g}"
-    mx, my = float(cx.max()), float(cy.max())
+def _holder_branch(s: _Stats, y: str) -> float:
+    hp, hq = _holder_pair(s.holder_p)
+    x_factor = _holder_factor(s["xs", "diff"], s["xs", "max"], hp)
+    return pair_index_coefficient(s.p) * x_factor * _holder_factor(s[y, "diff"], s[y, "max"], hq)
+
+
+def _difference_links(eq: str, y: str) -> tuple[Link, Link, Link]:
+    """The three forward-difference branches over the differences of xs and of ``y`` (xs again for "1.8")."""
+    dy = "dy" if y == "ys" else "dx"
     return (
-        BoundLink(f"idxvar(p)*max|{sx}|*max|{sy}|", c1 * mx * my, eq),
-        BoundLink(
-            f"pairidx(p)*pnorm({sx},{hp_txt})*pnorm({sy},{hq_txt})",
-            c2 * _holder_factor(cx, mx, hp) * _holder_factor(cy, my, hq),
-            eq,
+        Link(f"idxvar(p)*max|dx|*max|{dy}|", eq, lambda s: index_variance(s.p) * s["xs", "max"] * s[y, "max"]),
+        Link(f"pairidx(p)*pnorm(dx,{{}})*pnorm({dy},{{}})", eq, lambda s: _holder_branch(s, y)),
+        Link(
+            f"gini(p)/2*sum|dx|*sum|{dy}|", eq,
+            lambda s: half_complementary_weight(s.p) * float(s["xs", "diff"].sum()) * float(s[y, "diff"].sum()),
         ),
-        BoundLink(f"gini(p)/2*sum|{sx}|*sum|{sy}|", c3 * float(cx.sum()) * float(cy.sum()), eq),
     )
 
 
@@ -314,92 +341,72 @@ def bound_forward_difference(ws: WeightedSequence, holder_p: float = 2.0) -> Bou
     hypothesis is involved.
     """
     ys = ws.require_ys()
-    if ws.n < 2:
-        raise DegenerateInputError("forward-difference bounds need n >= 2")
-    cx = row_norms(ws.space, forward_differences(ws.xs))
-    cy = row_norms(ws.space, forward_differences(ys))
-    return BoundChain(
-        equation="1.6",
-        functional_label="|chebyshev(p;x,y)|",
-        functional_value=abs(chebyshev(ws)),
-        links=_difference_links(cx, cy, ws.p, holder_p, squared_label=False),
-        ordered=False,
-    )
+    return _evaluate(_FORWARD_DIFFERENCE, ws.space, ws.p, {"xs": ws.xs, "ys": ys}, {}, True, holder_p)
 
 
 def bound_forward_difference_self(
     space: Space, p: ProbabilityVector, xs, holder_p: float = 2.0
 ) -> BoundChain:
     """Parallel bounds "1.8" on the variance from forward differences of xs."""
-    xs = _checked(p, space.matrix(xs))
-    if xs.shape[0] < 2:
-        raise DegenerateInputError("forward-difference bounds need n >= 2")
-    cx = row_norms(space, forward_differences(xs))
-    return BoundChain(
-        equation="1.8",
-        functional_label="variance(p;x)",
-        functional_value=_Centered(space, p.weights, xs).variance(),
-        links=_difference_links(cx, cx, p, holder_p, squared_label=True),
-        ordered=False,
-    )
+    return _evaluate(_FORWARD_DIFFERENCE_SELF, space, p, {"xs": _checked(p, space.matrix(xs))}, {}, True, holder_p)
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """The inputs one chain tag needs and the adapter that runs its builder.
+    """One chain as data.
 
-    ``build(space, p, seqs, encls, disc, check, holder_p)`` receives the
-    sequences named in ``sequences`` keyed as the :class:`WeightedSequence`
-    fields ("xs", "ys", "alphas"), the enclosures named in ``enclosures``
-    keyed "x"/"y", the scalar disc ``(a, A)`` when ``disc`` is set (else
-    None), the hypothesis switch, and the Holder exponent, which only the
-    chains flagged ``holder`` read. ``uniform`` tags are the equal-weight
-    specializations and reject any other weights.
+    ``sequences`` are the inputs it reads, named as the :class:`WeightedSequence` fields;
+    ``enclosures`` ("x", "y") and ``disc`` its hypotheses, checked in that order (``gates``)
+    on the sequences :data:`ENCLOSED_SEQUENCE` names; ``functional`` its (label, statistic)
+    and ``links`` its :class:`Link` triples. ``ordered`` chains dominate link by link, the
+    others are parallel alternatives; ``uniform`` tags are the equal-weight specializations
+    and reject any other weights; ``holder`` chains read the Holder exponent.
     """
 
-    build: Callable[..., BoundChain]
+    equation: str
+    functional: tuple[str, Callable[[_Stats], float]]
+    links: tuple[Link, ...]
     sequences: tuple[str, ...]
     enclosures: tuple[str, ...] = ()
     disc: bool = False
     uniform: bool = False
     holder: bool = False
+    ordered: bool = True
+    gates: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "gates", self.enclosures + ("disc",) * self.disc)
+
+    def build(self, space: Space, p: ProbabilityVector, seqs: dict, encls: dict, disc, check: bool, holder_p) -> BoundChain:
+        """The chain on raw ``seqs``, validated as its builder validates them; ``disc`` is (a, A) or None."""
+        if "xs" not in seqs:  # "R2.7" reads scalars only, as points of its disc's complex line
+            disc = _disc(*disc)
+            space = disc.space
+        arrays = {name: _checked(p, space.scalars(a) if name == "alphas" else space.matrix(a)) for name, a in seqs.items()}
+        return _evaluate(self, space, p, arrays, dict(encls, disc=disc), check, holder_p)
 
 
-def _ws(space: Space, p: ProbabilityVector, seqs: dict) -> WeightedSequence:
-    return WeightedSequence(space, p, **seqs)
+_CHEBYSHEV_FUNCTIONAL = ("|chebyshev(p;x,y)|", lambda s: abs(_pair(s.space, s.w, s["xs", "centered"], s["ys", "centered"])))
+_VARIANCE_FUNCTIONAL = ("variance(p;x)", lambda s: s["xs", "centered"].variance())
+_GRUSS_FUNCTIONAL = ("||gruss(p;alpha,x)||", lambda s: norm(s.space, _gruss(s["alphas", "centered"], s["xs", "centered"])))
+_SQUARE_FUNCTIONAL = ("|sq_gruss(p;alpha)|", lambda s: float(abs((s.w * s["alphas", "centered"].dev ** 2).sum())))
 
-
-_CHEBYSHEV = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_chebyshev(e["x"], _ws(sp, p, s), check=check),
-    ("xs", "ys"),
-    ("x",),
+_CHEBYSHEV = ChainSpec("2.3", _CHEBYSHEV_FUNCTIONAL, _spread("x", "ys", "2.3"), ("xs", "ys"), ("x",))
+_CHEBYSHEV_GRUSS = replace(
+    _CHEBYSHEV, equation="2.7", links=_CHEBYSHEV.links + (_quarter("x", "y", "1.4"),), enclosures=("x", "y")
 )
-_CHEBYSHEV_GRUSS = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_chebyshev_gruss(e["x"], e["y"], _ws(sp, p, s), check=check),
-    ("xs", "ys"),
-    ("x", "y"),
+_VARIANCE = ChainSpec("2.8", _VARIANCE_FUNCTIONAL, _spread("x", "xs", "2.8")[:1] + (_quarter("x", "x", "1.5"),), ("xs",), ("x",))
+_SCALAR_WEIGHTED = ChainSpec("2.9", _GRUSS_FUNCTIONAL, _spread("x", "alphas", "2.9"), ("xs", "alphas"), ("x",))
+_SCALAR_WEIGHTED_DISC = replace(
+    _SCALAR_WEIGHTED, equation="2.11", links=_SCALAR_WEIGHTED.links + (_quarter("disc", "x", "1.2"),), disc=True
 )
-_VARIANCE = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_variance(e["x"], p, s["xs"], check=check),
-    ("xs",),
-    ("x",),
-)
-_SCALAR_WEIGHTED = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_scalar_weighted(e["x"], _ws(sp, p, s), disc=disc, check=check),
-    ("xs", "alphas"),
-    ("x",),
-)
+_COMPLEX_SEQUENCE = ChainSpec("R2.7", _SQUARE_FUNCTIONAL, _spread("disc", "alphas", "R2.7"), ("alphas",), disc=True)
 _FORWARD_DIFFERENCE = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_forward_difference(_ws(sp, p, s), holder_p=hp),
-    ("xs", "ys"),
-    holder=True,
+    "1.6", _CHEBYSHEV_FUNCTIONAL, _difference_links("1.6", "ys"), ("xs", "ys"), holder=True, ordered=False
 )
 _FORWARD_DIFFERENCE_SELF = ChainSpec(
-    lambda sp, p, s, e, disc, check, hp: bound_forward_difference_self(sp, p, s["xs"], holder_p=hp),
-    ("xs",),
-    holder=True,
+    "1.8", _VARIANCE_FUNCTIONAL, _difference_links("1.8", "xs"), ("xs",), holder=True, ordered=False
 )
-_SCALAR_WEIGHTED_DISC = replace(_SCALAR_WEIGHTED, disc=True)
 
 #: Every ``bound --which`` tag, in the order the CLI lists them. A classical
 #: single-bound tag runs the chain that carries it as final link; "1.7" and
@@ -417,9 +424,5 @@ CHAINS: dict[str, ChainSpec] = {
     "2.8": _VARIANCE,
     "2.9": _SCALAR_WEIGHTED,
     "2.11": _SCALAR_WEIGHTED_DISC,
-    "R2.7": ChainSpec(
-        lambda sp, p, s, e, disc, check, hp: bound_complex_sequence(disc[0], disc[1], p, s["alphas"], check=check),
-        ("alphas",),
-        disc=True,
-    ),
+    "R2.7": _COMPLEX_SEQUENCE,
 }

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import instancefile
-from .bounds import CHAINS, BoundChain
+from .bounds import CHAINS, ENCLOSED_SEQUENCE, BoundChain
 from .conditions import check_ball, check_box, check_scalar_disc, fit_enclosure
 from .errors import (
     ContractViolationError,
@@ -37,9 +37,6 @@ from .instancefile import Instance, instance_document
 from .jensen import ORACLE_FACTORIES, get_oracle, gradient_check, reverse_jensen
 from .sharpness import TARGETS, search
 from .space import Space
-
-#: The sequence each enclosure (or the scalar disc) of an instance bounds.
-_ENCLOSED_SEQUENCE = {"x": "xs", "y": "ys", "z": "zs", "disc": "alphas"}
 
 GRADIENT_CHECK_H = 1e-5
 GRADIENT_CHECK_MAX_ERR = 1e-6
@@ -124,7 +121,7 @@ def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
     """The file's enclosure (or disc) ``name``; if absent and ``fit`` is set, a fit recorded in ``fitted``."""
     found = inst.disc if name == "disc" else inst.enclosures.get(name)
     if found is None and fit:
-        seq = _ENCLOSED_SEQUENCE[name]
+        seq = ENCLOSED_SEQUENCE[name]
         with _at(f"$.sequences.{seq}"):
             found = _fit_disc(inst.alphas) if name == "disc" else fit_enclosure(inst.space, getattr(inst, seq))
         fitted[name] = found
@@ -178,7 +175,7 @@ def cmd_check(args) -> int:
     fitted: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing slack fails its verdict
         for name in ("x", "y", "z"):
-            seq = getattr(inst, _ENCLOSED_SEQUENCE[name])
+            seq = getattr(inst, ENCLOSED_SEQUENCE[name])
             encl = None if seq is None else _fit_missing(inst, name, args.fit, fitted)
             if encl is None:
                 continue

@@ -54,6 +54,7 @@ class Enclosure:
     hi: np.ndarray
     allow_degenerate: bool = False
     diameter: float = field(init=False)
+    center: np.ndarray = field(init=False)
     _fitted: tuple = field(default=(lambda: None, None), init=False, repr=False, compare=False)  # a fit's (rows ref, report)
 
     def __post_init__(self) -> None:
@@ -61,18 +62,17 @@ class Enclosure:
         object.__setattr__(self, "hi", self.space.vector(self.hi))
         with np.errstate(over="ignore", invalid="ignore"):
             d = norm(self.space, self.hi - self.lo)
+            center = (self.lo + self.hi) / 2.0
         if not math.isfinite(d * d):  # the box verdicts scale by the squared diameter
             raise ContractViolationError("enclosure diameter overflows double precision")
         if d == 0.0 and not self.allow_degenerate:
             raise DegenerateInputError("degenerate enclosure: lo == hi")
+        center.flags.writeable = False
         object.__setattr__(self, "diameter", d)
+        object.__setattr__(self, "center", center)
 
     def __getstate__(self) -> dict:  # a fit's weak reference to its rows does not pickle; a copy measures again
         return {k: v for k, v in vars(self).items() if k != "_fitted"}
-
-    @property
-    def center(self) -> np.ndarray:
-        return (self.lo + self.hi) / 2.0
 
     @property
     def radius(self) -> float:

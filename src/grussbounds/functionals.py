@@ -20,7 +20,6 @@ re-centered sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +74,7 @@ class WeightedSequence:
 class _Centered:
     """Centered view of one validated sequence, built once per chain.
 
-    Holds the raw rows and their center (the weighted mean unless given). ``sq``, the squared norms of
+    Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of
     x_i - center, are ``row_distances``' squares (on complex spaces kept as the real view of a complex
     array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` and ``_gruss``
     center a row block at a time, so none builds an (n, dim) copy (``_gruss`` does at a width of 1).
@@ -84,17 +83,19 @@ class _Centered:
     def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
         self.space, self.w, self.raw = space, w, raw
         self.center = w @ raw if center is None else center
+        self._sq = None
 
-    @cached_property
     def sq(self) -> np.ndarray:
-        sq = _distances(self.space, self.raw, self.center, False)
-        return sq.astype(np.complex128).real if self.space.is_complex else sq
+        if self._sq is None:
+            sq = _distances(self.space, self.raw, self.center, False)
+            self._sq = sq.astype(np.complex128).real if self.space.is_complex else sq
+        return self._sq
 
     def mad(self) -> float:
-        return float(self.w @ np.sqrt(self.sq))
+        return float(self.w @ np.sqrt(self.sq()))
 
     def variance(self) -> float:
-        return float(self.w @ self.sq)
+        return float(self.w @ self.sq())
 
 
 class _CenteredScalars:

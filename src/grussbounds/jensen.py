@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundChain, BoundLink, _gate, _links, _same_space
+from .bounds import BoundChain, _gate, _links, _quarter, _same_space, _spread, _Stats
 from .conditions import Enclosure, fit_enclosure
 from .errors import ContractViolationError, DegenerateInputError
 from .functionals import _Centered, _checked, _pair
@@ -190,10 +190,10 @@ def _gradients(space: Space, oracle: ConvexOracle, zs: np.ndarray) -> np.ndarray
     return space.matrix(grads)
 
 
-def _normalized(space: Space, q, zs) -> tuple[np.ndarray, np.ndarray]:
+def _normalized(space: Space, q, zs) -> tuple[ProbabilityVector, np.ndarray]:
     _require_real(space)
     p = ProbabilityVector.from_nonnegative(q)
-    return p.weights, _checked(p, space.matrix(zs))
+    return p, _checked(p, space.matrix(zs))
 
 
 def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str, name: str):
@@ -225,7 +225,8 @@ def reverse_jensen(
     verified and a failure raises :class:`HypothesisError`. ``eval`` runs on
     the points and on their mean, ``grad`` once on the points.
     """
-    w, zs = _normalized(space, q, zs)
+    p, zs = _normalized(space, q, zs)
+    w = p.weights
     cz = _Centered(space, w, zs)
     gap = float(w @ _values(oracle, zs) - _values(oracle, cz.center))
     grads = _gradients(space, oracle, zs)
@@ -233,11 +234,10 @@ def reverse_jensen(
     grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure", "gradients")
     z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure", "zs")
 
-    dg = grad_encl.diameter
-    quarter = 0.25 * dg * z_encl.diameter
-    links = _links(dg, "diam(grad)", cz, "mad(z)", "std(z)", "3.4") + (
-        BoundLink("0.25*diam(grad)*diam(z)", quarter, "3.9"),
-    )
+    stats = _Stats(space, p, {"zs": zs}, {"grad": grad_encl, "z": z_encl})
+    stats["zs", "centered"] = cz
+    links = _links(_spread("grad", "zs", "3.4") + (_quarter("grad", "z", "3.9"),), stats)
+    quarter = links[2].value
     improvement = links[0].value / quarter if quarter > 0.0 else None
 
     chain = BoundChain(

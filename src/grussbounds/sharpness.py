@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import CHAINS, BoundChain, bound_chebyshev
+from .bounds import CHAINS, _gated, bound_chebyshev
 from .conditions import Enclosure
 from .errors import ContractViolationError, SoundnessError
-from .functionals import WeightedSequence, _Centered, _CenteredScalars, _gruss, _pair
+from .functionals import WeightedSequence, _Centered
 from .instancefile import instance_document
-from .space import ProbabilityVector, Space, norm
+from .space import ProbabilityVector, Space
 
 #: Candidate evaluations per restart.
 RESTART_SIZE = 500
@@ -40,6 +40,11 @@ RATIO_GUARD = 1e-9
 
 #: Holder exponent of the forward-difference chains the search evaluates.
 HOLDER_P = 2.0
+
+#: Largest n * dim a search accepts. A candidate holds up to two n x dim float64 sequences (128 MiB each
+#: at 2**24 entries), every proposal copies it, and ``initial`` draws each row as an array of its own, about
+#: 100 bytes apiece (2 GB at dim 1); a larger size is refused before anything is allocated.
+MAX_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,6 @@ class _Problem:
         self.encl = Enclosure(self.space, -e, e)  # bounds xs, and ys where the chain encloses them
         self.enclosures = {"x": self.encl, "y": self.encl} if "y" in self.spec.enclosures else {"x": self.encl}
         self.uniform = ProbabilityVector.uniform(n)
-        self.vector_blocks = self.spec.sequences
 
     # -- candidate construction -------------------------------------------
 
@@ -145,12 +149,12 @@ class _Problem:
             w = rng.exponential(size=self.n)
             cand["p"] = w / w.sum()
         cand["xs"] = np.array([self._ball_point(rng) for _ in range(self.n)])
-        if "ys" in self.vector_blocks:
+        if "ys" in self.spec.sequences:
             ys = rng.standard_normal((self.n, self.dim))
             if "y" in self.enclosures:
                 ys = np.array([self._project(row) for row in ys])
             cand["ys"] = ys
-        if "alphas" in self.vector_blocks:
+        if "alphas" in self.spec.sequences:
             cand["alphas"] = rng.standard_normal(self.n)
         return self._normalize(cand)
 
@@ -160,7 +164,7 @@ class _Problem:
             w = new["p"] * np.exp(sigma * rng.standard_normal(self.n))
             new["p"] = w / w.sum()
             return new
-        block = self.vector_blocks[int(rng.integers(len(self.vector_blocks)))]
+        block = self.spec.sequences[int(rng.integers(len(self.spec.sequences)))]
         i = int(rng.integers(self.n))
         if block == "alphas":
             new["alphas"][i] += sigma * rng.standard_normal()
@@ -176,25 +180,17 @@ class _Problem:
     def _weights(self, cand: dict) -> ProbabilityVector:
         return self.uniform if self.spec.uniform else ProbabilityVector(cand["p"])
 
-    def chain(self, cand: dict, p: ProbabilityVector) -> BoundChain:
-        seqs = {name: cand[name] for name in self.vector_blocks}
-        return self.spec.build(self.space, p, seqs, self.enclosures, None, True, HOLDER_P)
-
-    def _stable_functional(self, cand: dict, w: np.ndarray) -> float:
-        # re-centered evaluation at the enclosure center: same value as the
-        # chain functional, but the Cauchy-Schwarz steps of the bound then
-        # hold for the computed arrays themselves (numerator and denominator
-        # share the identical centered rows), so rounding alone can never
-        # push the ratio past 1
-        cx = _Centered(self.space, w, cand["xs"], self.encl.center)
-        if "alphas" in self.vector_blocks:
-            return norm(self.space, _gruss(_CenteredScalars(w, cand["alphas"]), cx))
-        return abs(_pair(self.space, w, cx, _Centered(self.space, w, cand["ys"])))
-
     def ratio(self, cand: dict) -> float:
+        # the chain's gates guard the search, and of its links only the target's is evaluated. The
+        # functional takes xs about the enclosure center, not their mean: the same value, but the
+        # Cauchy-Schwarz steps of the bound then hold for the computed arrays themselves (numerator
+        # and denominator share the identical centered rows), so rounding alone can never push the
+        # ratio past 1; no target's link reads xs centered.
         p = self._weights(cand)
-        denom = self.chain(cand, p).links[self.info.link_index].value
-        value = self._stable_functional(cand, p.weights) / denom if denom > 0.0 else 0.0
+        _, stats = _gated(self.spec.gates, self.space, p, cand, self.enclosures, True, HOLDER_P)
+        stats["xs", "centered"] = _Centered(self.space, p.weights, cand["xs"], self.encl.center)
+        denom = self.spec.links[self.info.link_index].formula(stats)
+        value = self.spec.functional[1](stats) / denom if denom > 0.0 else 0.0
         if value > 1.0 + RATIO_GUARD:
             raise SoundnessError(
                 f"target {self.target}: ratio {value!r} exceeds 1 + {RATIO_GUARD:g}; "
@@ -251,6 +247,8 @@ def search(target: str, n: int, dim: int, budget: int, seed: int) -> SharpnessRe
         raise ContractViolationError("n must be >= 2")
     if dim < 1:
         raise ContractViolationError("dim must be >= 1")
+    if n * dim > MAX_ENTRIES:
+        raise ContractViolationError(f"n * dim must be <= {MAX_ENTRIES}, got {n} * {dim}")
     if budget < 1:
         raise ContractViolationError("budget must be >= 1")
     if seed < 0:

@@ -532,3 +532,45 @@ def test_complex_sequence_validates_alphas_once(monkeypatch):
     monkeypatch.setattr(Space, "scalars", counting)
     bound_complex_sequence(0.0, 2.0, ProbabilityVector.uniform(3), [0.5, 1.0, 1.5])
     assert len(calls) == 1 and calls[0].is_complex
+
+
+class TestChainPath:
+    def test_a_failing_gate_is_reported_before_an_overflowing_link(self):
+        # every gate of "2.7" runs before its chain is formed, so ys outside their ball are reported as such
+        # (and not as the overflow of the "2.3" links, which the chain reports without the check)
+        sp = Space(1)
+        ws = WeightedSequence(sp, ProbabilityVector.uniform(2), xs=[[0.0], [1.0]], ys=[[1e200], [-1e200]])
+        encl = Enclosure(sp, [0.0], [1.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(HypothesisError, match="ball condition on ys fails at index 0"):
+                bound_chebyshev_gruss(encl, encl, ws)
+            with pytest.raises(ContractViolationError, match=r"chain 2\.7: 0\.5\*diam\(x\)\*mad\(y\) is inf"):
+                bound_chebyshev_gruss(encl, encl, ws, check=False)
+
+    def test_gates_follow_the_enclosed_sequences(self):
+        from grussbounds import cli
+        from grussbounds.bounds import CHAINS, ENCLOSED_SEQUENCE
+
+        assert cli.ENCLOSED_SEQUENCE is ENCLOSED_SEQUENCE
+        for spec in CHAINS.values():
+            assert spec.gates == spec.enclosures + (("disc",) if spec.disc else ())
+            assert {ENCLOSED_SEQUENCE[name] for name in spec.gates} <= set(spec.sequences)
+
+    def test_statistics_are_computed_once_per_chain(self, rng, monkeypatch):
+        # "2.3" reads mad(y) and std(y): one centered view of ys and one pass of squared distances
+        from grussbounds import functionals
+
+        made = []
+        original = functionals._distances
+
+        def counting(*args):
+            made.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(functionals, "_distances", counting)
+        sp = Space(2)
+        encl = Enclosure(sp, [-1.0, 0.0], [1.0, 0.0])
+        xs = sample_in_ball(rng, sp, encl, 6)
+        ws = WeightedSequence(sp, random_prob(rng, 6), xs=xs, ys=xs[::-1])
+        bound_chebyshev(encl, ws)
+        assert len(made) == 1 and made[0] is ws.ys

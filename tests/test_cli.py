@@ -610,6 +610,12 @@ class TestSharpness:
         code, _, err = run(capsys, "sharpness", "--target", "bogus")
         assert code == 2
 
+    @pytest.mark.parametrize("size", [["--n", "10000000000000"], ["--n", "2", "--dim", "10000000000000"]])
+    def test_impossible_size_is_a_usage_error(self, capsys, size):
+        code, out, err = run(capsys, "sharpness", "--target", "thm25_first", *size)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: n * dim must be <= ")
+
     def test_witness_roundtrip_bit_for_bit(self, capsys, tmp_path):
         witness = tmp_path / "witness.json"
         code, out, _ = run(

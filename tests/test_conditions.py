@@ -37,6 +37,15 @@ class TestEnclosure:
         encl = Enclosure(Space(1), [1.0], [1.0], allow_degenerate=True)
         assert encl.diameter == 0.0 and encl.radius == 0.0
 
+    def test_center_is_stored_read_only_and_pickles(self, rng):
+        import pickle
+
+        for space in (Space(3), Space(2, COMPLEX), Space(3, REAL, [0.5, 1.0, 2.0])):
+            encl = random_enclosure(rng, space)
+            assert encl.center is encl.center and not encl.center.flags.writeable
+            assert encl.center.tobytes() == ((encl.lo + encl.hi) / 2.0).tobytes()
+            assert pickle.loads(pickle.dumps(encl)).center.tobytes() == encl.center.tobytes()
+
 
 class TestCheckBox:
     def test_interior_point(self):

@@ -1,13 +1,18 @@
-"""Chain outputs on inputs of several row blocks, held to recorded bits.
+"""Chain outputs on seeded inputs, held to recorded bits.
 
 The bundled instances are far smaller than one row block of the per-row
 kernels, so they never reach the blocked paths. ``data/large_outputs.json``
 holds, for seeded inputs of 3 * step + 5 rows (``step`` the rows of one block
-at that width), the fitted enclosures and disc, every enclosure chain's
-values, the ball and box slacks of xs (as SHA-256 digests of their bytes) and,
-on real spaces, the reverse-Jensen gaps, all as hex floats. The file was
-recorded with the whole-array kernels, before the row kernels were blocked;
-the blocked kernels must reproduce it exactly.
+at that width), the fitted enclosures and disc, every chain's values and
+labels (the forward-difference chains at Holder exponents 2 and inf), the ball
+and box slacks of xs (as SHA-256 digests of their bytes) and, on real spaces,
+the reverse-Jensen gaps, all as hex floats. The file was recorded with the
+whole-array kernels, before the row kernels were blocked; the blocked kernels
+must reproduce it exactly.
+
+``one_block`` holds the same outputs at n = 2 and 8 (one row block, real,
+complex and with a metric), recorded before the chains were evaluated through
+one table of statistics and link formulas, which must reproduce them exactly.
 
 Regenerate (only when an output is meant to change) with
 ``python tests/test_large_outputs.py``, from the root of the repository.
@@ -15,6 +20,7 @@ Regenerate (only when an output is meant to change) with
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +38,9 @@ CASES = {
     "real32": (32, "real", False),
 }
 SEED = 9
+
+#: The one-block cases: the real and complex ones, and the one with a metric, at these n.
+ONE_BLOCK = {"real3": (2, 8), "complex3": (2, 8), "real3_metric": (2, 8)}
 
 
 def _hex(v):
@@ -76,6 +85,8 @@ def outputs(name: str, n: int) -> dict:
         "R2.7": gb.bound_complex_sequence(a, A, p, ws.alphas),
         "1.6": gb.bound_forward_difference(ws),
         "1.8": gb.bound_forward_difference_self(space, p, ws.xs),
+        "1.6@inf": gb.bound_forward_difference(ws, holder_p=math.inf),
+        "1.8@inf": gb.bound_forward_difference_self(space, p, ws.xs, holder_p=math.inf),
     }
     out = {
         "n": n,
@@ -85,6 +96,10 @@ def outputs(name: str, n: int) -> dict:
         "y_hi": [_hex(v) for v in ey.hi],
         "disc": [_hex(a), _hex(A)],
         "chains": {tag: [_hex(v) for v in chain.values()] for tag, chain in chains.items()},
+        "labels": {
+            tag: [chain.equation, chain.functional_label] + [f"{link.label} [{link.equation}]" for link in chain.links]
+            for tag, chain in chains.items()
+        },
         "chebyshev_at_center": _hex(gb.chebyshev(ws, ex.center)),
         "ball_x_sha256": _digest(gb.check_ball(ex, ws.xs).slacks),
         "box_x_sha256": _digest(gb.check_box(ex, ws.xs).slacks),
@@ -111,5 +126,17 @@ def test_blocked_outputs_equal_the_recorded_bits(name):
     assert outputs(name, recorded["n"]) == recorded
 
 
+@pytest.mark.parametrize("name, n", [(name, n) for name, sizes in ONE_BLOCK.items() for n in sizes])
+def test_one_block_outputs_equal_the_recorded_bits(name, n):
+    from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS
+
+    assert n < max(COLUMN_ROWS, BLOCK_ELEMS // CASES[name][0])  # one block
+    assert outputs(name, n) == json.loads(DATA.read_text())["one_block"][f"{name}/n{n}"]
+
+
 if __name__ == "__main__":
-    DATA.write_text(json.dumps({"seed": SEED, "cases": {k: outputs(k, record_rows(v[0])) for k, v in CASES.items()}}, indent=1) + "\n")
+    DATA.write_text(json.dumps({
+        "seed": SEED,
+        "cases": {k: outputs(k, record_rows(v[0])) for k, v in CASES.items()},
+        "one_block": {f"{k}/n{n}": outputs(k, n) for k, sizes in ONE_BLOCK.items() for n in sizes},
+    }, indent=1) + "\n")
