@@ -38,7 +38,7 @@ from .errors import (
     HypothesisError,
 )
 from .functionals import WeightedSequence, _Centered, _CenteredScalars, _checked, _gruss, _pair
-from .space import ProbabilityVector, Space, forward_differences, norm, row_norms
+from .space import ProbabilityVector, Space, row_norms
 
 #: Relative slack allowed when verifying chain ordering.
 CHAIN_TOL = 1e-10
@@ -124,26 +124,28 @@ class _Stats(dict):
 
     Keys are (name, kind): ``(seq, "centered")`` the centered view of a sequence, ``(seq, "diff")`` the row
     norms of its forward differences and ``(seq, "max")`` their largest, ``(encl, "diam")`` an enclosure's
-    diameter (the disc's |A - a|).
+    diameter (the disc's |A - a|). ``w`` are the weights. The sequences may be stacks of candidates,
+    (K, n, dim) rows and (K, n) scalars with (K, n) or shared (n,) weights: a statistic is then an array
+    over the leading axis (see :class:`functionals._Centered`), and so is what a link makes of it.
     """
 
-    def __init__(self, space: Space, p: ProbabilityVector, arrays: dict, encls: dict, holder_p: float | None = None):
-        self.space, self.p, self.w, self.arrays, self.encls, self.holder_p = space, p, p.weights, arrays, encls, holder_p
+    def __init__(self, space: Space, w: np.ndarray, arrays: dict, encls: dict, holder_p: float | None = None):
+        self.space, self.w, self.arrays, self.encls, self.holder_p = space, w, arrays, encls, holder_p
 
     def __missing__(self, key: tuple[str, str]):
         name, kind = key
         if kind == "centered":
             rows = self.arrays[name]
-            value = self[key] = _CenteredScalars(self.w, rows) if rows.ndim == 1 else _Centered(self.space, self.w, rows)
+            value = self[key] = _CenteredScalars(self.w, rows) if name == "alphas" else _Centered(self.space, self.w, rows)
         elif kind == "diam":
             encl = self.encls[name]
             value = self[key] = abs(complex(encl.hi[0]) - complex(encl.lo[0])) if name == "disc" else encl.diameter
         else:  # "diff" or "max", made together
             rows = self.arrays[name]
-            if rows.shape[0] < 2:
+            if rows.shape[-2] < 2:
                 raise DegenerateInputError("forward-difference bounds need n >= 2")
-            norms = self[name, "diff"] = row_norms(self.space, forward_differences(rows))
-            self[name, "max"] = float(norms.max())
+            norms = self[name, "diff"] = row_norms(self.space, rows[..., 1:, :] - rows[..., :-1, :])
+            self[name, "max"] = norms.max(axis=-1)
             value = self[key]
         return value
 
@@ -166,7 +168,7 @@ def _spread(encl: str, seq: str, eq: str) -> tuple[Link, Link]:
     mad, std = ("amad(alpha)", "astd(alpha)") if seq == "alphas" else (f"mad({seq[0]})", f"std({seq[0]})")
     return (
         Link(f"0.5*{d}*{mad}", eq, lambda s: 0.5 * s[encl, "diam"] * s[seq, "centered"].mad()),
-        Link(f"0.5*{d}*{std}", eq, lambda s: 0.5 * s[encl, "diam"] * math.sqrt(s[seq, "centered"].variance())),
+        Link(f"0.5*{d}*{std}", eq, lambda s: 0.5 * s[encl, "diam"] * np.sqrt(s[seq, "centered"].variance())),
     )
 
 
@@ -177,11 +179,13 @@ def _quarter(a: str, b: str, eq: str) -> Link:
 
 
 def _gated(
-    gates: tuple[str, ...], space: Space, p: ProbabilityVector, arrays: dict, encls: dict, check: bool, holder_p=None
+    gates: tuple[str, ...], space: Space, w: np.ndarray, arrays: dict, encls: dict, check: bool, holder_p=None
 ) -> tuple[tuple[ConditionReport, ...], _Stats]:
     """The reports of ``gates`` (enclosure names) on their sequences, and the statistics they guard.
 
     ``encls["disc"]`` may be the antipodes (a, A), made into the disc at its gate, after the others.
+    On a stack of candidates (see :class:`_Stats`) a report's slacks have the leading axis too; only
+    ``check=False`` reads them, per candidate.
     """
     reports = []
     for name in gates:
@@ -190,15 +194,15 @@ def _gated(
             reports.append(_gate(encls[name], arrays[seq], "ball", check, seq))
         else:
             encls[name] = encls[name] if isinstance(encls[name], Enclosure) else _disc(*encls[name])
-            reports.append(_gate(encls[name], arrays[seq][:, None], "disc", check, seq))
-    return tuple(reports), _Stats(space, p, arrays, encls, holder_p)
+            reports.append(_gate(encls[name], arrays[seq][..., None], "disc", check, seq))
+    return tuple(reports), _Stats(space, w, arrays, encls, holder_p)
 
 
 def _links(links: tuple[Link, ...], stats: _Stats, holder: bool = False) -> tuple[BoundLink, ...]:
-    """The links over ``stats``; a Holder chain's labels name its exponents, which its formulas validate."""
+    """The links over ``stats``, as Python floats; a Holder chain's labels name its exponents, which its formulas validate."""
     if not holder:
-        return tuple([BoundLink(label, formula(stats), eq) for label, eq, formula in links])
-    values = [formula(stats) for _, _, formula in links]
+        return tuple([BoundLink(label, float(formula(stats)), eq) for label, eq, formula in links])
+    values = [float(formula(stats)) for _, _, formula in links]
     texts = ["inf" if math.isinf(e) else f"{e:g}" for e in _holder_pair(stats.holder_p)]
     return tuple([BoundLink(label.format(*texts), value, eq) for (label, eq, _), value in zip(links, values)])
 
@@ -207,11 +211,11 @@ def _evaluate(
     spec: ChainSpec, space: Space, p: ProbabilityVector, arrays: dict, encls: dict, check: bool, holder_p=None
 ) -> BoundChain:
     """The one chain path on validated ``arrays``: gates, then statistics, then links, then the chain."""
-    reports, stats = _gated(spec.gates, space, p, arrays, encls, check, holder_p)
+    reports, stats = _gated(spec.gates, space, p.weights, arrays, encls, check, holder_p)
     links = _links(spec.links, stats, spec.holder)
     verified = check or all(report.holds for report in reports)  # with check, a failing gate has raised
     label, functional = spec.functional
-    return BoundChain(spec.equation, label, functional(stats), links, reports, spec.ordered, verified)
+    return BoundChain(spec.equation, label, float(functional(stats)), links, reports, spec.ordered, verified)
 
 
 def bound_chebyshev(encl_x: Enclosure, ws: WeightedSequence, *, check: bool = True) -> BoundChain:
@@ -266,9 +270,13 @@ def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = 
 
 def index_variance(p: ProbabilityVector) -> float:
     """sum_i i^2 p_i - (sum_i i p_i)^2 over 1-based indices, as sum_i p_i (i - ibar)^2."""
-    i = np.arange(1, len(p) + 1, dtype=np.float64)
-    d = i - p.weights @ i
-    return float(p.weights @ (d * d))
+    return _index_variance(p.weights)
+
+
+def _index_variance(w: np.ndarray) -> float:
+    i = np.arange(1, len(w) + 1, dtype=np.float64)
+    d = i - w @ i
+    return float(w @ (d * d))
 
 
 def pair_index_coefficient(p: ProbabilityVector) -> float:
@@ -278,13 +286,19 @@ def pair_index_coefficient(p: ProbabilityVector) -> float:
     sums P of p, so the coefficient is p_i weighted against the exclusive
     prefix sums of P: O(n) memory and time, every term nonnegative.
     """
-    w = p.weights
+    return _pair_index_coefficient(p.weights)
+
+
+def _pair_index_coefficient(w: np.ndarray) -> float:
     return float(w[1:] @ np.cumsum(np.cumsum(w))[:-1])
 
 
 def half_complementary_weight(p: ProbabilityVector) -> float:
     """(1/2) sum_i p_i (1 - p_i)."""
-    w = p.weights
+    return _half_complementary_weight(p.weights)
+
+
+def _half_complementary_weight(w: np.ndarray) -> float:
     return 0.5 * float((w * (1.0 - w)).sum())
 
 
@@ -314,18 +328,18 @@ def _holder_pair(holder_p: float) -> tuple[float, float]:
 def _holder_branch(s: _Stats, y: str) -> float:
     hp, hq = _holder_pair(s.holder_p)
     x_factor = _holder_factor(s["xs", "diff"], s["xs", "max"], hp)
-    return pair_index_coefficient(s.p) * x_factor * _holder_factor(s[y, "diff"], s[y, "max"], hq)
+    return _pair_index_coefficient(s.w) * x_factor * _holder_factor(s[y, "diff"], s[y, "max"], hq)
 
 
 def _difference_links(eq: str, y: str) -> tuple[Link, Link, Link]:
     """The three forward-difference branches over the differences of xs and of ``y`` (xs again for "1.8")."""
     dy = "dy" if y == "ys" else "dx"
     return (
-        Link(f"idxvar(p)*max|dx|*max|{dy}|", eq, lambda s: index_variance(s.p) * s["xs", "max"] * s[y, "max"]),
+        Link(f"idxvar(p)*max|dx|*max|{dy}|", eq, lambda s: _index_variance(s.w) * s["xs", "max"] * s[y, "max"]),
         Link(f"pairidx(p)*pnorm(dx,{{}})*pnorm({dy},{{}})", eq, lambda s: _holder_branch(s, y)),
         Link(
             f"gini(p)/2*sum|dx|*sum|{dy}|", eq,
-            lambda s: half_complementary_weight(s.p) * float(s["xs", "diff"].sum()) * float(s[y, "diff"].sum()),
+            lambda s: _half_complementary_weight(s.w) * float(s["xs", "diff"].sum()) * float(s[y, "diff"].sum()),
         ),
     )
 
@@ -388,8 +402,8 @@ class ChainSpec:
 
 _CHEBYSHEV_FUNCTIONAL = ("|chebyshev(p;x,y)|", lambda s: abs(_pair(s.space, s.w, s["xs", "centered"], s["ys", "centered"])))
 _VARIANCE_FUNCTIONAL = ("variance(p;x)", lambda s: s["xs", "centered"].variance())
-_GRUSS_FUNCTIONAL = ("||gruss(p;alpha,x)||", lambda s: norm(s.space, _gruss(s["alphas", "centered"], s["xs", "centered"])))
-_SQUARE_FUNCTIONAL = ("|sq_gruss(p;alpha)|", lambda s: float(abs((s.w * s["alphas", "centered"].dev ** 2).sum())))
+_GRUSS_FUNCTIONAL = ("||gruss(p;alpha,x)||", lambda s: row_norms(s.space, _gruss(s["alphas", "centered"], s["xs", "centered"])))
+_SQUARE_FUNCTIONAL = ("|sq_gruss(p;alpha)|", lambda s: abs((s.w * s["alphas", "centered"].dev ** 2).sum(axis=-1)))
 
 _CHEBYSHEV = ChainSpec("2.3", _CHEBYSHEV_FUNCTIONAL, _spread("x", "ys", "2.3"), ("xs", "ys"), ("x",))
 _CHEBYSHEV_GRUSS = replace(

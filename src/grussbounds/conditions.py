@@ -18,7 +18,9 @@ boundary points pass deterministically.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 import weakref
 from dataclasses import dataclass, field
 
@@ -39,6 +41,9 @@ MAX_INFLATION = 1.5
 
 #: Cap on the Ritter expansion passes of fit_enclosure.
 MAX_SWEEPS = 200
+
+#: Scalar discs kept by ``_disc`` (a chain given the same disc on every call builds it once).
+DISC_CACHE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +153,25 @@ def check_ball(encl: Enclosure, xs) -> ConditionReport:
 
 
 def _disc(a, A) -> Enclosure:
-    """The scalar disc with antipodes a, A as an enclosure on the complex line."""
+    """The scalar disc with antipodes a, A as an enclosure on the complex line.
+
+    Discs with float or complex antipodes are kept, the last ``DISC_CACHE_SIZE`` used, on the bits of
+    the two complex numbers (so -0.0 and 0.0 are different antipodes); an enclosure is immutable, so
+    its callers share it. An invalid disc is never kept: it raises on every call.
+    """
+    if isinstance(a, (float, complex)) and isinstance(A, (float, complex)):
+        a, A = complex(a), complex(A)
+        return _kept_disc(struct.pack("<4d", a.real, a.imag, A.real, A.imag))
+    return _new_disc(a, A)
+
+
+@functools.lru_cache(maxsize=DISC_CACHE_SIZE)
+def _kept_disc(bits: bytes) -> Enclosure:
+    ar, ai, hr, hi = struct.unpack("<4d", bits)
+    return _new_disc(complex(ar, ai), complex(hr, hi))
+
+
+def _new_disc(a, A) -> Enclosure:
     if complex(a) == complex(A):
         raise DegenerateInputError("degenerate disc: a == A")
     return Enclosure(Space(1, COMPLEX), [a], [A])  # which checks that both are finite

@@ -72,17 +72,24 @@ class WeightedSequence:
 
 
 class _Centered:
-    """Centered view of one validated sequence, built once per chain.
+    """Centered view of one validated sequence, built once per chain, or of a stack of them.
 
     Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of
     x_i - center, are ``row_distances``' squares (on complex spaces kept as the real view of a complex
     array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` and ``_gruss``
     center a row block at a time, so none builds an (n, dim) copy (``_gruss`` does at a width of 1).
+
+    A stack is (K, n, dim) rows of K candidates with (K, n) or shared (n,) weights; its mean keeps the
+    row axis, (K, 1, dim), so that it broadcasts against the rows. Every reduction runs per candidate,
+    with the bits that candidate gives alone: a statistic of a stack is an array over the leading axis,
+    of one sequence a numpy scalar.
     """
 
     def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
         self.space, self.w, self.raw = space, w, raw
-        self.center = w @ raw if center is None else center
+        if center is None:
+            center = w @ raw if raw.ndim == 2 else np.matmul(w[..., None, :], raw)
+        self.center = center
         self._sq = None
 
     def sq(self) -> np.ndarray:
@@ -91,32 +98,37 @@ class _Centered:
             self._sq = sq.astype(np.complex128).real if self.space.is_complex else sq
         return self._sq
 
-    def mad(self) -> float:
-        return float(self.w @ np.sqrt(self.sq()))
+    def mad(self):
+        return _dot(self.w, np.sqrt(self.sq()))
 
-    def variance(self) -> float:
-        return float(self.w @ self.sq())
+    def variance(self):
+        return _dot(self.w, self.sq())
+
+
+def _dot(w: np.ndarray, values: np.ndarray):
+    """sum_i w_i v_i over the last axis, per candidate of a stack with the bits of ``w @ v``."""
+    return w @ values if values.ndim == 1 else np.matmul(w[..., None, :], values[..., None])[..., 0, 0]
 
 
 class _CenteredScalars:
-    """Scalars a_i - abar, with the same two reductions; like ``_pair`` and ``_gruss`` it sums
-    as (w * terms).sum(), the rounding the sharpness search's trajectories follow."""
+    """Scalars a_i - abar (or a (K, n) stack of them), with the same two reductions; like ``_pair``
+    and ``_gruss`` it sums as (w * terms).sum() (``np.add.reduce``, without the method's Python wrapper),
+    the rounding the sharpness search's trajectories follow."""
 
     def __init__(self, w: np.ndarray, alphas: np.ndarray):
         self.w = w
-        self.dev = alphas - (w * alphas).sum()
+        self.dev = alphas - np.add.reduce(w * alphas, axis=-1, keepdims=True)
 
-    def mad(self) -> float:
-        return float((self.w * np.abs(self.dev)).sum())
+    def mad(self):
+        return np.add.reduce(self.w * np.abs(self.dev), axis=-1)
 
-    def variance(self) -> float:
-        return float((self.w * np.abs(self.dev) ** 2).sum())
+    def variance(self):
+        return np.add.reduce(self.w * np.abs(self.dev) ** 2, axis=-1)
 
 
-def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered) -> float | complex:
+def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered):
     """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
-    total = (w * _centered_pairing(space, cx.raw, cx.center, cy.raw, cy.center)).sum()
-    return complex(total) if space.is_complex else float(np.real(total))
+    return np.add.reduce(w * _centered_pairing(space, cx.raw, cx.center, cy.raw, cy.center), axis=-1)
 
 
 def _centered_pairing(space: Space, x: np.ndarray, x0, y: np.ndarray, y0) -> np.ndarray:
@@ -129,14 +141,14 @@ def _centered_pairing(space: Space, x: np.ndarray, x0, y: np.ndarray, y0) -> np.
 def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
     """sum_i w_i dev_i (x_i - cx.center), with the bits of the whole-array column sums.
 
-    numpy sums axis 0 of an (m, dim >= 2) array row after row from +0.0, so over row blocks each
+    numpy sums the row axis of an (m, dim >= 2) array row after row from +0.0, so over row blocks each
     block's terms go to rows 1... of one buffer whose row 0 carries the running sum; a width of 1
-    is summed pairwise and stays whole.
+    is summed pairwise and stays whole, as does a stack.
     """
     wd = ca.w * ca.dev
-    blocks = _blocks(cx.raw) if cx.raw.shape[1] > 1 else None
+    blocks = _blocks(cx.raw) if cx.raw.ndim == 2 and cx.raw.shape[1] > 1 else None
     if blocks is None:
-        return (wd[:, None] * (cx.raw - cx.center)).sum(axis=0)
+        return (wd[..., None] * (cx.raw - cx.center)).sum(axis=-2)
     buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), np.result_type(wd, cx.raw)), None
     for lo in blocks:
         x = cx.raw[lo:lo + blocks.step]
@@ -158,7 +170,7 @@ def _xs(ws: WeightedSequence, center) -> _Centered:
 def chebyshev(ws: WeightedSequence, center=None) -> float | complex:
     """sum_i p_i <x_i - c, y_i - mean_y> (complex on complex spaces); the same for any c (default mean_x)."""
     ys = ws.require_ys()
-    return _pair(ws.space, ws.p.weights, _xs(ws, center), _Centered(ws.space, ws.p.weights, ys))
+    return _pair(ws.space, ws.p.weights, _xs(ws, center), _Centered(ws.space, ws.p.weights, ys)).item()
 
 
 def vector_gruss(ws: WeightedSequence, center=None) -> np.ndarray:
@@ -168,12 +180,12 @@ def vector_gruss(ws: WeightedSequence, center=None) -> np.ndarray:
 
 def variance(space: Space, p: ProbabilityVector, xs) -> float:
     """sum_i p_i ||x_i - mean||^2."""
-    return _Centered(space, p.weights, _checked(p, space.matrix(xs))).variance()
+    return float(_Centered(space, p.weights, _checked(p, space.matrix(xs))).variance())
 
 
 def mad(space: Space, p: ProbabilityVector, xs) -> float:
     """Mean absolute deviation sum_i p_i ||x_i - mean||."""
-    return _Centered(space, p.weights, _checked(p, space.matrix(xs))).mad()
+    return float(_Centered(space, p.weights, _checked(p, space.matrix(xs))).mad())
 
 
 def identity_residual_24(encl: Enclosure, ws: WeightedSequence) -> float:
@@ -205,9 +217,9 @@ def _centered_alphas(p: ProbabilityVector, alphas) -> _CenteredScalars:
 
 def alpha_abs_deviation(p: ProbabilityVector, alphas) -> float:
     """sum_i p_i |a_i - abar| for real or complex scalars."""
-    return _centered_alphas(p, alphas).mad()
+    return float(_centered_alphas(p, alphas).mad())
 
 
 def alpha_variance(p: ProbabilityVector, alphas) -> float:
     """sum_i p_i |a_i - abar|^2 for real or complex scalars."""
-    return _centered_alphas(p, alphas).variance()
+    return float(_centered_alphas(p, alphas).variance())

@@ -230,11 +230,11 @@ def reverse_jensen(
     cz = _Centered(space, w, zs)
     gap = float(w @ _values(oracle, zs) - _values(oracle, cz.center))
     grads = _gradients(space, oracle, zs)
-    pgap = _pair(space, w, _Centered(space, w, grads), cz)
+    pgap = _pair(space, w, _Centered(space, w, grads), cz).item()
     grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure", "gradients")
     z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure", "zs")
 
-    stats = _Stats(space, p, {"zs": zs}, {"grad": grad_encl, "z": z_encl})
+    stats = _Stats(space, w, {"zs": zs}, {"grad": grad_encl, "z": z_encl})
     stats["zs", "centered"] = cz
     links = _links(_spread("grad", "zs", "3.4") + (_quarter("grad", "z", "3.9"),), stats)
     quarter = links[2].value

@@ -17,6 +17,16 @@ ratio -> 1. Budgets are consumed in fixed-size restarts, each owning a
 generator seeded by (seed, restart_index); the evaluation stream of a
 smaller budget is a prefix of a larger one, hence results are deterministic
 and non-decreasing in the budget.
+
+The climb is defined one candidate at a time, and evaluated in stacks: the
+random draws of a proposal do not depend on the candidate it moves, so a
+restart draws up to ``BATCH`` proposals ahead, applies them to the best
+candidate as one stack at the steps the one-at-a-time rule gives them, and
+evaluates the stack with the chain's own gates and link formula over a
+leading batch axis. The stack is cut at its first acceptance and the draws
+after it are applied again to the new best candidate. Every ratio, witness and
+trial count is that of the one-at-a-time climb, and a candidate past the cut,
+which that climb would not have evaluated, never raises.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from .conditions import Enclosure
 from .errors import ContractViolationError, SoundnessError
 from .functionals import WeightedSequence, _Centered
 from .instancefile import instance_document
-from .space import ProbabilityVector, Space
+from .space import BLOCK_ELEMS, ProbabilityVector, Space, _probability_rows
 
 #: Candidate evaluations per restart.
 RESTART_SIZE = 500
@@ -41,9 +51,16 @@ RATIO_GUARD = 1e-9
 #: Holder exponent of the forward-difference chains the search evaluates.
 HOLDER_P = 2.0
 
+#: Most proposals evaluated as one stack. Past an acceptance a stack's evaluations are wasted, which costs
+#: more as candidates grow, so a stack holds about ``BATCH_ENTRIES`` entries per sequence, and at least two
+#: candidates; one where a candidate has more than ``BLOCK_ELEMS`` entries.
+BATCH = 16
+BATCH_ENTRIES = 1024
+
 #: Largest n * dim a search accepts. A candidate holds up to two n x dim float64 sequences (128 MiB each
-#: at 2**24 entries), every proposal copies it, and ``initial`` draws each row as an array of its own, about
-#: 100 bytes apiece (2 GB at dim 1); a larger size is refused before anything is allocated.
+#: at 2**24 entries), every proposal copies it (at that size a stack holds one), and ``initial`` draws each
+#: row as an array of its own, about 100 bytes apiece (2 GB at dim 1); a larger size is refused before
+#: anything is allocated.
 MAX_ENTRIES = 1 << 24
 
 
@@ -95,7 +112,11 @@ def extremal_thm23() -> SharpnessResult:
 
 
 class _Problem:
-    """Target-specific candidate handling for the hill climber."""
+    """Target-specific candidate handling for the hill climber.
+
+    A candidate is a dict of arrays; a stack of K candidates is the same dict with a leading axis of K.
+    Evaluation and moves are written once, for either.
+    """
 
     def __init__(self, target: str, n: int, dim: int):
         self.info = TARGETS[target]
@@ -109,6 +130,7 @@ class _Problem:
         self.encl = Enclosure(self.space, -e, e)  # bounds xs, and ys where the chain encloses them
         self.enclosures = {"x": self.encl, "y": self.encl} if "y" in self.spec.enclosures else {"x": self.encl}
         self.uniform = ProbabilityVector.uniform(n)
+        self.batch = 1 if n * dim > BLOCK_ELEMS else min(BATCH, max(2, BATCH_ENTRIES // (n * dim)))
 
     # -- candidate construction -------------------------------------------
 
@@ -121,13 +143,15 @@ class _Problem:
             nrm = 1.0
         return (u / nrm) * rng.random() ** (1.0 / self.dim)
 
-    def _project(self, row: np.ndarray) -> np.ndarray:
+    def _project(self, rows: np.ndarray) -> np.ndarray:
+        """(m, dim) ``rows`` pulled radially into the hypothesis ball; a row's distance is
+        ``np.linalg.norm``'s, the square root of its dot with itself."""
         c = self.encl.center
         cap = self.encl.radius * (1.0 - 1e-12)
-        dist = float(np.linalg.norm(row - c))
-        if dist > cap:
-            row = c + (row - c) * (cap / dist)
-        return row
+        d = rows - c
+        dist = np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+        out = dist > cap
+        return np.where(out[:, None], c + d * (cap / np.where(out, dist, cap))[:, None], rows)
 
     def _normalize(self, cand: dict) -> dict:
         # the forward-difference ratio is shift- and scale-invariant in both
@@ -136,11 +160,11 @@ class _Problem:
         # rounding noise the climber could chase
         if self.target != "fd_equal_weights_max":
             return cand
+        # per candidate, the bits of mean(axis=0) and of np.linalg.norm(rows, axis=1).max()
         for key in ("xs", "ys"):
-            rows = cand[key] - cand[key].mean(axis=0)
-            top = float(np.linalg.norm(rows, axis=1).max())
-            if top > 0.0:
-                cand[key] = rows / top
+            rows = cand[key] - np.add.reduce(cand[key], axis=-2, keepdims=True) / self.n
+            top = np.sqrt(np.maximum.reduce(np.add.reduce(rows * rows, axis=-1), axis=-1))[..., None, None]
+            np.divide(rows, top, out=cand[key], where=top > 0.0)
         return cand
 
     def initial(self, rng: np.random.Generator) -> dict:
@@ -151,46 +175,70 @@ class _Problem:
         cand["xs"] = np.array([self._ball_point(rng) for _ in range(self.n)])
         if "ys" in self.spec.sequences:
             ys = rng.standard_normal((self.n, self.dim))
-            if "y" in self.enclosures:
-                ys = np.array([self._project(row) for row in ys])
-            cand["ys"] = ys
+            cand["ys"] = self._project(ys) if "y" in self.enclosures else ys
         if "alphas" in self.spec.sequences:
             cand["alphas"] = rng.standard_normal(self.n)
         return self._normalize(cand)
 
-    def propose(self, rng: np.random.Generator, cand: dict, sigma: float) -> dict:
-        new = {k: (v.copy() if isinstance(v, np.ndarray) else v) for k, v in cand.items()}
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """One proposal's draws, in the generator's order: the block it moves ("p" the weights), its row
+        (None for the weights) and the raw normals. None depends on a candidate or on the step."""
         if not self.spec.uniform and rng.random() < 0.35:
-            w = new["p"] * np.exp(sigma * rng.standard_normal(self.n))
-            new["p"] = w / w.sum()
-            return new
+            return "p", None, rng.standard_normal(self.n)
         block = self.spec.sequences[int(rng.integers(len(self.spec.sequences)))]
         i = int(rng.integers(self.n))
-        if block == "alphas":
-            new["alphas"][i] += sigma * rng.standard_normal()
-            return new
-        row = new[block][i] + sigma * rng.standard_normal(self.dim)
-        if block == "xs" or "y" in self.enclosures:
-            row = self._project(row)
-        new[block][i] = row
-        return self._normalize(new)
+        return block, i, rng.standard_normal() if block == "alphas" else rng.standard_normal(self.dim)
+
+    def apply(self, cand: dict, draws: list, sigmas: list) -> dict:
+        """The stack of ``cand`` moved by each of ``draws`` at its step: multiplicative weight moves,
+        Gaussian moves of one scalar or of one row, a row projected into its hypothesis ball."""
+        stack = {key: a[None].repeat(len(draws), axis=0) for key, a in cand.items()}
+        moves: dict = {}
+        for k, ((block, i, z), sigma) in enumerate(zip(draws, sigmas)):
+            moves.setdefault(block, []).append((k, i, z, sigma))
+        for block, picked in moves.items():
+            new = stack[block]
+            ks, rows, z, step = zip(*picked)
+            z, step = np.array(z), np.array(step)
+            if block == "p":
+                w = cand["p"] * np.exp(step[:, None] * z)
+                new[ks,] = w / np.add.reduce(w, axis=-1, keepdims=True)
+            elif block == "alphas":
+                new[ks, rows] += step * z
+            else:
+                moved = cand[block][rows,] + step[:, None] * z
+                new[ks, rows] = self._project(moved) if block == "xs" or "y" in self.enclosures else moved
+        return self._normalize(stack)
+
+    def propose(self, rng: np.random.Generator, cand: dict, sigma: float) -> dict:
+        return _pick(self.apply(cand, [self.draw(rng)], [sigma]), 0)
 
     # -- evaluation ---------------------------------------------------------
 
     def _weights(self, cand: dict) -> ProbabilityVector:
         return self.uniform if self.spec.uniform else ProbabilityVector(cand["p"])
 
-    def ratio(self, cand: dict) -> float:
+    def _weight_rows(self, cand: dict) -> tuple:
+        """The weights of one candidate or of each of a stack, with the bits of :meth:`_weights`, and which are valid."""
+        return (self.uniform.weights, True) if self.spec.uniform else _probability_rows(cand["p"])
+
+    def _values(self, w: np.ndarray, cand: dict, check: bool) -> tuple:
         # the chain's gates guard the search, and of its links only the target's is evaluated. The
         # functional takes xs about the enclosure center, not their mean: the same value, but the
         # Cauchy-Schwarz steps of the bound then hold for the computed arrays themselves (numerator
         # and denominator share the identical centered rows), so rounding alone can never push the
         # ratio past 1; no target's link reads xs centered.
-        p = self._weights(cand)
-        _, stats = _gated(self.spec.gates, self.space, p, cand, self.enclosures, True, HOLDER_P)
-        stats["xs", "centered"] = _Centered(self.space, p.weights, cand["xs"], self.encl.center)
+        reports, stats = _gated(self.spec.gates, self.space, w, cand, self.enclosures, check, HOLDER_P)
+        stats["xs", "centered"] = _Centered(self.space, w, cand["xs"], self.encl.center)
         denom = self.spec.links[self.info.link_index].formula(stats)
-        value = self.spec.functional[1](stats) / denom if denom > 0.0 else 0.0
+        num = self.spec.functional[1](stats)
+        return np.divide(num, denom, out=np.zeros(np.shape(num)), where=denom > 0.0), reports
+
+    def ratio(self, cand: dict) -> float:
+        w, ok = self._weight_rows(cand)
+        if not ok:
+            self._weights(cand)  # raises what the validation of the weights reports
+        value = float(self._values(w, cand, True)[0])
         if value > 1.0 + RATIO_GUARD:
             raise SoundnessError(
                 f"target {self.target}: ratio {value!r} exceeds 1 + {RATIO_GUARD:g}; "
@@ -198,6 +246,21 @@ class _Problem:
                 witness=self.witness(cand),
             )
         return value
+
+    def ratios(self, stack: dict):
+        """The ratio of each candidate of ``stack``, in stream order, evaluated at once.
+
+        A generator, so that a climb stops at the first candidate it accepts: one whose weights or
+        gates fail, or whose ratio passes the guard, is evaluated alone by :meth:`ratio`, which
+        raises as the candidate-by-candidate climb did, and only when the climb comes to it.
+        """
+        w, ok = self._weight_rows(stack)
+        values, reports = self._values(w, stack, False)
+        for report in reports:
+            ok = ok & report.verdicts.all(axis=-1)
+        ok = ok & (values <= 1.0 + RATIO_GUARD)
+        for k, (value, valid) in enumerate(zip(values.tolist(), ok.tolist())):
+            yield value if valid else self.ratio(_pick(stack, k))
 
     def witness(self, cand: dict) -> dict:
         return instance_document(
@@ -211,25 +274,37 @@ class _Problem:
         )
 
 
+def _pick(stack: dict, k: int) -> dict:
+    """Candidate ``k`` of a stack (views of its arrays)."""
+    return {key: a[k] for key, a in stack.items()}
+
+
 def _climb(problem: _Problem, budget_slice: int, seed: int, restart_index: int) -> tuple[float, dict, int]:
+    """One restart: a proposal replaces the best candidate when its ratio is higher, and the step halves
+    after 20 rejections in a row. Up to ``problem.batch`` proposals are drawn ahead and applied as one
+    stack, the k-th at the step it gets if the ones before it are rejected; the stack is cut at its first
+    acceptance, and the draws after the cut go to the next stack, applied to the new best candidate.
+    """
     rng = np.random.default_rng([seed, restart_index])
     best = problem.initial(rng)
     best_ratio = problem.ratio(best)
-    evals = 1
-    sigma = 0.4
-    rejects = 0
+    evals, sigma, rejects, draws = 1, 0.4, 0, []
     while evals < budget_slice:
-        prop = problem.propose(rng, best, sigma)
-        value = problem.ratio(prop)
-        evals += 1
-        if value > best_ratio:
-            best_ratio, best = value, prop
-            rejects = 0
-        else:
+        draws += [problem.draw(rng) for _ in range(min(problem.batch, budget_slice - evals) - len(draws))]
+        sigmas = []
+        for _ in draws:
+            sigmas.append(sigma)
             rejects += 1
             if rejects >= 20:
-                sigma = max(sigma * 0.5, 1e-9)
-                rejects = 0
+                sigma, rejects = max(sigma * 0.5, 1e-9), 0
+        stack = problem.apply(best, draws, sigmas)
+        for k, value in enumerate(problem.ratios(stack)):
+            if value > best_ratio:
+                best_ratio, best = value, _pick(stack, k)
+                sigma, rejects = sigmas[k], 0
+                break
+        evals += k + 1
+        draws = draws[k + 1:]
     return best_ratio, best, evals
 
 

@@ -24,6 +24,7 @@ stay whole: in blocks they would round differently.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class Space:
     dim: int
     field: str = REAL
     metric: np.ndarray | None = None
+    is_complex: bool = dataclasses.field(init=False, repr=False, compare=False)
+    dtype: np.dtype = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
@@ -73,14 +76,8 @@ class Space:
                 raise ContractViolationError("metric weights must be finite and strictly positive")
             m.flags.writeable = False
             object.__setattr__(self, "metric", m)
-
-    @property
-    def is_complex(self) -> bool:
-        return self.field == COMPLEX
-
-    @property
-    def dtype(self) -> np.dtype:
-        return np.dtype(np.complex128 if self.is_complex else np.float64)
+        object.__setattr__(self, "is_complex", self.field == COMPLEX)
+        object.__setattr__(self, "dtype", np.dtype(np.complex128 if self.is_complex else np.float64))
 
     def vector(self, coords) -> np.ndarray:
         """Validate coordinates as a finite vector of this space (read-only)."""
@@ -159,6 +156,16 @@ def _weight_array(q) -> np.ndarray:
     return w
 
 
+def _probability_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonnegative float weights (one row of them, or a stack of rows) as :class:`ProbabilityVector`
+    holds them, each divided by its sum, and which rows it accepts: those summing to one within
+    ``PROB_SUM_TOL`` (so finite). A rejected row is left undivided.
+    """
+    s = np.add.reduce(w, axis=-1, keepdims=True)
+    ok = np.abs(s - 1.0) <= PROB_SUM_TOL
+    return w / np.where(ok, s, 1.0), ok[..., 0]
+
+
 @dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """Nonnegative weights summing to one (renormalized at construction)."""
@@ -166,14 +173,12 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w = _weight_array(self.weights)
-        s = float(w.sum())
-        if abs(s - 1.0) > PROB_SUM_TOL:
+        w, ok = _probability_rows(_weight_array(self.weights))
+        if not ok:
             raise ContractViolationError(
-                f"weights must sum to 1 within {PROB_SUM_TOL:g} (got sum {s!r}); "
+                f"weights must sum to 1 within {PROB_SUM_TOL:g} (got sum {float(w.sum())!r}); "
                 "use ProbabilityVector.from_nonnegative to normalize arbitrary weights"
             )
-        w = w / s
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -204,8 +209,9 @@ def _conform(space: Space, u) -> np.ndarray:
 
 
 def _by_columns(space: Space, rows: np.ndarray) -> bool:
-    """Whether ``rows``, at least ``COLUMN_ROWS`` of them and 2 to 7 real numbers wide, sum column by column."""
-    return rows.ndim == 2 and rows.shape[0] >= COLUMN_ROWS and 1 < rows.shape[1] * (1 + space.is_complex) < 8
+    """Whether ``rows`` (or each of a stack of them), at least ``COLUMN_ROWS`` of them and 2 to 7 real numbers
+    wide, sum column by column."""
+    return rows.ndim >= 2 and rows.shape[-2] >= COLUMN_ROWS and 1 < rows.shape[-1] * (1 + space.is_complex) < 8
 
 
 def _blocks(rows: np.ndarray) -> range | None:
@@ -248,9 +254,9 @@ def _pairing(space: Space, a, b):
         b = np.conj(b) if space.metric is None else np.conj(b) * space.metric
         return np.einsum("...k,...k->...", a, b)
     if _by_columns(space, a) and a.shape == np.shape(b):
-        total, term = np.zeros(a.shape[0]), None
-        for k in range(a.shape[1]):
-            term = np.multiply(a[:, k], b[:, k], out=term)
+        total, term = np.zeros(a.shape[:-1]), None
+        for k in range(a.shape[-1]):
+            term = np.multiply(a[..., k], b[..., k], out=term)
             if space.metric is not None:
                 term *= space.metric[k]
             total += term
@@ -302,13 +308,13 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
     m = space.metric
     if _by_columns(space, rows):
         sq = None
-        for k in range(rows.shape[1]):
+        for k in range(rows.shape[-1]):
             if space.is_complex:  # re * (re * m) + im * (im * m)
-                re, im = rows.real[:, k] - c.real[k], rows.imag[:, k] - c.imag[k]
+                re, im = rows.real[..., k] - c.real[..., k], rows.imag[..., k] - c.imag[..., k]
                 term = re * re if m is None else re * (re * m[k])
                 term += im * im if m is None else im * (im * m[k])
             else:  # (d * d) * m
-                term = rows[:, k] - c[k]
+                term = rows[..., k] - c[..., k]
                 term *= term
                 if m is not None:
                     term *= m[k]

@@ -7,6 +7,7 @@ from conftest import random_enclosure, random_space, random_vector, sample_in_ba
 from grussbounds import (
     ContractViolationError,
     DegenerateInputError,
+    DimensionMismatchError,
     Enclosure,
     ProbabilityVector,
     Space,
@@ -103,6 +104,67 @@ class TestScalarDisc:
             report = check_scalar_disc(a, A, [alpha])
             tol = COND_TOL * report.ball_scale
             assert report.holds == (a - tol <= alpha <= A + tol)
+
+
+class TestDiscCache:
+    def test_signed_zeros_are_different_discs(self):
+        from grussbounds.conditions import _disc
+
+        neg, pos = _disc(-0.0, 1.0), _disc(0.0, 1.0)
+        assert neg is not pos and neg is _disc(-0.0, 1.0) and pos is _disc(0.0, 1.0)
+        assert np.signbit(neg.lo.real[0]) and not np.signbit(pos.lo.real[0])
+        assert _disc(1.0, complex(2.0, -0.0)) is not _disc(1.0, 2.0 + 0j)
+
+    def test_equal_numbers_share_a_disc(self):
+        from grussbounds.conditions import _disc
+
+        disc = _disc(0.5, 2.0 + 1.0j)
+        assert _disc(np.float64(0.5), np.complex128(2.0 + 1.0j)) is disc
+        assert _disc(complex(0.5, 0.0), 2.0 + 1.0j) is disc
+
+    @pytest.mark.parametrize("a, A, error", [
+        (0.5, 0.5, DegenerateInputError), (0.5, 0.5 + 0j, DegenerateInputError),
+        (float("nan"), 1.0, ContractViolationError), (0.0, complex(1.0, float("inf")), ContractViolationError),
+    ])
+    def test_an_invalid_disc_raises_on_every_call(self, a, A, error):
+        from grussbounds.conditions import _disc
+
+        _disc(0.5, 2.0)  # a cached success first
+        for _ in range(3):
+            with pytest.raises(error):
+                _disc(a, A)
+            with pytest.raises(error):
+                check_scalar_disc(a, A, [0.5])
+
+    def test_other_types_are_validated_on_every_call(self):
+        from grussbounds.conditions import _disc
+
+        _disc(1.0, 2.0)
+        for _ in range(2):
+            with pytest.raises(DegenerateInputError):
+                _disc(True, 1.0)  # True == 1.0, and so degenerate
+            with pytest.raises(DimensionMismatchError, match="entries of dtype bool"):
+                _disc(True, 2.0)
+        assert _disc(1, 2).lo.tobytes() == _disc(1.0, 2.0).lo.tobytes()
+
+    def test_outputs_are_equal_cold_and_warm(self, rng):
+        from grussbounds import bound_complex_sequence, bound_scalar_weighted
+        from grussbounds.conditions import _kept_disc
+
+        space = Space(2)
+        p = ProbabilityVector.from_nonnegative(rng.random(6))
+        alphas = rng.uniform(0.1, 0.9, 6)
+        ws = WeightedSequence(space, p, xs=rng.uniform(-0.5, 0.5, (6, 2)), alphas=alphas)
+        encl = Enclosure(space, [-1.0, 0.0], [1.0, 0.0])
+
+        def outputs():
+            chains = [bound_scalar_weighted(encl, ws, disc=(0.0, 1.0)), bound_complex_sequence(-0.0, 1.0 + 0.5j, p, alphas)]
+            return [(chain.values(), [report.slacks.tobytes() for report in chain.hypothesis_reports]) for chain in chains]
+
+        _kept_disc.cache_clear()
+        cold = outputs()
+        assert _kept_disc.cache_info().currsize == 2
+        assert outputs() == cold and _kept_disc.cache_info().hits == 2
 
 
 class TestConditionEquivalence:

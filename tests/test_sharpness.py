@@ -3,8 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from grussbounds import ContractViolationError, HypothesisError, ProbabilityVector, TARGETS, extremal_thm23, search
-from grussbounds.sharpness import HOLDER_P, _Problem
+from grussbounds import (
+    ContractViolationError, HypothesisError, ProbabilityVector, SoundnessError, TARGETS, extremal_thm23, search,
+)
+from grussbounds.sharpness import HOLDER_P, RESTART_SIZE, _Problem
+from grussbounds.space import COLUMN_ROWS
 
 
 class TestExtremal:
@@ -88,7 +91,7 @@ class TestSearch:
 
 
 @pytest.mark.parametrize("target", ["thm23_first", "rem24_final", "thm25_first"])
-def test_search_builds_one_probability_vector_per_evaluation(monkeypatch, target):
+def test_search_validates_the_weights_of_a_stack_at_once(monkeypatch, target):
     built = []
     original = ProbabilityVector.__post_init__
 
@@ -99,7 +102,119 @@ def test_search_builds_one_probability_vector_per_evaluation(monkeypatch, target
     monkeypatch.setattr(ProbabilityVector, "__post_init__", counting)
     result = search(target, 4, 2, 300, seed=2)
     assert result.trials == 300
-    assert len(built) == 300 + 2  # the uniform weights at set-up and the witness's weights
+    assert len(built) == 2  # the uniform weights at set-up and the witness's weights
+    # the stack's weights are those a ProbabilityVector of each candidate's weights holds, bit for bit
+    problem, rng = _Problem(target, 4, 2), np.random.default_rng(2)
+    best = problem.initial(rng)
+    stack = problem.apply(best, [problem.draw(rng) for _ in range(40)], [0.4] * 20 + [0.2] * 20)
+    weights, valid = problem._weight_rows(stack)
+    assert valid.all()
+    for k in range(40):
+        assert weights[k].tobytes() == ProbabilityVector(stack["p"][k]).weights.tobytes()
+
+
+@pytest.mark.parametrize("target", list(TARGETS))
+@pytest.mark.parametrize("n, dim", [(n, dim) for n in (2, 3, 8, 33) for dim in (1, 2, 3, 8)])
+def test_search_equals_the_one_candidate_climb(target, n, dim):
+    # budgets that are no multiple of the stack size (the next test takes budgets above one restart)
+    from grussbounds import instancefile
+
+    import sequential
+
+    def digest(witness):
+        return hashlib.sha256(instancefile.dumps(witness).encode()).hexdigest()
+
+    for seed, budget in ((0, 1), (1, 2), (2, 37), (3, 150 + n)):
+        result = search(target, n, dim, budget, seed)
+        ratio, witness, trials = sequential.search(target, n, dim, budget, seed)
+        assert (result.achieved_ratio.hex(), digest(result.witness), result.trials) == (ratio.hex(), digest(witness), trials)
+
+
+@pytest.mark.parametrize("target, n, dim, seed", [
+    ("thm23_first", 2, 1, 5), ("thm23_second", 3, 2, 6), ("rem24_final", 2, 1, 7), ("thm25_first", 8, 3, 8),
+    ("fd_equal_weights_max", 3, 2, 9),
+])
+def test_search_above_one_restart_equals_the_one_candidate_climb(target, n, dim, seed):
+    import sequential
+
+    budget = RESTART_SIZE + 523
+    result = search(target, n, dim, budget, seed)
+    ratio, witness, trials = sequential.search(target, n, dim, budget, seed)
+    assert (result.achieved_ratio.hex(), result.witness, result.trials) == (ratio.hex(), witness, trials)
+
+
+@pytest.mark.parametrize("n, dim", [(600, 3), (520, 2)])
+def test_stacks_summed_column_by_column_give_the_one_candidate_stream(n, dim):
+    # from COLUMN_ROWS rows, 2 to 7 columns, the distances and pairings of a stack are summed column by column
+    import sequential
+
+    assert n >= COLUMN_ROWS
+    for target in TARGETS:
+        assert _Problem(target, n, dim).batch == 2
+        result = search(target, n, dim, 23, 1)
+        ratio, witness, trials = sequential.search(target, n, dim, 23, 1)
+        assert (result.achieved_ratio.hex(), result.witness, result.trials) == (ratio.hex(), witness, trials)
+
+
+def _first_accepted(problem, stack, best_ratio):
+    """The index at which the climb cuts ``stack`` (None when it accepts no candidate)."""
+    for k, value in enumerate(problem.ratios(stack)):
+        if value > best_ratio:
+            return k
+    return None
+
+
+def _stack(target, size=6):
+    problem = _Problem(target, 3, 2)
+    rng = np.random.default_rng(3)
+    best = problem.initial(rng)
+    return problem, problem.apply(best, [problem.draw(rng) for _ in range(size)], [0.1] * size)
+
+
+@pytest.mark.parametrize("target", ["thm23_first", "rem24_final", "thm25_first"])
+def test_a_gate_violation_after_the_cut_is_not_evaluated(target):
+    problem, stack = _stack(target)
+    stack["xs"][4, 1] = [0.0, 1.5]
+    assert _first_accepted(problem, stack, -np.inf) == 0
+
+
+@pytest.mark.parametrize("target", ["thm23_first", "rem24_final", "thm25_first"])
+@pytest.mark.parametrize("bad", [0, 4])
+def test_a_gate_violation_at_or_before_the_cut_raises(target, bad):
+    problem, stack = _stack(target)
+    stack["xs"][bad, 1] = [0.0, 1.5]
+    with pytest.raises(HypothesisError, match="ball condition on xs fails at index 1"):
+        _first_accepted(problem, stack, -np.inf if bad == 0 else np.inf)
+
+
+def _breaking(problem, marker):
+    """``problem`` with its link divided by 10**6 on the candidates whose first entry is ``marker``."""
+    from dataclasses import replace
+
+    from grussbounds.bounds import Link
+
+    index = problem.info.link_index
+    link = problem.spec.links[index]
+    broken = Link(link.label, link.equation,
+                  lambda s: link.formula(s) * np.where(s.arrays["xs"][..., 0, 0] == marker, 1e-6, 1.0))
+    problem.spec = replace(problem.spec, links=problem.spec.links[:index] + (broken,) + problem.spec.links[index + 1:])
+    return problem
+
+
+@pytest.mark.parametrize("target", ["thm23_first", "thm25_first"])
+def test_a_guard_violation_after_the_cut_is_not_evaluated(target):
+    problem, stack = _stack(target)
+    stack["xs"][3, 0, 0] = 0.125
+    assert _first_accepted(_breaking(problem, 0.125), stack, -np.inf) == 0
+
+
+@pytest.mark.parametrize("target", ["thm23_first", "thm25_first"])
+@pytest.mark.parametrize("bad", [0, 3])
+def test_a_guard_violation_at_or_before_the_cut_raises(target, bad):
+    problem, stack = _stack(target)
+    stack["xs"][bad, 0, 0] = 0.125
+    with pytest.raises(SoundnessError, match=f"target {target}: ratio .* exceeds 1 \\+ 1e-09"):
+        _first_accepted(_breaking(problem, 0.125), stack, -np.inf if bad == 0 else 2.0)
 
 
 #: (n, dim, budget, seed) -> target -> (achieved_ratio.hex(), SHA-256 of the dumped witness), recorded
@@ -185,3 +300,17 @@ def test_a_candidate_outside_the_ball_raises(target, block):
 def test_impossible_sizes_are_refused_before_any_allocation(n, dim):
     with pytest.raises(ContractViolationError, match=r"n \* dim must be <= "):
         search("thm25_first", n, dim, 10, 0)
+
+
+@pytest.mark.parametrize("batch", [1, 2, 5])
+def test_every_stack_size_gives_the_one_candidate_stream(monkeypatch, batch):
+    from grussbounds import sharpness
+
+    import sequential
+
+    monkeypatch.setattr(sharpness, "BATCH", batch)
+    monkeypatch.setattr(sharpness, "BATCH_ENTRIES", 10**6)
+    for target in TARGETS:
+        result = search(target, 3, 2, 61, 4)
+        ratio, witness, trials = sequential.search(target, 3, 2, 61, 4)
+        assert (result.achieved_ratio.hex(), result.witness, result.trials) == (ratio.hex(), witness, trials)

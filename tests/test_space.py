@@ -22,6 +22,25 @@ from numpy_reference import reference_norms, reference_pairing
 
 
 class TestSpace:
+    @pytest.mark.parametrize("space", [Space(3), Space(2, COMPLEX), Space(2, REAL, metric=[1.0, 2.0])])
+    def test_stored_field_attributes_pickle(self, space):
+        import pickle
+
+        copy = pickle.loads(pickle.dumps(space))
+        assert (copy.dim, copy.field, copy.is_complex, copy.dtype) == (space.dim, space.field, space.is_complex, space.dtype)
+        assert copy.dtype == np.dtype(np.complex128 if space.field == COMPLEX else np.float64)
+        assert copy.compatible(space) and space.compatible(copy)
+        assert repr(copy) == repr(space) and "dtype" not in repr(space)
+
+    def test_compatible_reads_dim_field_and_metric(self):
+        sp = Space(2, REAL, metric=[1.0, 2.0])
+        assert sp.compatible(Space(2, REAL, metric=np.array([1.0, 2.0])))
+        assert not sp.compatible(Space(2, REAL))
+        assert not sp.compatible(Space(2, REAL, metric=[1.0, 3.0]))
+        assert not sp.compatible(Space(2, COMPLEX, metric=[1.0, 2.0]))
+        assert not sp.compatible(Space(3, REAL, metric=[1.0, 2.0, 3.0]))
+        assert Space(2).compatible(Space(2)) and not Space(2).compatible(Space(2, COMPLEX))
+
     def test_rejects_bad_dim(self):
         with pytest.raises(DimensionMismatchError):
             Space(0)
@@ -188,6 +207,18 @@ class TestColumnPath:
         c = random_vector(rng, space, 10.0)
         assert same_bits(row_norms(space, a), reference_norms(a, metric))
         assert same_bits(row_distances(space, a, c), reference_norms(a - c, metric))
+
+    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, COLUMN_ROWS + 3])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_each_sequence_of_a_stack_gets_its_own_bits(self, rng, dim, field, n):
+        # a (K, n, dim) stack of sequences, as the sharpness search evaluates, with a center per sequence
+        metric = rng.uniform(0.2, 3.0, dim) if dim % 2 else None
+        space = Space(dim, field, metric)
+        a, b = (np.array([random_rows(rng, space, n) for _ in range(3)]) for _ in range(2))
+        c = random_rows(rng, space, 3)[:, None, :]
+        assert same_bits(row_distances(space, a, c), np.array([reference_norms(x - y, metric) for x, y in zip(a, c)]))
+        assert same_bits(pairing(space, a, b), np.array([reference_pairing(x, y, metric) for x, y in zip(a, b)]))
 
 
 def random_rows(rng, space, n, scale=10.0):

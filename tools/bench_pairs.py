@@ -18,9 +18,11 @@ quartiles, the change/parent ratio of the medians, the pairs the change won,
 and ``gain_shown``: the change won at least 9 pairs in 10 and its median beats
 the parent's by more than the parent's quartile spread.
 
-Last, ``traced`` holds one ``--trace 1`` run of ``TRACED_WORKLOAD`` per side
-(seed ``FIRST_SEED``, parent first): its per-layer metrics and the change/parent
-ratio of each, which show in which layer a change of the end-to-end metrics sits.
+Last, ``traced`` holds ``TRACED_RUNS`` ``--trace 1`` runs of ``TRACED_WORKLOAD``
+per side (seed ``FIRST_SEED``, alternating, the parent first): every run, each
+per-layer metric's median over a side's runs and the change/parent ratio of the
+medians, which show in which layer a change of the end-to-end metrics sits. One
+traced run is too noisy to read a layer from.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 FIRST_SEED = 101
 TRACED_WORKLOAD = "large_n"
+TRACED_RUNS = 3
 
 
 def git(*args: str) -> str:
@@ -114,13 +117,17 @@ def main(argv=None) -> int:
             for name, m in doc["workloads"][workload]["summary"].items():
                 print(f"{workload} {name:<14} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
                       f"ratio {m['ratio']:.3f} wins {m['wins']}/{PAIRS} gain_shown={m['gain_shown']}", flush=True)
-        traced = {side: run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1)
-                  for side in ("parent", "change")}
-        values = {side: {k: v["value"] for k, v in r["metrics"].items()} for side, r in traced.items()}
+        traced = {"parent": [], "change": []}
+        for i in range(TRACED_RUNS):
+            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                traced[side].append(run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1))
+        values = {side: {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in runs[0]["metrics"]}
+                  for side, runs in traced.items()}
         doc["traced"] = {
             "workload": TRACED_WORKLOAD,
             "seed": FIRST_SEED,
-            **traced,
+            "runs": traced,
+            "medians": values,
             "ratios": {k: values["change"][k] / v if v else None for k, v in values["parent"].items()},
         }
         for name, ratio in doc["traced"]["ratios"].items():
