@@ -36,6 +36,7 @@ from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
     EnclosureFitError,
+    GradientCheckError,
     GrussBoundsError,
     HypothesisError,
     InstanceFormatError,
@@ -67,7 +68,6 @@ from .space import (
     REAL,
     ProbabilityVector,
     Space,
-    forward_differences,
     inner,
     norm,
 )
@@ -85,6 +85,7 @@ __all__ = [
     "DimensionMismatchError",
     "Enclosure",
     "EnclosureFitError",
+    "GradientCheckError",
     "GrussBoundsError",
     "HypothesisError",
     "InstanceFormatError",
@@ -113,7 +114,6 @@ __all__ = [
     "equal_weight_coefficients",
     "extremal_thm23",
     "fit_enclosure",
-    "forward_differences",
     "get_oracle",
     "gradient_check",
     "half_complementary_weight",

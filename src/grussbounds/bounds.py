@@ -97,8 +97,8 @@ class BoundChain:
             return max(prev - nxt for prev, nxt in zip(seq, seq[1:]))
         return max(self.functional_value - link.value for link in self.links)
 
-    def holds(self, tol: float = CHAIN_TOL) -> bool:
-        return self.ordering_violation() <= tol * self.scale()
+    def holds(self) -> bool:
+        return self.ordering_violation() <= CHAIN_TOL * self.scale()
 
 
 def _same_space(a: Space, b: Space, what: str) -> None:

@@ -7,9 +7,14 @@ Subcommands::
     jensen     reverse-Jensen report for a convex oracle
     sharpness  randomized search for near-equality witnesses
 
-Exit codes: 0 success, 1 hypothesis/inequality concern, 2 usage or parse
-error. ``--json`` prints one structured document per run (the instance echo
-plus a ``results`` block); human output is a fixed-width table. All numbers
+Each ``cmd_*`` prints nothing: it returns its exit code, its ``results``
+block, a function that builds the document ``--json`` echoes (a text run
+never builds it), and its text lines. :func:`main` alone writes. Exit codes:
+0 success, 1 hypothesis/inequality concern, 2 usage or parse error;
+``_FAILURES`` maps each failure class to its code and stderr prefix.
+``--json`` prints one document per run: the instance echo plus a ``results``
+block, or on a failure after the arguments parse ``{"error": {"type",
+"message", "exit_code"}}``. Human output is a fixed-width table. All numbers
 are rendered with 17 significant digits so round-trips are lossless.
 """
 
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 
@@ -28,6 +34,7 @@ from .conditions import check_ball, check_box, check_scalar_disc, fit_enclosure
 from .errors import (
     ContractViolationError,
     EnclosureFitError,
+    GradientCheckError,
     GrussBoundsError,
     HypothesisError,
     InstanceFormatError,
@@ -128,28 +135,17 @@ def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
     return found
 
 
-def _print_fitted(fitted: dict) -> None:
+def _fitted_lines(fitted: dict):
     for name in sorted(k for k in fitted if k != "disc"):
-        print(f"fitted enclosure {name}: diameter {_fmt(fitted[name].diameter)}")
+        yield f"fitted enclosure {name}: diameter {_fmt(fitted[name].diameter)}"
     if "disc" in fitted:
-        print(f"fitted disc: a={fitted['disc'][0]}, A={fitted['disc'][1]}")
+        yield f"fitted disc: a={fitted['disc'][0]}, A={fitted['disc'][1]}"
 
 
-def _echo_document(inst: Instance, fitted: dict, disc) -> dict:
-    enclosures = dict(inst.enclosures)
-    enclosures.update({k: v for k, v in fitted.items() if k != "disc"})
-    return instance_document(
-        inst.space,
-        weights=inst.weights,
-        xs=inst.xs,
-        ys=inst.ys,
-        zs=inst.zs,
-        alphas=inst.alphas,
-        enclosures=enclosures,
-        disc=disc if disc is not None else inst.disc,
-        oracle=inst.oracle,
-        holder_p=inst.holder_p,
-    )
+def _echo_document(inst: Instance, fitted: dict) -> dict:
+    """The instance document with the fitted enclosures and disc in place."""
+    enclosures = {**inst.enclosures, **{k: v for k, v in fitted.items() if k != "disc"}}
+    return instance_document(**vars(dataclasses.replace(inst, enclosures=enclosures, disc=fitted.get("disc", inst.disc))))
 
 
 def _condition_summary(name: str, report) -> dict:
@@ -162,14 +158,24 @@ def _condition_summary(name: str, report) -> dict:
     }
 
 
-def _print_conditions(conditions) -> None:
-    print(f"{'condition':<12}{'index':>6}  {'slack':<24}verdict")
+def _check_lines(digest: str, inst: Instance, fitted: dict, conditions: list, all_hold: bool):
+    """The text of ``check``, a line per point and condition: a generator, so a ``--json`` run renders none."""
+    yield f"instance sha256 {digest}"
+    yield f"space: {inst.space.field} dim={inst.space.dim}"
+    yield from _fitted_lines(fitted)
+    yield f"{'condition':<12}{'index':>6}  {'slack':<24}verdict"
     for name, report in conditions:
         for i, (slack, ok) in enumerate(zip(report.slacks, report.verdicts)):
-            print(f"{name:<12}{i:>6}  {_fmt(slack):<24}{'ok' if ok else 'FAIL'}")
+            yield f"{name:<12}{i:>6}  {_fmt(slack):<24}{'ok' if ok else 'FAIL'}"
+    if all_hold:
+        yield "verdict: all conditions hold"
+    for name, report in conditions:
+        if not report.holds:
+            i = int(report.failing_indices()[0])
+            yield f"verdict: {name} fails at index {i} (slack {_fmt(report.slacks[i])})"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     inst, digest = _load(args.file)
     conditions: list = []
     fitted: dict = {}
@@ -181,7 +187,6 @@ def cmd_check(args) -> int:
                 continue
             conditions.append((f"ball({name})", check_ball(encl, seq)))
             conditions.append((f"box({name})", check_box(encl, seq)))
-        disc = inst.disc
         if inst.alphas is not None:
             disc = _fit_missing(inst, "disc", args.fit, fitted)
             if disc is not None:
@@ -191,29 +196,15 @@ def cmd_check(args) -> int:
             "nothing to check: no enclosure matches a sequence (supply enclosures or pass --fit)"
         )
     all_hold = all(report.holds for _, report in conditions)
-    if args.as_json:
-        doc = _echo_document(inst, fitted, disc)
-        doc["results"] = {
-            "command": "check",
-            "input_sha256": digest,
-            "holds": all_hold,
-            "fitted": sorted(fitted),
-            "conditions": [_condition_summary(name, report) for name, report in conditions],
-        }
-        sys.stdout.write(instancefile.dumps(doc))
-    else:
-        print(f"instance sha256 {digest}")
-        print(f"space: {inst.space.field} dim={inst.space.dim}")
-        _print_fitted(fitted)
-        _print_conditions(conditions)
-        if all_hold:
-            print("verdict: all conditions hold")
-        else:
-            for name, report in conditions:
-                if not report.holds:
-                    i = int(report.failing_indices()[0])
-                    print(f"verdict: {name} fails at index {i} (slack {_fmt(report.slacks[i])})")
-    return 0 if all_hold else 1
+    results = {
+        "command": "check",
+        "input_sha256": digest,
+        "holds": all_hold,
+        "fitted": sorted(fitted),
+        "conditions": [_condition_summary(name, report) for name, report in conditions],
+    }
+    lines = _check_lines(digest, inst, fitted, conditions, all_hold)
+    return 0 if all_hold else 1, results, lambda: _echo_document(inst, fitted), lines
 
 
 def evaluate_tag(inst: Instance, which: str, fit: bool, check: bool, holder_p: float | None):
@@ -250,22 +241,7 @@ def evaluate_tag(inst: Instance, which: str, fit: bool, check: bool, holder_p: f
     return chain, fitted, disc
 
 
-def _print_chain(chain: BoundChain) -> None:
-    kind = "chain" if chain.ordered else "parallel bounds"
-    hyp = "verified" if chain.hypothesis_verified else "UNVERIFIED"
-    suffix = "" if not chain.hypothesis_reports else f" (hypothesis {hyp})"
-    print(f"{kind} {chain.equation}{suffix}")
-    print(f"  {chain.functional_label:<42}= {_fmt(chain.functional_value)}")
-    tightest = chain.tightest_index()
-    for i, link in enumerate(chain.links):
-        marker = "   <- tightest" if i == tightest and len(chain.links) > 1 else ""
-        print(f"  <= {link.label:<38} [{link.equation}]  {_fmt(link.value)}{marker}")
-    word = "ordering" if chain.ordered else "dominance"
-    print(f"{word}: {'holds' if chain.holds() else 'VIOLATED'}")
-
-
 def _chain_results(chain: BoundChain) -> dict:
-    reports = [_condition_summary(f"hypothesis[{i}]", report) for i, report in enumerate(chain.hypothesis_reports)]
     return {
         "equation": chain.equation,
         "functional": {"label": chain.functional_label, "value": chain.functional_value},
@@ -274,26 +250,32 @@ def _chain_results(chain: BoundChain) -> dict:
         "tightest": chain.tightest_index() if chain.links else None,
         "hypothesis_verified": chain.hypothesis_verified,
         "holds": chain.holds(),
-        "conditions": reports,
+        "conditions": [_condition_summary(f"hypothesis[{i}]", r) for i, r in enumerate(chain.hypothesis_reports)],
     }
 
 
-def cmd_bound(args) -> int:
+def _chain_lines(chain: dict):
+    """The text of a chain, rendered from its :func:`_chain_results` block."""
+    hyp = "verified" if chain["hypothesis_verified"] else "UNVERIFIED"
+    suffix = f" (hypothesis {hyp})" if chain["conditions"] else ""
+    yield f"{'chain' if chain['ordered'] else 'parallel bounds'} {chain['equation']}{suffix}"
+    yield f"  {chain['functional']['label']:<42}= {_fmt(chain['functional']['value'])}"
+    for i, link in enumerate(chain["links"]):
+        marker = "   <- tightest" if i == chain["tightest"] and len(chain["links"]) > 1 else ""
+        yield f"  <= {link['label']:<38} [{link['equation']}]  {_fmt(link['value'])}{marker}"
+    word = "ordering" if chain["ordered"] else "dominance"
+    yield f"{word}: {'holds' if chain['holds'] else 'VIOLATED'}"
+
+
+def cmd_bound(args):
     inst, digest = _load(args.file)
-    chain, fitted, disc = evaluate_tag(inst, args.which, args.fit, not args.unchecked, args.holder_p)
-    if args.as_json:
-        doc = _echo_document(inst, fitted, disc)
-        doc["results"] = {"command": "bound", "which": args.which, "input_sha256": digest}
-        doc["results"].update(_chain_results(chain))
-        sys.stdout.write(instancefile.dumps(doc))
-    else:
-        print(f"instance sha256 {digest}")
-        _print_fitted(fitted)
-        _print_chain(chain)
-    return 0 if chain.holds() else 1
+    chain, fitted, _ = evaluate_tag(inst, args.which, args.fit, not args.unchecked, args.holder_p)
+    results = {"command": "bound", "which": args.which, "input_sha256": digest, **_chain_results(chain)}
+    lines = [f"instance sha256 {digest}", *_fitted_lines(fitted), *_chain_lines(results)]
+    return 0 if results["holds"] else 1, results, lambda: _echo_document(inst, fitted), lines
 
 
-def cmd_jensen(args) -> int:
+def cmd_jensen(args):
     inst, digest = _load(args.file)
     if inst.space.is_complex:
         raise InstanceFormatError(
@@ -312,12 +294,10 @@ def cmd_jensen(args) -> int:
     with np.errstate(over="ignore", invalid="ignore"), _at("$.sequences.zs"):  # an overflow exits 2 at zs
         err = gradient_check(inst.space, oracle, zs, h=GRADIENT_CHECK_H)
         if err > GRADIENT_CHECK_MAX_ERR:
-            print(
+            raise GradientCheckError(
                 f"gradient check FAILED for oracle {name!r}: max relative error {_fmt(err)} "
-                f"> {GRADIENT_CHECK_MAX_ERR:g} at h={GRADIENT_CHECK_H:g}",
-                file=sys.stderr,
+                f"> {GRADIENT_CHECK_MAX_ERR:g} at h={GRADIENT_CHECK_H:g}"
             )
-            return 1
 
         report = reverse_jensen(
             inst.space,
@@ -330,83 +310,100 @@ def cmd_jensen(args) -> int:
     tol = 1e-10 * max(1.0, abs(report.gap), abs(report.pairing_gap))
     gap_ok = report.gap >= -tol and report.gap <= report.pairing_gap + tol
     ok = gap_ok and report.chain.holds()
-    if args.as_json:
-        doc = _echo_document(inst, {}, None)
-        doc["results"] = {
-            "command": "jensen",
-            "input_sha256": digest,
-            "oracle": name,
-            "gradient_check_error": err,
-            "gap": report.gap,
-            "pairing_gap": report.pairing_gap,
-            "improvement_ratio": report.improvement_ratio,
-            "holds": ok,
-        }
-        doc["results"].update({"chain": _chain_results(report.chain)})
-        sys.stdout.write(instancefile.dumps(doc))
-    else:
-        print(f"instance sha256 {digest}")
-        print(f"oracle {name}: gradient check max relative error {_fmt(err)}")
-        print(f"  {'jensen_gap':<42}= {_fmt(report.gap)}")
-        print(f"  {'pairing_gap':<42}= {_fmt(report.pairing_gap)}")
-        _print_chain(report.chain)
-        if report.improvement_ratio is not None:
-            print(f"improvement ratio (first link / quarter link): {_fmt(report.improvement_ratio)}")
-        print(f"verdict: {'holds' if ok else 'VIOLATED'}")
-    return 0 if ok else 1
+    results = {
+        "command": "jensen",
+        "input_sha256": digest,
+        "oracle": name,
+        "gradient_check_error": err,
+        "gap": report.gap,
+        "pairing_gap": report.pairing_gap,
+        "improvement_ratio": report.improvement_ratio,
+        "holds": ok,
+        "chain": _chain_results(report.chain),
+    }
+    lines = [
+        f"instance sha256 {digest}",
+        f"oracle {name}: gradient check max relative error {_fmt(err)}",
+        f"  {'jensen_gap':<42}= {_fmt(report.gap)}",
+        f"  {'pairing_gap':<42}= {_fmt(report.pairing_gap)}",
+        *_chain_lines(results["chain"]),
+    ]
+    if report.improvement_ratio is not None:
+        lines.append(f"improvement ratio (first link / quarter link): {_fmt(report.improvement_ratio)}")
+    lines.append(f"verdict: {'holds' if ok else 'VIOLATED'}")
+    return 0 if ok else 1, results, lambda: _echo_document(inst, {}), lines
 
 
-def cmd_sharpness(args) -> int:
+def cmd_sharpness(args):
     result = search(args.target, args.n, args.dim, args.budget, args.seed)
     info = TARGETS[args.target]
     inst = instancefile.parse_document(result.witness)
     chain, _, _ = evaluate_tag(inst, info.equation, fit=False, check=True, holder_p=None)
-    bound_value = chain.links[info.link_index].value
     if args.dump_witness:
         instancefile.dump(result.witness, args.dump_witness)
-    if args.as_json:
-        doc = dict(result.witness)
-        doc["results"] = {
-            "command": "sharpness",
-            "target": result.target,
-            "target_constant": result.target_constant,
-            "achieved_ratio": result.achieved_ratio,
-            "trials": result.trials,
-            "seed": result.seed,
-            "equation": info.equation,
-            "link_index": info.link_index,
-            "functional_value": chain.functional_value,
-            "bound_value": bound_value,
-        }
-        sys.stdout.write(instancefile.dumps(doc))
-    else:
-        print(f"target {result.target} (constant {result.target_constant:g}, chain {info.equation})")
-        print(f"  achieved ratio = {_fmt(result.achieved_ratio)}")
-        print(f"  functional     = {_fmt(chain.functional_value)}")
-        print(f"  bound          = {_fmt(bound_value)}")
-        print(f"  trials {result.trials}, seed {result.seed}")
-        if args.dump_witness:
-            print(f"witness written to {args.dump_witness}")
-    return 0
+    results = {
+        "command": "sharpness",
+        "target": result.target,
+        "target_constant": result.target_constant,
+        "achieved_ratio": result.achieved_ratio,
+        "trials": result.trials,
+        "seed": result.seed,
+        "equation": info.equation,
+        "link_index": info.link_index,
+        "functional_value": chain.functional_value,
+        "bound_value": chain.links[info.link_index].value,
+    }
+    lines = [
+        f"target {result.target} (constant {result.target_constant:g}, chain {info.equation})",
+        f"  achieved ratio = {_fmt(result.achieved_ratio)}",
+        f"  functional     = {_fmt(chain.functional_value)}",
+        f"  bound          = {_fmt(results['bound_value'])}",
+        f"  trials {result.trials}, seed {result.seed}",
+    ]
+    if args.dump_witness:
+        lines.append(f"witness written to {args.dump_witness}")
+    return 0, results, lambda: result.witness, lines
+
+
+#: Each failure class with its stderr prefix and exit code; the first row the error is an instance of applies.
+_FAILURES = (
+    (HypothesisError, "hypothesis violated: ", 1),
+    (GradientCheckError, "", 1),
+    ((SoundnessError, EnclosureFitError), "error: ", 1),
+    (GrussBoundsError, "error: ", 2),
+)
+
+
+def _error_document(exc: GrussBoundsError, code: int) -> dict:
+    """The ``--json`` document of a failure; a hypothesis failure adds its report's failing points."""
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
+    if isinstance(exc, HypothesisError) and exc.report is not None:
+        min_slack = float(exc.report.min_slack())
+        error["failing_indices"] = [int(i) for i in exc.report.failing_indices()]
+        error["min_slack"] = min_slack if math.isfinite(min_slack) else _fmt(min_slack)  # JSON has no inf
+    return {"error": error}
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and write what it returns, or its failure."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except HypothesisError as exc:
-        print(f"hypothesis violated: {exc}", file=sys.stderr)
-        return 1
-    except (SoundnessError, EnclosureFitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, results, echo, lines = args.func(args)
+        if args.as_json:
+            out = instancefile.dumps({**echo(), "results": results})
+        else:
+            out = "".join(f"{line}\n" for line in lines)
     except GrussBoundsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        prefix, code = next((prefix, code) for cls, prefix, code in _FAILURES if isinstance(exc, cls))
+        print(f"{prefix}{exc}", file=sys.stderr)
+        if args.as_json:
+            sys.stdout.write(instancefile.dumps(_error_document(exc, code)))
+        return code
+    sys.stdout.write(out)
+    return code
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ class EnclosureFitError(GrussBoundsError):
     """A fitted enclosure could not be validated within the inflation budget."""
 
 
+class GradientCheckError(GrussBoundsError):
+    """An oracle's gradient disagrees with central differences of its values."""
+
+
 class HypothesisError(GrussBoundsError):
     """A ball/box/disc hypothesis required by a bound does not hold.
 

@@ -210,9 +210,6 @@ class _Problem:
                 new[ks, rows] = self._project(moved) if block == "xs" or "y" in self.enclosures else moved
         return self._normalize(stack)
 
-    def propose(self, rng: np.random.Generator, cand: dict, sigma: float) -> dict:
-        return _pick(self.apply(cand, [self.draw(rng)], [sigma]), 0)
-
     # -- evaluation ---------------------------------------------------------
 
     def _weights(self, cand: dict) -> ProbabilityVector:

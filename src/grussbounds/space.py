@@ -332,13 +332,3 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
                 d *= m
             sq = np.add.reduce(d, axis=-1)
     return np.sqrt(sq, out=sq) if root else sq
-
-
-def forward_differences(xs) -> np.ndarray:
-    """Consecutive differences (x_2 - x_1, ..., x_n - x_{n-1}) as an (n-1, dim) array."""
-    xs = np.asarray(xs)
-    if xs.ndim != 2:
-        raise DimensionMismatchError(f"expected an (n, dim) array of vectors, got shape {xs.shape}")
-    if xs.shape[0] < 2:
-        raise DegenerateInputError("forward differences need at least two vectors")
-    return xs[1:] - xs[:-1]  # np.diff's subtraction, without its Python-level argument handling

@@ -3,10 +3,12 @@
 Every bundled instance outside ``instances/invalid/`` runs through each
 ``bound --which`` tag that ``bound --json --fit`` accepts (exit 0 or 1),
 plus ``check --fit --json`` and ``jensen --json`` (with the file's oracle
-and with each bundled one) where they apply; then through the plain-text
-``check --fit`` and ``bound --which <tag> --fit``, whose stdout and stderr
-are recorded as text. Exit codes, verdicts, labels, equation tags and the
-text between numbers must equal the recorded ones in
+and with each bundled one); then through the plain-text ``check --fit`` and
+``bound --which <tag> --fit``, whose stdout and stderr are recorded as text.
+Every ``--json`` run is recorded, a failing one by its error document; a
+text run is recorded when it exits 0 or 1. Exit codes, verdicts, error
+messages, labels, equation tags and the text between numbers must equal the
+recorded ones in
 ``data/bundled_outputs.json``; every number must agree to rel 1e-12 or
 abs 1e-14.
 
@@ -63,11 +65,15 @@ def candidate_commands():
             yield ["bound", path.name, "--which", tag, "--fit"]
 
 
+def is_recorded(argv, code):
+    return "--json" in argv or code != 2
+
+
 def generate():
     cases = []
     for argv in candidate_commands():
         code, printed = run_cli(argv)
-        if code != 2:
+        if is_recorded(argv, code):
             cases.append({"argv": argv, "exit_code": code, **printed})
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({"cases": cases}, indent=1) + "\n")
@@ -103,7 +109,7 @@ CASES = json.loads(GOLDEN.read_text())["cases"] if GOLDEN.exists() else []
 
 def test_golden_file_covers_every_accepted_command():
     recorded = {tuple(case["argv"]) for case in CASES}
-    accepted = {tuple(argv) for argv in candidate_commands() if run_cli(argv)[0] != 2}
+    accepted = {tuple(argv) for argv in candidate_commands() if is_recorded(argv, run_cli(argv)[0])}
     assert recorded == accepted
 
 

@@ -29,6 +29,7 @@ from grussbounds import (
     bound_variance,
     fit_enclosure,
 )
+from grussbounds import instancefile
 from grussbounds.bounds import CHAINS
 from grussbounds.cli import evaluate_tag, main
 from grussbounds.instancefile import Instance, load, parse_document
@@ -189,6 +190,16 @@ class TestBound:
         assert calls == []  # the fit measured xs; the chain takes that report
         code, _, _ = run(capsys, "bound", str(INSTANCES / "two_point.json"), "--which", "2.3")
         assert code == 0 and calls == ["ball"]  # a supplied enclosure is measured
+
+    @pytest.mark.parametrize("tag", ["2.11", "R2.7"])
+    def test_fitted_disc_line(self, capsys, tmp_path, tag):
+        doc = json.loads((INSTANCES / "two_point.json").read_text())
+        del doc["enclosures"]["a"], doc["enclosures"]["A"]
+        path = tmp_path / "nodisc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "bound", str(path), "--which", tag, "--fit")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "fitted disc: a=0j, A=(1+0j)"
 
     def test_hypothesis_failure_and_unchecked(self, capsys, tmp_path):
         code, _, err = run(capsys, "bound", str(INSTANCES / "exterior_point.json"), "--which", "2.8")
@@ -475,8 +486,10 @@ class TestExtremeMagnitudes:
         path.write_text(json.dumps(doc))
         with np.errstate(over="ignore"):
             code, out, err = run(capsys, "bound", str(path), "--which", "1.6", *(["--json"] if as_json else []))
-        assert code == 2 and out == ""
+        assert code == 2
         assert err.startswith("error: chain 1.6:") and "overflow" in err
+        error = {"type": "ContractViolationError", "message": err[len("error: "):-1], "exit_code": 2}
+        assert out == (instancefile.dumps({"error": error}) if as_json else "")
 
 
     @pytest.mark.parametrize(
@@ -511,8 +524,10 @@ class TestExtremeMagnitudes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run(capsys, "jensen", str(path), *extra)
-        assert code == 2 and out == ""
+        assert code == 2
         assert err == f"error: $.sequences.zs: {message}\n"
+        error = {"type": "ContractViolationError", "message": f"$.sequences.zs: {message}", "exit_code": 2}
+        assert out == ("" if "--json" not in extra else instancefile.dumps({"error": error}))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("argv", [("check",), ("bound", "--which", "2.3")])
@@ -702,6 +717,27 @@ class TestSubprocess:
             env=package_env(),
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["bound", "exterior_point.json", "--which", "2.3", "--json"], 2),
+            (["jensen", "jensen_improvement.json", "--oracle", "faulty_squared_norm", "--json"], 1),
+            (["bound", "invalid/bad_weights.json", "--which", "2.3", "--json"], 2),
+        ],
+    )
+    def test_json_failure_prints_one_error_document(self, argv, exit_code):
+        import subprocess
+        import sys
+
+        argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
+        result = subprocess.run(
+            [sys.executable, "-m", "grussbounds.cli", *argv], capture_output=True, text=True, env=package_env()
+        )
+        assert result.returncode == exit_code and result.stderr.count("\n") == 1
+        doc = json.loads(result.stdout)  # one document: trailing data would not parse
+        assert list(doc) == ["error"] and doc["error"]["exit_code"] == exit_code
+        assert result.stderr.endswith(f"{doc['error']['message']}\n")
 
 
 class TestUsage:

@@ -251,6 +251,7 @@ def test_ratio_denominator_is_the_chain_link(target):
     # the ratio evaluates only its target's link; that value is the whole chain's link, bit for bit
     from dataclasses import replace
 
+    import sequential
     from grussbounds.bounds import Link
     from grussbounds.cli import evaluate_tag
     from grussbounds.instancefile import Instance
@@ -270,7 +271,7 @@ def test_ratio_denominator_is_the_chain_link(target):
         )
         chain, _, _ = evaluate_tag(inst, problem.info.equation, fit=False, check=True, holder_p=None)
         assert (len(seen), seen[-1].hex()) == (step + 1, chain.links[index].value.hex())
-        cand = problem.propose(rng, cand, 0.3 if step % 2 else 0.05)
+        cand = sequential.propose(problem, rng, cand, 0.3 if step % 2 else 0.05)
 
 
 def test_the_quarter_ratio_reads_no_mad(monkeypatch):

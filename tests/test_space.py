@@ -11,7 +11,6 @@ from grussbounds import (
     DimensionMismatchError,
     ProbabilityVector,
     Space,
-    forward_differences,
     inner,
     norm,
 )
@@ -292,20 +291,6 @@ class TestNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             norm(Space(2), [1.0])
-
-
-class TestForwardDifferences:
-    def test_basic(self):
-        out = forward_differences(np.array([[0.0], [1.0], [3.0]]))
-        assert np.array_equal(out, [[1.0], [2.0]])
-
-    def test_constant(self):
-        out = forward_differences(np.tile([2.0, 3.0], (4, 1)))
-        assert np.all(out == 0.0)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            forward_differences(np.array([[1.0]]))
 
 
 class TestProbabilityVector:
