@@ -148,12 +148,18 @@ def _echo_document(inst: Instance, fitted: dict) -> dict:
     return instance_document(**vars(dataclasses.replace(inst, enclosures=enclosures, disc=fitted.get("disc", inst.disc))))
 
 
+def _min_slack(report):
+    """The report's least slack; JSON has no inf, so a non-finite one is written as its text."""
+    slack = float(report.min_slack())
+    return slack if math.isfinite(slack) else _fmt(slack)
+
+
 def _condition_summary(name: str, report) -> dict:
     return {
         "name": name,
         "kind": report.kind,
         "holds": bool(report.holds),
-        "min_slack": float(report.min_slack()),
+        "min_slack": _min_slack(report),
         "failing_indices": [int(i) for i in report.failing_indices()],
     }
 
@@ -378,9 +384,8 @@ def _error_document(exc: GrussBoundsError, code: int) -> dict:
     """The ``--json`` document of a failure; a hypothesis failure adds its report's failing points."""
     error = {"type": type(exc).__name__, "message": str(exc), "exit_code": code}
     if isinstance(exc, HypothesisError) and exc.report is not None:
-        min_slack = float(exc.report.min_slack())
         error["failing_indices"] = [int(i) for i in exc.report.failing_indices()]
-        error["min_slack"] = min_slack if math.isfinite(min_slack) else _fmt(min_slack)  # JSON has no inf
+        error["min_slack"] = _min_slack(exc.report)
     return {"error": error}
 
 

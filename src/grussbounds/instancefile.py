@@ -17,9 +17,10 @@ as a two-element [re, im] array; on real spaces scalars are plain numbers.
 Weights are always plain numbers. One decoder reads every such array: it
 checks types and lengths a list at a time, converts once with numpy (complex
 values as a view of the [re, im] pairs, so signed zeros survive) and names the
-first bad entry by its JSON path. One encoder writes them back with
-``tolist``. Serialization writes every float with 17 significant digits,
-which round-trips IEEE doubles losslessly.
+first bad entry by its JSON path. The encoder writes a rectangular array of
+floats, at any depth, through one ``%.17g`` template built for its shape.
+Serialization writes every float with 17 significant digits, which
+round-trips IEEE doubles losslessly.
 
 Reports produced by the CLI echo the instance and add a "results" block;
 re-ingesting a report as an instance therefore works (the block is ignored).
@@ -83,8 +84,11 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def _first_bad(items: list, ok) -> int:
-    """Index of the first item failing ``ok``, else len(items)."""
+def _first_bad(items: list, ok, types=frozenset(), size=None) -> int:
+    """Index of the first item failing ``ok``, else len(items). Items that all have a type in ``types``
+    (and, given ``size``, that length) pass ``ok``: one C-level pass accepts them without a scan."""
+    if set(map(type, items)) <= types and (size is None or set(map(len, items)) == {size}):
+        return len(items)
     return next((k for k, v in enumerate(items) if not ok(v)), len(items))
 
 
@@ -115,11 +119,11 @@ def _decode(space: Space, node, path: str, vector: bool, sequence: str | None = 
     items = node if sequence is not None else [node]
     dim, cplx, width = space.dim, space.is_complex, 2 if space.is_complex else 1
     # rows, pairs and good count the leading entries that pass each check
-    rows = _first_bad(items, lambda v: isinstance(v, list) and len(v) == dim) if vector else len(items)
+    rows = _first_bad(items, lambda v: isinstance(v, list) and len(v) == dim, {list}, dim) if vector else len(items)
     scalars = list(chain.from_iterable(items[:rows])) if vector else items
-    pairs = _first_bad(scalars, lambda v: isinstance(v, list) and len(v) == 2) if cplx else len(scalars)
+    pairs = _first_bad(scalars, lambda v: isinstance(v, list) and len(v) == 2, {list}, 2) if cplx else len(scalars)
     leaves = list(chain.from_iterable(scalars[:pairs])) if cplx else scalars
-    good = min(_first_bad(leaves, _is_number) // width, pairs)
+    good = min(_first_bad(leaves, _is_number, {int, float}) // width, pairs)
     values = _floats(leaves[: good * width]).reshape(good, width)
     finite = np.isfinite(values).all(axis=1)
     j = good if finite.all() else int(np.argmin(finite))
@@ -172,7 +176,7 @@ def parse_document(doc) -> Instance:
         node = doc["weights"]
         if not isinstance(node, list) or not node:
             _fail("$.weights", "expected a nonempty array of numbers")
-        k = _first_bad(node, _is_number)
+        k = _first_bad(node, _is_number, {int, float})
         if k < len(node):
             _fail(f"$.weights[{k}]", "expected a number")
         try:
@@ -328,10 +332,18 @@ def _text(node, pad: str = "") -> str:
         items = ",\n".join(f"{inner}{json.dumps(str(key))}: {_text(value, inner)}" for key, value in node.items())
         return "{\n" + items + "\n" + pad + "}" if node else "{}"
     if isinstance(node, (list, tuple)):
-        if node and set(map(type, node)) == {float}:  # one template for the whole array
-            if not all(map(math.isfinite, node)):
+        shape, leaves = [], [node]
+        while (kinds := set(map(type, leaves))) == {list} and len(lengths := set(map(len, leaves))) == 1:
+            shape.append(lengths.pop())
+            leaves = list(chain.from_iterable(leaves))
+        if shape and kinds == {float}:  # a rectangular array of floats: one template, built inside out
+            if not all(map(math.isfinite, leaves)):
                 raise InstanceFormatError("cannot serialize a non-finite number")
-            return "[" + ", ".join(["%.17g"] * len(node)) % tuple(node) + "]"
+            template = "[" + ", ".join(["%.17g"] * shape.pop()) + "]"
+            for depth in reversed(range(len(shape))):  # wrap the rows of each outer level, innermost first
+                outer = pad + "  " * depth
+                template = "[\n" + ",\n".join([outer + "  " + template] * shape[depth]) + "\n" + outer + "]"
+            return template % tuple(leaves)
         if all(isinstance(v, (int, float, str, bool)) or v is None for v in node):
             return "[" + ", ".join(map(_text, node)) + "]"
         return "[\n" + ",\n".join(inner + _text(v, inner) for v in node) + "\n" + pad + "]"

@@ -185,8 +185,8 @@ class _Problem:
         (None for the weights) and the raw normals. None depends on a candidate or on the step."""
         if not self.spec.uniform and rng.random() < 0.35:
             return "p", None, rng.standard_normal(self.n)
-        block = self.spec.sequences[int(rng.integers(len(self.spec.sequences)))]
-        i = int(rng.integers(self.n))
+        block = self.spec.sequences[int(rng.integers(len(self.spec.sequences), dtype=np.int64))]
+        i = int(rng.integers(self.n, dtype=np.int64))
         return block, i, rng.standard_normal() if block == "alphas" else rng.standard_normal(self.dim)
 
     def apply(self, cand: dict, draws: list, sigmas: list) -> dict:

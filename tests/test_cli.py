@@ -559,6 +559,26 @@ class TestExtremeMagnitudes:
         assert code == 1 and err == ""
         assert "verdict: ball(x) fails at index 0 (slack -inf)" in out
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("argv", [("check",), ("bound", "--which", "2.7", "--unchecked")])
+    def test_overflowing_slack_fails_the_verdict_in_json_too(self, capsys, tmp_path, argv, as_json):
+        box = {"x_lo": [-1.0, -1.0], "x_hi": [1.0, 1.0], "y_lo": [-1.0, -1.0], "y_hi": [1.0, 1.0]}
+        doc = {
+            "space": {"dim": 2},
+            "weights": [0.5, 0.5],
+            "sequences": {"xs": [[1e200, 0.0], [0.0, 0.0]], "ys": [[1.0, 0.0], [0.0, 0.0]]},
+            "enclosures": box,
+        }
+        path = tmp_path / "huge_point.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], *(["--json"] if as_json else []))
+        assert code == 1 and err == ""
+        if as_json:  # JSON has no inf: the slack is written as its text
+            slacks = {c["name"]: c["min_slack"] for c in json.loads(out)["results"]["conditions"]}
+            assert slacks[next(iter(slacks))] == "-inf"
+            assert all(not isinstance(v, str) or v == "-inf" for v in slacks.values())
+
 
 class TestJensen:
     def test_two_point(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_encoder
 from conftest import random_space, random_vector
 from grussbounds import Enclosure, InstanceFormatError, ProbabilityVector, Space
 from grussbounds.instancefile import (
@@ -124,6 +125,51 @@ def test_float_arrays_serialize_as_one_number_at_a_time_does(rng):
         assert dumps({"a": atoms}) == '{\n  "a": ' + one_at_a_time(atoms) + "\n}\n"
     with pytest.raises(InstanceFormatError):
         dumps({"a": [0.5, float("inf")]})
+
+
+def _floats(rng, shape):
+    """Floats of every magnitude, signed zeros and subnormals among them, as nested lists of ``shape``."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    special = np.array([0.0, -0.0, 5e-324, -1.7976931348623157e308])
+    pick = rng.random(shape) < 0.1
+    values[pick] = special[rng.integers(len(special), size=int(pick.sum()))]
+    return values.tolist()
+
+
+def _encoder_cases():
+    rng = np.random.default_rng(14)
+    shapes = [(n,) for n in (1, 7)] + [(n, d) for n in (1, 7) for d in (1, 3)] + [(n, d, 2) for n in (1, 7) for d in (1, 3)]
+    arrays = [_floats(rng, shape) for shape in shapes]
+    for shape in shapes:  # a non-finite number at the first, a middle and the last leaf
+        size = math.prod(shape)
+        for k, bad in zip((0, size // 2, size - 1), (math.nan, math.inf, -math.inf)):
+            flat = np.ravel(_floats(rng, shape))
+            flat[k] = bad
+            arrays.append(flat.reshape(shape).tolist())
+    arrays += [
+        [], [[]], [[], []], [[1.0], []], [[[]]], [[[1.0, 2.0]], []],  # empty lists
+        [[1.0, 2.0], [3.0]], [[[1.0, 2.0]], [[1.0, 2.0, 3.0]]], [[1.0], 2.0], [[[1.0, 2.0], 3.0]],  # ragged
+        [1, 2.5], [[1, 2.0], [3.0, 4.0]], [[[0.5, 2**70]]], [[1.0, -3]],  # ints among the floats
+        [True, 0.5], [[0.5, False]], [[[True, 1.0]]],  # bools
+        [np.float64(0.1), 0.2], [[np.float64(1.5), 2.0]], [[np.float64(math.nan), 2.0]],  # numpy floats
+        (1.0, 2.0), [(1.0, 2.0), (3.0, 4.0)], [[1.0, 2.0], (3.0, 4.0)], [[(1.0, 2.0)]],  # tuples
+        [[1.0, "a"]], [[1.0, None]], [[1.0, math.inf], [None, 2.0]], [[1.0, object()]],  # atoms and junk
+    ]
+    for array in arrays:  # each array at the top of the document and nested one level deeper
+        yield {"a": array}
+        yield {"space": {"dim": 1}, "sequences": {"xs": array, "alphas": [0.5]}, "results": {"fitted": []}}
+
+
+@pytest.mark.parametrize("doc", list(_encoder_cases()))
+def test_dumps_matches_the_reference_encoder(doc):
+    try:
+        expected = reference_encoder.dumps(doc)
+    except InstanceFormatError as exc:
+        with pytest.raises(InstanceFormatError) as err:
+            dumps(doc)
+        assert str(err.value) == str(exc)
+    else:
+        assert dumps(doc) == expected
 
 
 class TestParseErrors:
@@ -283,6 +329,52 @@ def test_malformed_document_names_first_bad_entry(text, message):
     with pytest.raises(InstanceFormatError) as err:
         loads(text)
     assert str(err.value) == message
+
+
+ROWS = 40
+
+
+def _bad_entry_document(field, row, entry):
+    """A document of ``ROWS`` well-formed rows (real dim 3 or complex dim 2) with ``entry`` in place of
+    row ``row``'s second coordinate (or, for ``"row"``, of the whole row) of xs or of the weights."""
+    cplx = field == "complex"
+    dim = 2 if cplx else 3
+    scalar = [0.5, -0.25] if cplx else 0.5
+    xs = [[scalar] * dim for _ in range(ROWS)]
+    weights = [1.0 / ROWS] * ROWS
+    if entry == "row":
+        xs[row] = xs[row][:-1]
+    elif entry == "weight":
+        weights[row] = True
+    else:
+        xs[row][1] = entry
+    return {"space": {"dim": dim, "field": field}, "weights": weights, "sequences": {"xs": xs}}
+
+
+BAD_ENTRIES = [
+    ("real", True, "$.sequences.xs[{r}][1]: expected a number"),
+    ("real", "0.5", "$.sequences.xs[{r}][1]: expected a number"),
+    ("real", None, "$.sequences.xs[{r}][1]: expected a number"),
+    ("real", [0.5], "$.sequences.xs[{r}][1]: expected a number"),
+    ("real", "row", "$.sequences.xs[{r}]: expected 3 coordinates, got 2"),
+    ("real", "weight", "$.weights[{r}]: expected a number"),
+    ("complex", [True, 0.5], "$.sequences.xs[{r}][1]: [re, im] entries must be numbers"),
+    ("complex", ["0.5", 0.5], "$.sequences.xs[{r}][1]: [re, im] entries must be numbers"),
+    ("complex", [0.5, None], "$.sequences.xs[{r}][1]: [re, im] entries must be numbers"),
+    ("complex", [[0.5], 0.5], "$.sequences.xs[{r}][1]: [re, im] entries must be numbers"),
+    ("complex", 0.5, "$.sequences.xs[{r}][1]: complex scalars are encoded as [re, im]"),
+    ("complex", [0.5, 0.5, 0.5], "$.sequences.xs[{r}][1]: complex scalars are encoded as [re, im]"),
+    ("complex", "row", "$.sequences.xs[{r}]: expected 2 coordinates, got 1"),
+]
+
+
+@pytest.mark.parametrize("row", [0, ROWS - 1], ids=["first", "last"])
+@pytest.mark.parametrize("field, entry, message", BAD_ENTRIES)
+def test_bad_entry_is_named_at_the_first_and_the_last_row(field, entry, message, row):
+    # in the last row, every row before it passes: a one-pass check of the whole list must fall back to naming it
+    with pytest.raises(InstanceFormatError) as err:
+        parse_document(_bad_entry_document(field, row, entry))
+    assert str(err.value) == message.format(r=row)
 
 
 def test_signed_zeros_survive_the_echo():
