@@ -12,8 +12,9 @@ functional and its links, each link a constant times statistics of the
 inputs, as a formula. One path evaluates every chain: the gates in the order
 x, y, disc, then the statistics, each computed on first use and once, then
 the links. :data:`CHAINS` maps every ``bound --which`` tag to its spec; the
-public builders call the same path, and the sharpness search evaluates only
-the link its target names.
+public builders call the same path, as does ``jensen.reverse_jensen`` with
+``_JENSEN`` (chain "3.9", whose Jensen gap is an input), and the sharpness
+search evaluates only the link its target names.
 
 Hypotheses (ball condition on sequences, disc condition on scalars) are
 verified by default; builders raise :class:`HypothesisError` on failure.
@@ -44,7 +45,7 @@ from .space import ProbabilityVector, Space, row_norms
 CHAIN_TOL = 1e-10
 
 #: The sequence each enclosure (or the scalar disc) bounds.
-ENCLOSED_SEQUENCE = {"x": "xs", "y": "ys", "z": "zs", "disc": "alphas"}
+ENCLOSED_SEQUENCE = {"x": "xs", "y": "ys", "z": "zs", "grad": "gradients", "disc": "alphas"}
 
 
 @dataclass(frozen=True)
@@ -104,19 +105,6 @@ class BoundChain:
 def _same_space(a: Space, b: Space, what: str) -> None:
     if a is not b and not a.compatible(b):
         raise DimensionMismatchError(f"{what} lives in an incompatible space")
-
-
-def _gate(encl: Enclosure, rows: np.ndarray, kind: str, check: bool, name: str) -> ConditionReport:
-    """The ``kind`` report on validated ``rows`` (the fit's, for the very array fitted); with ``check``, a failure raises."""
-    report = _measured(encl, rows, kind)
-    if report.holds or not check:
-        return report
-    bad = report.failing_indices()
-    i = int(bad[0])
-    raise HypothesisError(
-        f"{kind} condition on {name} fails at index {i} (slack {report.slacks[i]:.6g}, {bad.size} of {len(report)} fail)",
-        report=report,
-    )
 
 
 class _Stats(dict):
@@ -183,18 +171,26 @@ def _gated(
 ) -> tuple[tuple[ConditionReport, ...], _Stats]:
     """The reports of ``gates`` (enclosure names) on their sequences, and the statistics they guard.
 
-    ``encls["disc"]`` may be the antipodes (a, A), made into the disc at its gate, after the others.
-    On a stack of candidates (see :class:`_Stats`) a report's slacks have the leading axis too; only
-    ``check=False`` reads them, per candidate.
+    With ``check``, the first failing gate raises :class:`HypothesisError`. ``encls["disc"]`` may be
+    the antipodes (a, A), made into the disc at its gate, after the others. On a stack of candidates
+    (see :class:`_Stats`) a report's slacks have the leading axis too; only ``check=False`` reads them.
     """
     reports = []
     for name in gates:
         seq = ENCLOSED_SEQUENCE[name]
         if name != "disc":
-            reports.append(_gate(encls[name], arrays[seq], "ball", check, seq))
+            report = _measured(encls[name], arrays[seq], "ball")
         else:
             encls[name] = encls[name] if isinstance(encls[name], Enclosure) else _disc(*encls[name])
-            reports.append(_gate(encls[name], arrays[seq][..., None], "disc", check, seq))
+            report = _measured(encls[name], arrays[seq][..., None], "disc")
+        if check and not report.holds:
+            bad = report.failing_indices()
+            raise HypothesisError(
+                f"{report.kind} condition on {seq} fails at index {bad[0]} "
+                f"(slack {report.slacks[bad[0]]:.6g}, {bad.size} of {len(report)} fail)",
+                report=report,
+            )
+        reports.append(report)
     return tuple(reports), _Stats(space, w, arrays, encls, holder_p)
 
 
@@ -369,9 +365,10 @@ def bound_forward_difference_self(
 class ChainSpec:
     """One chain as data.
 
-    ``sequences`` are the inputs it reads, named as the :class:`WeightedSequence` fields;
-    ``enclosures`` ("x", "y") and ``disc`` its hypotheses, checked in that order (``gates``)
-    on the sequences :data:`ENCLOSED_SEQUENCE` names; ``functional`` its (label, statistic)
+    ``sequences`` are the inputs it reads, named as an instance's sequences (``_JENSEN`` also
+    reads its oracle's ``gradients``); ``enclosures`` ("x", "y"; "grad", "z") and ``disc`` its
+    hypotheses, checked in that order (``gates``) on the sequences :data:`ENCLOSED_SEQUENCE`
+    names; ``functional`` its (label, statistic)
     and ``links`` its :class:`Link` triples. ``ordered`` chains dominate link by link, the
     others are parallel alternatives; ``uniform`` tags are the equal-weight specializations
     and reject any other weights; ``holder`` chains read the Holder exponent.
@@ -420,6 +417,11 @@ _FORWARD_DIFFERENCE = ChainSpec(
 )
 _FORWARD_DIFFERENCE_SELF = ChainSpec(
     "1.8", _VARIANCE_FUNCTIONAL, _difference_links("1.8", "xs"), ("xs",), holder=True, ordered=False
+)
+#: ``jensen.reverse_jensen``'s chain, whose oracle gives the input "gap"; not a ``bound --which`` tag.
+_JENSEN = ChainSpec(
+    "3.9", ("jensen_gap", lambda s: max(s.arrays["gap"], 0.0)),
+    _spread("grad", "zs", "3.4") + (_quarter("grad", "z", "3.9"),), ("zs", "gradients"), ("grad", "z"),
 )
 
 #: Every ``bound --which`` tag, in the order the CLI lists them. A classical

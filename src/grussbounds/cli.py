@@ -33,6 +33,7 @@ from .bounds import CHAINS, ENCLOSED_SEQUENCE, BoundChain
 from .conditions import check_ball, check_box, check_scalar_disc, fit_enclosure
 from .errors import (
     ContractViolationError,
+    DegenerateInputError,
     EnclosureFitError,
     GradientCheckError,
     GrussBoundsError,
@@ -117,11 +118,12 @@ def _fit_disc(alphas: np.ndarray) -> tuple[complex, complex]:
 
 @contextlib.contextmanager
 def _at(path: str):
-    """Report a ``ContractViolationError`` (on parsed input, an overflow) at the JSON ``path``."""
+    """Report a ``ContractViolationError`` (on parsed input, an overflow) or a ``DegenerateInputError``
+    (a fit to identical points) at the JSON ``path``, as the same class."""
     try:
         yield
-    except ContractViolationError as exc:
-        raise ContractViolationError(f"{path}: {exc}") from None
+    except (ContractViolationError, DegenerateInputError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):

@@ -31,7 +31,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _blocks, _per_row, norm, pairing, row_distances
+from .space import COMPLEX, Space, _blocks, _pairing, _per_row, norm, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -125,16 +125,10 @@ class ConditionReport:
 
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
-    if kind == "box":
-        return ConditionReport(kind, _box_slacks(encl, xs).astype(np.float64), encl.diameter * encl.diameter)
+    if kind == "box":  # Re<hi - x_i, x_i - lo>, a row block at a time
+        slacks = _per_row(lambda x: np.real(_pairing(encl.space, encl.hi - x, x - encl.lo)), xs)
+        return ConditionReport(kind, slacks.astype(np.float64), encl.diameter * encl.diameter)
     return ConditionReport(kind, encl.radius - row_distances(encl.space, xs, encl.center), encl.diameter)
-
-
-def _box_slacks(encl: Enclosure, xs: np.ndarray) -> np.ndarray:
-    """Re<hi - x_i, x_i - lo> for every row, a row block at a time (one direct call at one block)."""
-    if _blocks(xs) is not None:
-        return _per_row(lambda x: _box_slacks(encl, x), xs)
-    return np.real(pairing(encl.space, encl.hi - xs, xs - encl.lo))
 
 
 def _measured(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:

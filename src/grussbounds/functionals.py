@@ -56,10 +56,6 @@ class WeightedSequence:
         if self.alphas is not None:
             object.__setattr__(self, "alphas", _checked(self.p, self.space.scalars(self.alphas)))
 
-    @property
-    def n(self) -> int:
-        return int(self.xs.shape[0])
-
     def require_ys(self) -> np.ndarray:
         if self.ys is None:
             raise ContractViolationError("this operation needs the second sequence ys")
@@ -128,14 +124,8 @@ class _CenteredScalars:
 
 def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered):
     """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
-    return np.add.reduce(w * _centered_pairing(space, cx.raw, cx.center, cy.raw, cy.center), axis=-1)
-
-
-def _centered_pairing(space: Space, x: np.ndarray, x0, y: np.ndarray, y0) -> np.ndarray:
-    """<x_i - x0, y_i - y0> for every row, a row block at a time (one direct call at one block)."""
-    if _blocks(x) is not None:
-        return _per_row(lambda x, y: _centered_pairing(space, x, x0, y, y0), x, y)
-    return _pairing(space, x - x0, y - y0)
+    terms = _per_row(lambda x, y: _pairing(space, x - cx.center, y - cy.center), cx.raw, cy.raw)
+    return np.add.reduce(w * terms, axis=-1)
 
 
 def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
@@ -146,7 +136,7 @@ def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
     is summed pairwise and stays whole, as does a stack.
     """
     wd = ca.w * ca.dev
-    blocks = _blocks(cx.raw) if cx.raw.ndim == 2 and cx.raw.shape[1] > 1 else None
+    blocks = _blocks(cx.raw) if cx.raw.shape[-1] > 1 else None
     if blocks is None:
         return (wd[..., None] * (cx.raw - cx.center)).sum(axis=-2)
     buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), np.result_type(wd, cx.raw)), None

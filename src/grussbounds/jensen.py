@@ -13,6 +13,8 @@ from an enclosure (m, M) of the gradient set:
     gap <= diam(grad)/2 * mad(z) <= diam(grad)/2 * std(z)
         <= diam(grad)/4 * diam(z)          (when a z-enclosure also holds)
 
+That chain is ``bounds._JENSEN``, evaluated on the one chain path of
+:mod:`bounds` like every other chain, with the gap computed here as its input.
 Gradient enclosures are fitted from the finite set {grad F(z_i)} when not
 supplied. Everything here is real: complex spaces are rejected.
 """
@@ -25,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import BoundChain, _gate, _links, _quarter, _same_space, _spread, _Stats
+from .bounds import _JENSEN, BoundChain, _evaluate, _same_space
 from .conditions import Enclosure, fit_enclosure
 from .errors import ContractViolationError, DegenerateInputError
 from .functionals import _Centered, _checked, _pair
@@ -196,16 +198,15 @@ def _normalized(space: Space, q, zs) -> tuple[ProbabilityVector, np.ndarray]:
     return p, _checked(p, space.matrix(zs))
 
 
-def _verified(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str, name: str):
-    """``encl`` (fitted when None) and its ball report on ``pts``, the sequence ``name``; a failure raises."""
+def _fitted(space: Space, encl: Enclosure | None, pts: np.ndarray, what: str) -> Enclosure:
+    """``encl``, checked to share ``space``, or when None the fit to ``pts`` (a one-point enclosure if they are equal)."""
     if encl is None:
         try:
-            encl = fit_enclosure(space, pts)  # whose report _gate takes
+            return fit_enclosure(space, pts)  # whose ball report the chain's gate takes
         except DegenerateInputError:
-            encl = Enclosure(space, pts[0], pts[0], allow_degenerate=True)
-    else:
-        _same_space(encl.space, space, what)
-    return encl, _gate(encl, pts, "ball", True, name)
+            return Enclosure(space, pts[0], pts[0], allow_degenerate=True)
+    _same_space(encl.space, space, what)
+    return encl
 
 
 def reverse_jensen(
@@ -221,9 +222,10 @@ def reverse_jensen(
     Enclosures not supplied are fitted: the gradient enclosure from
     {grad F(z_i)} (mandatory for the chain; a one-point gradient set yields
     the degenerate all-zero chain), the z-enclosure from {z_i} (enables the
-    final quarter link and the improvement ratio). Supplied enclosures are
-    verified and a failure raises :class:`HypothesisError`. ``eval`` runs on
-    the points and on their mean, ``grad`` once on the points.
+    final quarter link and the improvement ratio). Both are in hand before the
+    chain's gates verify them, the gradients' first; a failure raises
+    :class:`HypothesisError`. ``eval`` runs on the points and on their mean,
+    ``grad`` once on the points.
     """
     p, zs = _normalized(space, q, zs)
     w = p.weights
@@ -231,22 +233,12 @@ def reverse_jensen(
     gap = float(w @ _values(oracle, zs) - _values(oracle, cz.center))
     grads = _gradients(space, oracle, zs)
     pgap = _pair(space, w, _Centered(space, w, grads), cz).item()
-    grad_encl, report_g = _verified(space, grad_encl, grads, "gradient enclosure", "gradients")
-    z_encl, report_z = _verified(space, z_encl, zs, "z-enclosure", "zs")
-
-    stats = _Stats(space, w, {"zs": zs}, {"grad": grad_encl, "z": z_encl})
-    stats["zs", "centered"] = cz
-    links = _links(_spread("grad", "zs", "3.4") + (_quarter("grad", "z", "3.9"),), stats)
-    quarter = links[2].value
-    improvement = links[0].value / quarter if quarter > 0.0 else None
-
-    chain = BoundChain(
-        equation="3.9",
-        functional_label="jensen_gap",
-        functional_value=max(gap, 0.0),
-        links=links,
-        hypothesis_reports=(report_g, report_z),
-    )
+    grad_encl = _fitted(space, grad_encl, grads, "gradient enclosure")
+    z_encl = _fitted(space, z_encl, zs, "z-enclosure")
+    arrays = {"zs": zs, "gradients": grads, "gap": gap}
+    chain = _evaluate(_JENSEN, space, p, arrays, {"grad": grad_encl, "z": z_encl}, check=True)
+    quarter = chain.links[2].value
+    improvement = chain.links[0].value / quarter if quarter > 0.0 else None
     return JensenReport(
         gap=gap,
         pairing_gap=pgap,

@@ -19,8 +19,9 @@ conjugate-linear in the second. Every norm is the induced one.
 
 Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` and what builds on
 them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
-output, with the bits of one whole-array call (their one call up to one block). Sums over the rows
-stay whole: in blocks they would round differently.
+output, with the bits of one whole-array call (their one call up to one block). Every such kernel, here
+or in another module, reaches the blocks through one ``_per_row`` call. Sums over the rows stay whole:
+in blocks they would round differently.
 """
 from __future__ import annotations
 
@@ -215,8 +216,8 @@ def _by_columns(space: Space, rows: np.ndarray) -> bool:
 
 
 def _blocks(rows: np.ndarray) -> range | None:
-    """The first rows of the row blocks of (n, dim) ``rows`` (``.step`` rows each), or None when they are one block."""
-    if rows.size <= BLOCK_ELEMS or len(rows) <= COLUMN_ROWS:
+    """The first rows of the row blocks of ``rows`` (``.step`` rows each); None unless they are (n, dim) and blocked."""
+    if rows.ndim != 2 or rows.size <= BLOCK_ELEMS or len(rows) <= COLUMN_ROWS:
         return None
     return range(0, len(rows), max(COLUMN_ROWS, BLOCK_ELEMS // rows.shape[1]))
 
@@ -244,8 +245,7 @@ def pairing(space: Space, a, b):
     :func:`_by_columns` holds they are summed one by one instead: the same bits, without the
     ``(n, dim)`` product. From 8 columns numpy sums pairwise; below ``COLUMN_ROWS`` rows one product is cheaper.
     """
-    per_row = a.ndim == 2 and a.shape[0] > COLUMN_ROWS and a.shape == np.shape(b)  # up to COLUMN_ROWS rows are one block
-    return _per_row(lambda a, b: _pairing(space, a, b), a, b) if per_row else _pairing(space, a, b)
+    return _per_row(lambda a, b: _pairing(space, a, b), a, b)
 
 
 def _pairing(space: Space, a, b):

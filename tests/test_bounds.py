@@ -549,10 +549,10 @@ class TestChainPath:
 
     def test_gates_follow_the_enclosed_sequences(self):
         from grussbounds import cli
-        from grussbounds.bounds import CHAINS, ENCLOSED_SEQUENCE
+        from grussbounds.bounds import _JENSEN, CHAINS, ENCLOSED_SEQUENCE
 
         assert cli.ENCLOSED_SEQUENCE is ENCLOSED_SEQUENCE
-        for spec in CHAINS.values():
+        for spec in (*CHAINS.values(), _JENSEN):
             assert spec.gates == spec.enclosures + (("disc",) if spec.disc else ())
             assert {ENCLOSED_SEQUENCE[name] for name in spec.gates} <= set(spec.sequences)
 

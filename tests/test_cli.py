@@ -507,6 +507,24 @@ class TestExtremeMagnitudes:
         assert err.count("\n") == 1 and "overflow" in err
         assert ("$.sequences.xs" in err) == ("--fit" in argv)
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        "argv, seq",
+        [(("check", "--fit"), "xs"), (("bound", "--which", "2.11", "--fit"), "alphas")],
+        ids=["check-xs", "bound-alphas"],
+    )
+    def test_fit_to_identical_points_is_reported_at_its_sequence(self, capsys, tmp_path, argv, seq, as_json):
+        doc = {"space": {"dim": 2}, "weights": [0.5, 0.5], "sequences": {"xs": [[1, 2], [1, 2]], "ys": [[0, 1], [1, 0]]}}
+        if seq == "alphas":
+            doc["sequences"] = {"xs": [[1, 2], [0, 1]], "alphas": [1.5, 1.5]}
+        path = tmp_path / "identical.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:], *(["--json"] if as_json else []))
+        message = f"$.sequences.{seq}: cannot fit an enclosure to identical points"
+        assert code == 2 and err == f"error: {message}\n"
+        error = {"type": "DegenerateInputError", "message": message, "exit_code": 2}
+        assert out == (instancefile.dumps({"error": error}) if as_json else "")
+
     @pytest.mark.parametrize(
         "extra, message",
         [

@@ -239,6 +239,10 @@ class TestReverseJensen:
         report = reverse_jensen(space, oracle, np.ones(3), np.array([[-1.0], [0.0], [1.0]]))
         assert report.improvement_ratio is not None
         assert report.improvement_ratio < 0.999
+        # the gradients' ball report (radius 2 about 0) first, the zs' (radius 1 about 0) second
+        grad_report, z_report = report.chain.hypothesis_reports
+        assert grad_report.kind == z_report.kind == "ball"
+        assert grad_report.slacks.tolist() == [0.0, 2.0, 0.0] and z_report.slacks.tolist() == [0.0, 1.0, 0.0]
 
     def test_full_chain_random(self, rng):
         for name in ("squared_norm", "diag_quadratic", "log_sum_exp", "norm_fourth"):
@@ -260,14 +264,14 @@ class TestReverseJensen:
         space = Space(1)
         oracle = get_oracle("squared_norm", space)
         bad = Enclosure(space, [0.0], [0.5])  # gradients reach 2.0
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="ball condition on gradients fails at index 1"):
             reverse_jensen(space, oracle, [0.5, 0.5], np.array([[0.0], [1.0]]), grad_encl=bad)
 
     def test_supplied_z_enclosure_validated(self):
         space = Space(1)
         oracle = get_oracle("squared_norm", space)
         bad = Enclosure(space, [0.0], [0.1])
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisError, match="ball condition on zs fails at index 1"):
             reverse_jensen(space, oracle, [0.5, 0.5], np.array([[0.0], [1.0]]), z_encl=bad)
 
     def test_each_gradient_evaluated_once(self, rng):
