@@ -6,7 +6,15 @@ equivalent ball/box hypotheses behind their upper-bound chains, evaluates
 every chain, applies the machinery to reverse Jensen's inequality for
 differentiable convex functions, and probes the sharpness of the constants
 by exact construction and randomized search.
+
+Importing the package loads what every chain needs: ``errors``, ``space``,
+``conditions``, ``functionals`` and ``bounds``. The public names of
+``jensen`` and ``sharpness`` are in ``__all__`` too, but their modules load
+on the first access to one of them (PEP 562), so a run that evaluates
+chains alone never imports them.
 """
+
+import importlib
 
 from .bounds import (
     BoundChain,
@@ -54,15 +62,6 @@ from .functionals import (
     variance,
     vector_gruss,
 )
-from .jensen import (
-    ConvexOracle,
-    JensenReport,
-    ORACLE_FACTORIES,
-    get_oracle,
-    gradient_check,
-    reverse_jensen,
-)
-from .sharpness import SharpnessResult, TARGETS, extremal_thm23, search
 from .space import (
     COMPLEX,
     REAL,
@@ -73,6 +72,26 @@ from .space import (
 )
 
 __version__ = "0.1.0"
+
+#: The lazily loaded public names, each with the module that defines it.
+_LAZY = {
+    **dict.fromkeys(["ConvexOracle", "JensenReport", "ORACLE_FACTORIES", "get_oracle", "gradient_check", "reverse_jensen"], "jensen"),
+    **dict.fromkeys(["SharpnessResult", "TARGETS", "extremal_thm23", "search"], "sharpness"),
+}
+
+
+def __getattr__(name):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
 
 __all__ = [
     "BoundChain",

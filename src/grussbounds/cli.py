@@ -16,6 +16,12 @@ never builds it), and its text lines. :func:`main` alone writes. Exit codes:
 block, or on a failure after the arguments parse ``{"error": {"type",
 "message", "exit_code"}}``. Human output is a fixed-width table. All numbers
 are rendered with 17 significant digits so round-trips are lossless.
+
+A run loads only what its command needs. The parser gives arguments only to
+the subcommand being run, and ``cmd_jensen`` and ``cmd_sharpness`` import their
+modules themselves, so ``check`` and ``bound`` never load ``jensen`` or
+``sharpness``. :func:`main` runs with the cyclic GC off, and it writes a
+``--json`` document as the encoder's pieces without joining them.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import gc
 import math
 import sys
 
@@ -42,8 +49,6 @@ from .errors import (
     SoundnessError,
 )
 from .instancefile import Instance, instance_document
-from .jensen import ORACLE_FACTORIES, get_oracle, gradient_check, reverse_jensen
-from .sharpness import TARGETS, search
 from .space import Space
 
 GRADIENT_CHECK_H = 1e-5
@@ -66,20 +71,14 @@ def _holder_arg(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="grussbounds",
-        description="Certified bound chains for weighted vector sequences in inner product spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="verify ball/box/disc conditions of an instance file")
+def _check_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--fit", action="store_true", help="fit enclosures missing from the file")
     p.add_argument("--json", dest="as_json", action="store_true")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("bound", help="evaluate one bound chain against its functional")
+
+def _bound_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--which", required=True, metavar="TAG", help=f"one of: {', '.join(CHAINS)}")
     p.add_argument("--fit", action="store_true", help="fit enclosures/discs missing from the file")
@@ -88,13 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="as_json", action="store_true")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("jensen", help="reverse-Jensen report for a convex oracle")
+
+def _jensen_arguments(p: argparse.ArgumentParser) -> None:
+    from .jensen import ORACLE_FACTORIES
+
     p.add_argument("file")
     p.add_argument("--oracle", default=None, help=f"override the file's oracle; one of: {', '.join(sorted(ORACLE_FACTORIES))}")
     p.add_argument("--json", dest="as_json", action="store_true")
     p.set_defaults(func=cmd_jensen)
 
-    p = sub.add_parser("sharpness", help="randomized search for near-equality witnesses")
+
+def _sharpness_arguments(p: argparse.ArgumentParser) -> None:
+    from .sharpness import TARGETS
+
     p.add_argument("--target", required=True, choices=sorted(TARGETS))
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--dim", type=int, default=1)
@@ -103,6 +108,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-witness", metavar="PATH", default=None, help="write the witness instance file")
     p.add_argument("--json", dest="as_json", action="store_true")
     p.set_defaults(func=cmd_sharpness)
+
+
+#: Each subcommand with its help line and the function that adds its arguments.
+_COMMANDS = {
+    "check": ("verify ball/box/disc conditions of an instance file", _check_arguments),
+    "bound": ("evaluate one bound chain against its functional", _bound_arguments),
+    "jensen": ("reverse-Jensen report for a convex oracle", _jensen_arguments),
+    "sharpness": ("randomized search for near-equality witnesses", _sharpness_arguments),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of ``argv`` (default ``sys.argv[1:]``). Only the subcommand it runs, its first word
+    that is not an option, gets its arguments, so the modules the others would need stay unimported."""
+    command = next((word for word in (sys.argv[1:] if argv is None else argv) if not word.startswith("-")), None)
+    parser = argparse.ArgumentParser(
+        prog="grussbounds",
+        description="Certified bound chains for weighted vector sequences in inner product spaces.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
@@ -284,6 +313,8 @@ def cmd_bound(args):
 
 
 def cmd_jensen(args):
+    from .jensen import get_oracle, gradient_check, reverse_jensen
+
     inst, digest = _load(args.file)
     if inst.space.is_complex:
         raise InstanceFormatError(
@@ -343,6 +374,8 @@ def cmd_jensen(args):
 
 
 def cmd_sharpness(args):
+    from .sharpness import TARGETS, search
+
     result = search(args.target, args.n, args.dim, args.budget, args.seed)
     info = TARGETS[args.target]
     inst = instancefile.parse_document(result.witness)
@@ -391,25 +424,44 @@ def _error_document(exc: GrussBoundsError, code: int) -> dict:
     return {"error": error}
 
 
-def main(argv=None) -> int:
-    """Run one command and write what it returns, or its failure."""
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic GC off, and its previous state restored on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
+def main(argv=None) -> int:
+    """Run one command and write what it returns, or its failure.
+
+    The cyclic GC is off for the run: a run leaves 140-160 objects in cycles
+    whatever its input, so the passes that decoding many lists would start would
+    find nothing to free. Output is formed whole before its first write, so a
+    failure writes only its error.
+    """
+    try:
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
         code, results, echo, lines = args.func(args)
         if args.as_json:
-            out = instancefile.dumps({**echo(), "results": results})
+            out = instancefile.text_pieces({**echo(), "results": results})
         else:
-            out = "".join(f"{line}\n" for line in lines)
+            out = [f"{line}\n" for line in lines]
     except GrussBoundsError as exc:
         prefix, code = next((prefix, code) for cls, prefix, code in _FAILURES if isinstance(exc, cls))
         print(f"{prefix}{exc}", file=sys.stderr)
         if args.as_json:
-            sys.stdout.write(instancefile.dumps(_error_document(exc, code)))
+            sys.stdout.writelines(instancefile.text_pieces(_error_document(exc, code)))
         return code
-    sys.stdout.write(out)
+    sys.stdout.writelines(out)
     return code
 
 

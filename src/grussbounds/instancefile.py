@@ -24,6 +24,7 @@ round-trips IEEE doubles losslessly.
 
 Reports produced by the CLI echo the instance and add a "results" block;
 re-ingesting a report as an instance therefore works (the block is ignored).
+A file over ``MAX_INPUT_BYTES`` is refused before it is read.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -44,6 +46,11 @@ _SPACE_KEYS = {"dim", "field", "metric"}
 _SEQUENCE_KEYS = {"xs", "ys", "alphas", "zs"}
 _ENCLOSURE_KEYS = {"x_lo", "x_hi", "y_lo", "y_hi", "a", "A", "m", "M", "z_lo", "z_hi"}
 _TOP_KEYS = {"space", "weights", "sequences", "enclosures", "oracle", "holder_p", "results"}
+
+#: The largest input file read, in bytes (512 MiB), checked before its text is read. A CLI run peaks
+#: at 4-5 times its input under ``tracemalloc`` (``tests/test_cli_run.py`` holds it to 5), so a run on
+#: a file at the cap stays under 2.5 GiB.
+MAX_INPUT_BYTES = 2**29
 
 _ENCLOSURE_PAIRS = {"x": ("x_lo", "x_hi"), "y": ("y_lo", "y_hi"), "grad": ("m", "M"), "z": ("z_lo", "z_hi")}
 
@@ -256,9 +263,13 @@ def loads(text: str) -> Instance:
 
 
 def _read(path) -> str:
-    """The UTF-8 text of ``path``; an unreadable or undecodable file is a format error."""
+    """The UTF-8 text of ``path``; an unreadable or undecodable file, or one over
+    :data:`MAX_INPUT_BYTES`, is a format error."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            if size > MAX_INPUT_BYTES:
+                raise InstanceFormatError(f"$: the file is {size} bytes, over the input cap of {MAX_INPUT_BYTES} bytes")
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from None
@@ -321,17 +332,36 @@ def instance_document(
     return doc
 
 
-def _text(node, pad: str = "") -> str:
-    """JSON text of ``node`` at indentation ``pad``; an array of atoms stays on one line."""
+def _atom(node) -> str:
+    """JSON text of a number, string, boolean or null."""
     if isinstance(node, float):
         if not math.isfinite(node):
             raise InstanceFormatError("cannot serialize a non-finite number")
         return format(node, ".17g")
+    if node is None:
+        return "null"
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, (int, np.integer)):
+        return str(int(node))
+    if isinstance(node, np.floating):
+        return _atom(float(node))
+    if isinstance(node, str):
+        return json.dumps(node)
+    raise InstanceFormatError(f"cannot serialize {type(node).__name__}")
+
+
+def _write(node, pad: str, out: list) -> None:
+    """Append the JSON text of ``node`` at indentation ``pad`` to ``out``; an array of atoms stays on one line."""
     inner = pad + "  "
     if isinstance(node, dict):
-        items = ",\n".join(f"{inner}{json.dumps(str(key))}: {_text(value, inner)}" for key, value in node.items())
-        return "{\n" + items + "\n" + pad + "}" if node else "{}"
-    if isinstance(node, (list, tuple)):
+        opening = "{\n"
+        for key, value in node.items():
+            out.append(f"{opening}{inner}{json.dumps(str(key))}: ")
+            _write(value, inner, out)
+            opening = ",\n"
+        out.append(f"\n{pad}}}" if node else "{}")
+    elif isinstance(node, (list, tuple)):
         shape, leaves = [], [node]
         while (kinds := set(map(type, leaves))) == {list} and len(lengths := set(map(len, leaves))) == 1:
             shape.append(lengths.pop())
@@ -343,33 +373,39 @@ def _text(node, pad: str = "") -> str:
             for depth in reversed(range(len(shape))):  # wrap the rows of each outer level, innermost first
                 outer = pad + "  " * depth
                 template = "[\n" + ",\n".join([outer + "  " + template] * shape[depth]) + "\n" + outer + "]"
-            return template % tuple(leaves)
-        if all(isinstance(v, (int, float, str, bool)) or v is None for v in node):
-            return "[" + ", ".join(map(_text, node)) + "]"
-        return "[\n" + ",\n".join(inner + _text(v, inner) for v in node) + "\n" + pad + "]"
-    if node is None:
-        return "null"
-    if isinstance(node, bool):
-        return "true" if node else "false"
-    if isinstance(node, (int, np.integer)):
-        return str(int(node))
-    if isinstance(node, np.floating):
-        return _text(float(node))
-    if isinstance(node, str):
-        return json.dumps(node)
-    raise InstanceFormatError(f"cannot serialize {type(node).__name__}")
+            out.append(template % tuple(leaves))
+        elif all(isinstance(v, (int, float, str, bool)) or v is None for v in node):
+            out.append("[" + ", ".join(map(_atom, node)) + "]")
+        else:
+            opening = "[\n"
+            for value in node:
+                out.append(opening + inner)
+                _write(value, inner, out)
+                opening = ",\n"
+            out.append(f"\n{pad}]")
+    else:
+        out.append(_atom(node))
+
+
+def text_pieces(doc: dict) -> list:
+    """The text of :func:`dumps` as the pieces it joins: each float array is one piece, so a writer
+    that takes them in turn never holds the whole document as one string."""
+    out: list = []
+    _write(doc, "", out)
+    out.append("\n")
+    return out
 
 
 def dumps(doc: dict) -> str:
     """Serialize a document with 17-significant-digit floats (lossless round-trip)."""
-    return _text(doc) + "\n"
+    return "".join(text_pieces(doc))
 
 
 def dump(doc: dict, path) -> None:
     """Write ``doc`` to ``path``; an unwritable path is a format error, as in :func:`_read`."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(dumps(doc))
+            handle.writelines(text_pieces(doc))
     except OSError as exc:
         raise InstanceFormatError(f"cannot write {path}: {exc}") from None
 

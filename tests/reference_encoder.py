@@ -1,7 +1,7 @@
 """The document encoder one node at a time: the reference ``instancefile.dumps`` must reproduce.
 
-This is ``instancefile._text`` as it was before whole arrays were written through one shape
-template: every row and every [re, im] pair is its own call, and only a flat list of floats
+This is the ``instancefile`` encoder as it was before whole arrays were written through one
+shape template: every row and every [re, im] pair is its own call, and only a flat list of floats
 shares one template. ``dumps`` must give the same bytes, or raise the same
 ``InstanceFormatError``, on every document.
 """

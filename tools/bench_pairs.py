@@ -18,6 +18,12 @@ quartiles, the change/parent ratio of the medians, the pairs the change won,
 and ``gain_shown``: the change won at least 9 pairs in 10 and its median beats
 the parent's by more than the parent's quartile spread.
 
+``bytecode`` records, per side, whether its children compile the package from
+source: the ``PYTHONDONTWRITEBYTECODE`` value they inherit, and whether the
+export holds any ``__pycache__`` before the first run and after the last. A
+``git archive`` export ships none, so with that variable set every child
+compiles every module it imports, and its op times include that.
+
 Last, ``traced`` holds ``TRACED_RUNS`` ``--trace 1`` runs of ``TRACED_WORKLOAD``
 per side (seed ``FIRST_SEED``, alternating, the parent first): every run, each
 per-layer metric's median over a side's runs and the change/parent ratio of the
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -51,6 +58,10 @@ def export(commit: str, dest: Path) -> Path:
     archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True)
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
     return dest
+
+
+def has_bytecode(checkout: Path) -> bool:
+    return any(checkout.rglob("__pycache__"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -100,6 +111,10 @@ def main(argv=None) -> int:
     doc = {"commits": commits, "seconds": seconds, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         checkouts = {side: export(commit, Path(scratch) / side) for side, commit in commits.items()}
+        doc["bytecode"] = {
+            side: {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"), "pycache_at_start": has_bytecode(path)}
+            for side, path in checkouts.items()
+        }
         for workload in (w["name"] for w in spec["workloads"]):
             runs = []
             for i in range(PAIRS):
@@ -117,6 +132,9 @@ def main(argv=None) -> int:
             for name, m in doc["workloads"][workload]["summary"].items():
                 print(f"{workload} {name:<14} parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
                       f"ratio {m['ratio']:.3f} wins {m['wins']}/{PAIRS} gain_shown={m['gain_shown']}", flush=True)
+        for side, path in checkouts.items():
+            doc["bytecode"][side]["pycache_at_end"] = has_bytecode(path)
+            print(f"bytecode {side:<6} {json.dumps(doc['bytecode'][side])}", flush=True)
         traced = {"parent": [], "change": []}
         for i in range(TRACED_RUNS):
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
