@@ -185,8 +185,11 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     """Fit an enclosure whose ball condition holds for every input point.
 
     Seeds a ball on the farthest-point pair, runs Ritter expansion passes
-    (at most ``MAX_SWEEPS``), tightens the radius to the exact maximal
-    distance, and returns antipodes along the seed-pair direction.
+    (at most ``MAX_SWEEPS``; they stop at the first fixed point, a ball that
+    recurs after one pass or a cycle of them, with the ball the cap would end
+    on, since every later pass only repeats: see :func:`_ritter`), tightens
+    the radius to the exact maximal distance, and returns antipodes along the
+    seed-pair direction.
 
     The result is validated with the ball condition and inflated about its
     center by the minimal factor needed to cover all points, which absorbs
@@ -205,35 +208,44 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     if float(dists.max()) == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
 
-    i1 = int(np.argmax(dists))
+    i1 = int(dists.argmax())
     dists = row_distances(space, xs, xs[i1])
-    i2 = int(np.argmax(dists))
+    i2 = int(dists.argmax())
     radius = float(dists[i2]) / 2.0
     del dists  # the sweeps hold their own
     center, radius = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, radius)
-    if not np.isfinite(radius):
+    if not math.isfinite(radius):
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
     u = xs[i2] - xs[i1]
     u = u / norm(space, u)
     # canonical sign/phase: make the first nonzero component positive real
-    k = int(np.argmax(np.abs(u) > 0.0))
-    pivot = u[k]
-    u = u * (np.conj(pivot) / abs(pivot)) if space.is_complex else u * np.sign(np.real(pivot))
+    k = int((u != 0.0).argmax())
+    if space.is_complex:
+        pivot = u[k]
+        u = u * (np.conj(pivot) / abs(pivot))
+    elif u.item(k) < 0.0:
+        u = -u  # u * sign(pivot), to the bit
 
-    encl = Enclosure(space, center - radius * u, center + radius * u)
+    encl = Enclosure(space, _read_only(center - radius * u), _read_only(center + radius * u))
     dists = row_distances(space, xs, encl.center)
     factor = float(dists.max()) / encl.radius
     if factor > MAX_INFLATION:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         c = encl.center
-        encl = Enclosure(space, c + (encl.lo - c) * factor, c + (encl.hi - c) * factor)
+        encl = Enclosure(space, _read_only(c + (encl.lo - c) * factor), _read_only(c + (encl.hi - c) * factor))
         dists = row_distances(space, xs, encl.center)
     report = ConditionReport("ball", np.subtract(encl.radius, dists, dists), encl.diameter)
     if not report.holds:
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
     object.__setattr__(encl, "_fitted", (weakref.ref(xs), report))  # the rows may be freed with their owner
     return encl
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, a fresh array, made read-only, so that :meth:`Space.vector` checks it without a copy."""
+    a.flags.writeable = False
+    return a
 
 
 #: Relative widening of the pruned sweeps' triangle-inequality test, far above the distances' rounding.
@@ -246,24 +258,36 @@ def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float) -> 
     Each sweep finds the row farthest from the center (the first of equals) and, while it lies
     outside, moves the ball to cover it. On rows of more than one block the last full sweep stays
     as the anchor: a later sweep measures only :func:`_sweep_rows`, with the same result.
+
+    A sweep depends only on the ball it starts from, so once a ball recurs (the same radius and the
+    same bytes of the center: a step that only turns -0.0 into +0.0 is a move), the sweeps cycle
+    through the balls since its first visit until ``MAX_SWEEPS``. They stop at the first recurrence,
+    a fixed point of one sweep or of several (two points often swap the center between two
+    neighbouring floats), and return the ball the cap would end on with the farthest distance its
+    sweep measured, which is what the cap's final pass measures.
     """
     anchor = None  # (center, distances of every row) of the last full sweep, where sweeps are pruned
     prune = _blocks(xs) is not None
-    for _ in range(MAX_SWEEPS):
+    seen, balls = {}, []  # sweep index of each ball; (center, farthest distance) of each sweep
+    for i in range(MAX_SWEEPS):
+        first = seen.setdefault((center.tobytes(), radius), i)
+        if first < i:
+            return balls[first + (MAX_SWEEPS - first) % (i - first)]
         rows = None if anchor is None else _sweep_rows(space, xs, center, far, *anchor)
         if rows is None:
             anchor = None
             dists = row_distances(space, xs, center)
-            far = int(np.argmax(dists))
+            far = int(dists.argmax())
             dmax = float(dists[far])
             if prune and math.isfinite(dmax):
                 anchor = (center, dists)
         else:
             dists = row_distances(space, xs[rows], center)
-            j = int(np.argmax(dists))
+            j = int(dists.argmax())
             far, dmax = int(rows[j]), float(dists[j])
         if not dmax > radius:  # NaN after an overflow stops too
             return center, dmax
+        balls.append((center, dmax))
         new_radius = (radius + dmax) / 2.0
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius

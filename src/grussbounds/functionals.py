@@ -124,7 +124,7 @@ class _CenteredScalars:
 
 def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered):
     """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
-    terms = _per_row(lambda x, y: _pairing(space, x - cx.center, y - cy.center), cx.raw, cy.raw)
+    terms = _per_row(lambda x, y: _pairing(space, x, y, cx.center, cy.center), cx.raw, cy.raw)
     return np.add.reduce(w * terms, axis=-1)
 
 

@@ -174,7 +174,11 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        w, ok = _probability_rows(_weight_array(self.weights))
+        self._normalize(_weight_array(self.weights))
+
+    def _normalize(self, w: np.ndarray) -> None:
+        """Hold the nonnegative float weights ``w``, divided by their sum, if it is one within ``PROB_SUM_TOL``."""
+        w, ok = _probability_rows(w)
         if not ok:
             raise ContractViolationError(
                 f"weights must sum to 1 within {PROB_SUM_TOL:g} (got sum {float(w.sum())!r}); "
@@ -196,7 +200,9 @@ class ProbabilityVector:
         total = float(q.sum())
         if total <= 0.0:
             raise DegenerateInputError("total weight must be positive")
-        return cls(q / total)
+        p = cls.__new__(cls)
+        p._normalize(q / total)  # a fresh array of checked weights, which the constructor would copy and check again
+        return p
 
     def __len__(self) -> int:
         return int(self.weights.size)
@@ -248,15 +254,24 @@ def pairing(space: Space, a, b):
     return _per_row(lambda a, b: _pairing(space, a, b), a, b)
 
 
-def _pairing(space: Space, a, b):
+def _pairing(space: Space, a, b, ca=None, cb=None):
+    """:func:`pairing` of one row block, or of ``a - ca`` and ``b - cb`` where centers are given; summed by
+    columns, each column of the differences is formed in turn, not each row broadcast against a short center."""
+    by_columns = not space.is_complex and _by_columns(space, a) and a.shape == np.shape(b)
+    if ca is not None and not by_columns:
+        a, b = a - ca, b - cb
     if space.is_complex:
         # einsum skips the complex (n, dim) product
         b = np.conj(b) if space.metric is None else np.conj(b) * space.metric
         return np.einsum("...k,...k->...", a, b)
-    if _by_columns(space, a) and a.shape == np.shape(b):
-        total, term = np.zeros(a.shape[:-1]), None
+    if by_columns:
+        total, term, db = np.zeros(a.shape[:-1]), None, None
         for k in range(a.shape[-1]):
-            term = np.multiply(a[..., k], b[..., k], out=term)
+            if ca is None:
+                term = np.multiply(a[..., k], b[..., k], out=term)
+            else:
+                term, db = np.subtract(a[..., k], ca[..., k], out=term), np.subtract(b[..., k], cb[..., k], out=db)
+                term *= db
             if space.metric is not None:
                 term *= space.metric[k]
             total += term

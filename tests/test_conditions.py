@@ -308,6 +308,114 @@ class TestFitEnclosure:
         assert peak <= 3.5 * pts.nbytes  # the validated copy and a few (n,) arrays
 
 
+def passes(monkeypatch):
+    """The rows of each ``row_distances`` call the fits make from here on."""
+    from grussbounds import conditions
+
+    rows, measure = [], conditions.row_distances
+    monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
+    return rows
+
+
+#: Two-point inputs whose Ritter sweeps swap the center between two neighbouring floats: (metric, xs).
+STALLED = {
+    "real_line": (None, [[-1.4227417685154136], [0.25845279091298756]]),
+    "metric": ([float.fromhex("0x1.4101efd225956p-2")],
+               [[float.fromhex("-0x1.1c07df574b3f2p-2")], [float.fromhex("-0x1.872de16d78c21p+0")]]),
+}
+
+
+def stalled(case):
+    metric, xs = STALLED[case]
+    return Space(1, REAL, metric), np.array(xs)
+
+
+class TestSweepsStopAtARecurringBall:
+    """A fit stops its Ritter sweeps when a ball recurs and still returns the bits of the capped sweeps."""
+
+    @pytest.mark.parametrize("case", list(STALLED))
+    def test_a_stalled_pair_matches_the_reference_in_a_few_passes(self, monkeypatch, case):
+        space, xs = stalled(case)
+        rows = passes(monkeypatch)
+        encl = fit_enclosure(space, xs)
+        lo, hi, _ = reference_fit(xs, space.metric)
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+        assert len(rows) <= 8  # two seed passes, a few sweeps, the report's pass; 204 with every capped sweep
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 4, 7, 8, 199])
+    def test_the_ball_at_any_cap_is_the_references(self, rng, monkeypatch, cap):
+        # a cycle of two balls ends on either, by the parity of the cap
+        from grussbounds import conditions
+
+        monkeypatch.setattr(conditions, "MAX_SWEEPS", cap)
+        cases = [stalled(case) for case in STALLED]
+        cases += [(Space(1), rng.standard_normal((2, 1))) for _ in range(40)]
+        for space in (Space(2), Space(2, COMPLEX), Space(3, REAL, [0.5, 1.0, 2.0])):
+            cases += [(space, space.matrix([random_vector(rng, space) for _ in range(n)])) for n in (2, 3, 9, 31)]
+        for space, xs in cases:
+            lo, hi, _ = reference_fit(xs, space.metric, max_sweeps=cap)
+            encl = fit_enclosure(space, xs)
+            assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+
+
+class TestOneConstruction:
+    """A fit builds its enclosure with the constructor, from read-only endpoints, with the same fields and errors."""
+
+    def fits(self, rng):
+        for space in (Space(3), Space(2, COMPLEX), Space(3, REAL, [0.5, 1.0, 2.0]), Space(1)):
+            for n in (2, 5, 16, COLUMN_ROWS + 3):
+                yield space, space.matrix([random_vector(rng, space) for _ in range(n)])
+        for _ in range(100):  # and one whose antipodes are inflated
+            pts = rng.standard_normal((COLUMN_ROWS * 2, 3))
+            if reference_fit(pts)[2]:
+                yield Space(3), Space(3).matrix(pts)
+                return
+        raise AssertionError("no inflated fit drawn")
+
+    def test_the_fields_are_the_constructors(self, rng):
+        import pickle
+
+        for space, pts in self.fits(rng):
+            encl = fit_enclosure(space, pts)
+            built = Enclosure(space, encl.lo, encl.hi)
+            assert encl.diameter == built.diameter and encl.radius == built.radius
+            assert encl.center.tobytes() == built.center.tobytes()
+            assert not (encl.lo.flags.writeable or encl.hi.flags.writeable or encl.center.flags.writeable)
+            assert encl.space is space and encl.allow_degenerate is False
+            copy = pickle.loads(pickle.dumps(encl))
+            assert copy.lo.tobytes() == encl.lo.tobytes() and copy.hi.tobytes() == encl.hi.tobytes()
+            assert copy.center.tobytes() == encl.center.tobytes() and copy.diameter == encl.diameter
+            assert check_ball(encl, pts) is encl._fitted[1] and check_ball(copy, pts).holds
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "pts, error, message",
+        [
+            # the triangle's enclosure is wider than its pairs, and its squared diameter overflows
+            ([[0.0, 0.0], [1.2e154, 0.0], [0.6e154, 0.6e154 * 3 ** 0.5]], ContractViolationError,
+             "enclosure diameter overflows double precision"),
+            ([[1e200, 0.0], [-1e200, 0.0]], ContractViolationError,
+             "cannot fit an enclosure: the distances overflow double precision"),
+            ([[3.0, 3.0], [3.0, 3.0]], DegenerateInputError, "cannot fit an enclosure to identical points"),
+        ],
+    )
+    def test_the_errors_are_the_constructors(self, field, pts, error, message):
+        with pytest.raises(error) as info:
+            fit_enclosure(Space(2, field), pts)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("field, error, message", [
+        # the pair's distance overflows but no ball distance does: a zero direction puts both antipodes
+        # on the center, or (complex) its phase 0/0 makes them NaN; the messages do not name the overflow
+        (REAL, DegenerateInputError, "degenerate enclosure: lo == hi"),
+        (COMPLEX, ContractViolationError, "vector entries must be finite"),
+    ])
+    def test_an_overflowing_pair_direction_raises_as_the_constructor_does(self, field, error, message):
+        with pytest.raises(error) as info:
+            fit_enclosure(Space(1, field), [[-1.2e154], [1.2e154]])
+        assert str(info.value) == message
+
+
 def block_rows(dim):
     """Rows in one block of the per-row kernels at width ``dim``."""
     return max(COLUMN_ROWS, BLOCK_ELEMS // dim)
@@ -407,10 +515,7 @@ class TestPrunedSweeps:
             fit_enclosure(Space(3), pts)
 
     def test_a_fit_measures_about_four_full_passes(self, monkeypatch):
-        from grussbounds import conditions
-
-        rows, measure = [], conditions.row_distances
-        monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
+        rows = passes(monkeypatch)
         pts = np.random.default_rng(0).standard_normal((200_000, 3))
         fit_enclosure(Space(3), pts)
         assert sum(rows) <= 4.5 * len(pts)  # six full passes without the pruning

@@ -24,6 +24,7 @@ from grussbounds import (
     vector_gruss,
 )
 from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm, row_norms
+from numpy_reference import reference_pairing
 
 
 def random_ws(rng, space=None, n=None, with_ys=True, with_alphas=False, scale=2.0):
@@ -169,6 +170,21 @@ class TestChebyshev:
             )
             scale = pair_scale(shifted) + pair_scale(ws)
             assert abs(chebyshev(ws) - chebyshev(shifted)) <= 1e-10 * scale
+
+
+    @pytest.mark.parametrize("rows_for", [lambda s: COLUMN_ROWS - 1, lambda s: COLUMN_ROWS, lambda s: s + 1,
+                                          lambda s: 2 * s + 7], ids=["below-columns", "columns", "step+1", "2step+7"])
+    @pytest.mark.parametrize("field, metric", [(REAL, False), (REAL, True), (COMPLEX, False)])
+    @pytest.mark.parametrize("dim", [1, 3, 7, 8])
+    def test_row_blocks_and_columns_give_the_whole_array_bits(self, rng, dim, field, metric, rows_for):
+        space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if metric else None)
+        n = rows_for(max(COLUMN_ROWS, BLOCK_ELEMS // dim))
+        draw = lambda: rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if field == COMPLEX else 0.0)
+        ws = WeightedSequence(space, random_prob(rng, n), xs=draw(), ys=draw())
+        w, x, y = ws.p.weights, ws.xs, ws.ys
+        for c in (w @ x, random_vector(rng, space)):
+            whole = (w * reference_pairing(x - c, y - w @ y, space.metric)).sum()
+            assert np.array(chebyshev(ws, c)).tobytes() == whole.tobytes()
 
 
 class TestVectorGruss:

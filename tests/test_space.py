@@ -314,6 +314,25 @@ class TestProbabilityVector:
         with pytest.raises(DegenerateInputError):
             ProbabilityVector.from_nonnegative([0.0, 0.0])
 
+    def test_from_nonnegative_keeps_the_bits_of_the_constructor(self, rng):
+        for q in ([2.0, 6.0], [3], [5e-324, 5e-324], [1e-320] * 7, rng.uniform(0.0, 1.0, 33), rng.uniform(0.0, 1e300, 5)):
+            q = np.asarray(q, dtype=np.float64)
+            p = ProbabilityVector.from_nonnegative(q)
+            assert p.weights.tobytes() == ProbabilityVector(q / float(q.sum())).weights.tobytes()
+            assert not p.weights.flags.writeable and p.weights is not q
+
+    @pytest.mark.parametrize("q, error, message", [
+        ([0.0, 0.0], DegenerateInputError, "total weight must be positive"),
+        ([1.0, -1.0], ContractViolationError, "weights must be nonnegative"),
+        ([1.0, np.inf], ContractViolationError, "weights must be finite"),
+        ([np.nan, 1.0], ContractViolationError, "weights must be finite"),
+        ([], DimensionMismatchError, "weights must be a nonempty flat array, got shape (0,)"),
+    ])
+    def test_from_nonnegative_errors(self, q, error, message):
+        with pytest.raises(error) as info:
+            ProbabilityVector.from_nonnegative(q)
+        assert str(info.value) == message
+
     def test_uniform(self):
         assert ProbabilityVector.uniform(4).weights == pytest.approx([0.25] * 4)
 
