@@ -39,7 +39,7 @@ from .errors import (
     HypothesisError,
 )
 from .functionals import WeightedSequence, _Centered, _CenteredScalars, _checked, _gruss, _pair
-from .space import ProbabilityVector, Space, row_norms
+from .space import ProbabilityVector, Space, _weighted_sum, row_norms
 
 #: Relative slack allowed when verifying chain ordering.
 CHAIN_TOL = 1e-10
@@ -271,8 +271,8 @@ def index_variance(p: ProbabilityVector) -> float:
 
 def _index_variance(w: np.ndarray) -> float:
     i = np.arange(1, len(w) + 1, dtype=np.float64)
-    d = i - w @ i
-    return float(w @ (d * d))
+    d = i - _weighted_sum(w, i, -1)
+    return float(_weighted_sum(w, d * d, -1))
 
 
 def pair_index_coefficient(p: ProbabilityVector) -> float:
@@ -286,7 +286,7 @@ def pair_index_coefficient(p: ProbabilityVector) -> float:
 
 
 def _pair_index_coefficient(w: np.ndarray) -> float:
-    return float(w[1:] @ np.cumsum(np.cumsum(w))[:-1])
+    return float(_weighted_sum(w[1:], np.cumsum(np.cumsum(w))[:-1], -1))
 
 
 def half_complementary_weight(p: ProbabilityVector) -> float:

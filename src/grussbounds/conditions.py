@@ -60,7 +60,7 @@ class Enclosure:
     allow_degenerate: bool = False
     diameter: float = field(init=False)
     center: np.ndarray = field(init=False)
-    _fitted: tuple = field(default=(lambda: None, None), init=False, repr=False, compare=False)  # a fit's (rows ref, report)
+    _fitted: tuple = field(default=(lambda: None, None), init=False, repr=False, compare=False)  # a fit's (rows ref, least slack)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", self.space.vector(self.lo))
@@ -123,6 +123,37 @@ class ConditionReport:
         return int(self.slacks.size)
 
 
+class _FittedReport(ConditionReport):
+    """A fit's ball report on the rows it was fitted to, which all hold.
+
+    Its least slack is ``radius - dmax`` for the farthest distance ``dmax`` the fit measured (rounding
+    is monotone, so that is the least of the slacks to the bit), so ``holds``, :meth:`min_slack` and
+    :meth:`failing_indices` measure nothing; ``slacks`` and ``verdicts`` are :func:`_report`'s, measured
+    when first read. It keeps its rows.
+    """
+
+    kind, holds = "ball", True
+
+    def __init__(self, encl: Enclosure, xs: np.ndarray, least: float):
+        vars(self).update(scale=encl.diameter, _least=least, _encl=encl, _rows=xs)
+
+    def __getattr__(self, name: str):
+        if name not in ("slacks", "verdicts"):
+            return super().__getattr__(name)
+        measured = _report(self._encl, self._rows, "ball")
+        vars(self).update(slacks=measured.slacks, verdicts=measured.verdicts)
+        return vars(self)[name]
+
+    def failing_indices(self) -> np.ndarray:
+        return np.empty(0, np.intp)
+
+    def min_slack(self) -> float:
+        return self._least
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
     if kind == "box":  # Re<hi - x_i, x_i - lo>, a row block at a time
@@ -133,7 +164,8 @@ def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
 
 def _measured(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
     """:func:`_report`, or the fit's own ball report when ``xs`` is the very array ``encl`` was fitted to."""
-    return encl._fitted[1] if kind == "ball" and encl._fitted[0]() is xs else _report(encl, xs, kind)
+    rows, least = encl._fitted
+    return _FittedReport(encl, xs, least) if kind == "ball" and rows() is xs else _report(encl, xs, kind)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
@@ -194,30 +226,29 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     The result is validated with the ball condition and inflated about its
     center by the minimal factor needed to cover all points, which absorbs
     the rounding of the antipode construction; a required factor above
-    ``MAX_INFLATION`` raises ``EnclosureFitError``; ``_fitted`` keeps that report (and refers to its rows).
+    ``MAX_INFLATION`` raises ``EnclosureFitError``. Both take the farthest
+    distance from the center, which ``_fitted`` keeps as the least slack of the
+    ball report on the rows (which it refers to, weakly): see :class:`_FittedReport`.
 
-    A full pass is one :func:`row_distances` call over every row: two for the seed
-    pair, one per sweep, and one or, after an inflation, two for the report (the
-    sweep that stops the expansion gives the tight radius). On rows of more than
-    one block, a sweep after a full one measures only the rows that can still be
-    farthest (:func:`_sweep_rows`), or all of them when over a quarter can; so a
-    fit of well-spread rows makes about four full passes.
+    Each pass finds the farthest row from a center with :func:`_farthest`: two seed
+    passes, one per sweep, and one or, after an inflation, two for the report (the
+    sweep that stops the expansion gives the tight radius). Only the seed passes
+    measure every row. On rows of more than one block every later pass measures the
+    rows that can still be farthest from its center, bounded by the distances of the
+    last full pass (the first seed pass's, from ``xs[0]``, to begin with), or all of
+    them when over a quarter can; so a fit of well-spread rows makes about two full passes.
     """
     xs = space.matrix(xs)
-    dists = row_distances(space, xs, xs[0])
-    if float(dists.max()) == 0.0:
+    i1, dmax, anchor = _farthest(space, xs, xs[0], 0, None)
+    if dmax == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
-
-    i1 = int(dists.argmax())
-    dists = row_distances(space, xs, xs[i1])
-    i2 = int(dists.argmax())
-    radius = float(dists[i2]) / 2.0
-    del dists  # the sweeps hold their own
-    center, radius = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, radius)
-    if not math.isfinite(radius):
-        raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
+    i2, dmax = _farthest(space, xs, xs[i1], 0, None)[:2]  # the first pass's distances stay the anchor
+    center, radius, far, anchor = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, dmax / 2.0, i2, anchor)
     u = xs[i2] - xs[i1]
-    u = u / norm(space, u)
+    d = norm(space, u)
+    if not (math.isfinite(radius) and math.isfinite(d)):  # the seed pair's distance can overflow alone
+        raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
+    u = u / d
     # canonical sign/phase: make the first nonzero component positive real
     k = int((u != 0.0).argmax())
     if space.is_complex:
@@ -227,18 +258,18 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         u = -u  # u * sign(pivot), to the bit
 
     encl = Enclosure(space, _read_only(center - radius * u), _read_only(center + radius * u))
-    dists = row_distances(space, xs, encl.center)
-    factor = float(dists.max()) / encl.radius
+    far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
+    factor = dmax / encl.radius
     if factor > MAX_INFLATION:
         raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
     if factor > 1.0:
         c = encl.center
         encl = Enclosure(space, _read_only(c + (encl.lo - c) * factor), _read_only(c + (encl.hi - c) * factor))
-        dists = row_distances(space, xs, encl.center)
-    report = ConditionReport("ball", np.subtract(encl.radius, dists, dists), encl.diameter)
-    if not report.holds:
+        far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
+    least = encl.radius - dmax
+    if not least >= -COND_TOL * encl.diameter:  # the ball report's verdict
         raise EnclosureFitError("inflated enclosure still fails the ball condition")
-    object.__setattr__(encl, "_fitted", (weakref.ref(xs), report))  # the rows may be freed with their owner
+    object.__setattr__(encl, "_fitted", (weakref.ref(xs), least))  # the rows may be freed with their owner
     return encl
 
 
@@ -252,46 +283,53 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 _PRUNE_MARGIN = 1e-9
 
 
-def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float) -> tuple[np.ndarray, float]:
-    """Ritter expansion sweeps from the ball (center, radius): the final center and its farthest distance.
+def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float, far: int, anchor):
+    """Ritter expansion sweeps from the ball (center, radius): the final center, its farthest distance
+    and row, and the anchor of the last sweep.
 
     Each sweep finds the row farthest from the center (the first of equals) and, while it lies
-    outside, moves the ball to cover it. On rows of more than one block the last full sweep stays
-    as the anchor: a later sweep measures only :func:`_sweep_rows`, with the same result.
+    outside, moves the ball to cover it. ``far`` is a row far from the first center (the seed pair's
+    far end) and ``anchor`` the last full pass, as :func:`_farthest` takes them.
 
     A sweep depends only on the ball it starts from, so once a ball recurs (the same radius and the
     same bytes of the center: a step that only turns -0.0 into +0.0 is a move), the sweeps cycle
     through the balls since its first visit until ``MAX_SWEEPS``. They stop at the first recurrence,
     a fixed point of one sweep or of several (two points often swap the center between two
-    neighbouring floats), and return the ball the cap would end on with the farthest distance its
-    sweep measured, which is what the cap's final pass measures.
+    neighbouring floats), and return the ball the cap would end on with the farthest distance and
+    row its sweep measured, which is what the cap's final pass measures.
     """
-    anchor = None  # (center, distances of every row) of the last full sweep, where sweeps are pruned
-    prune = _blocks(xs) is not None
-    seen, balls = {}, []  # sweep index of each ball; (center, farthest distance) of each sweep
+    seen, balls = {}, []  # sweep index of each ball; (center, farthest distance, farthest row) of each sweep
     for i in range(MAX_SWEEPS):
         first = seen.setdefault((center.tobytes(), radius), i)
         if first < i:
-            return balls[first + (MAX_SWEEPS - first) % (i - first)]
-        rows = None if anchor is None else _sweep_rows(space, xs, center, far, *anchor)
-        if rows is None:
-            anchor = None
-            dists = row_distances(space, xs, center)
-            far = int(dists.argmax())
-            dmax = float(dists[far])
-            if prune and math.isfinite(dmax):
-                anchor = (center, dists)
-        else:
-            dists = row_distances(space, xs[rows], center)
-            j = int(dists.argmax())
-            far, dmax = int(rows[j]), float(dists[j])
+            return balls[first + (MAX_SWEEPS - first) % (i - first)] + (anchor,)
+        far, dmax, anchor = _farthest(space, xs, center, far, anchor)
         if not dmax > radius:  # NaN after an overflow stops too
-            return center, dmax
-        balls.append((center, dmax))
+            return center, dmax, far, anchor
+        balls.append((center, dmax, far))
         new_radius = (radius + dmax) / 2.0
         center = center + (xs[far] - center) * ((dmax - new_radius) / dmax)
         radius = new_radius
-    return center, float(row_distances(space, xs, center).max())
+    far, dmax, anchor = _farthest(space, xs, center, far, anchor)
+    return center, dmax, far, anchor
+
+
+def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor) -> tuple[int, float, tuple | None]:
+    """The row farthest from ``center`` (the first of equals), its distance, and the anchor after this pass.
+
+    ``anchor`` is (center, distances of every row) of the last full pass, or None. With one, only
+    :func:`_sweep_rows` are measured, with the same result; without one, or when it falls back, every
+    row is, and on rows of more than one block with a finite farthest distance that pass is the anchor.
+    """
+    rows = None if anchor is None else _sweep_rows(space, xs, center, far, *anchor)
+    if rows is None:
+        dists = row_distances(space, xs, center)
+        far = int(dists.argmax())
+        dmax = float(dists[far])
+        return far, dmax, (center, dists) if _blocks(xs) is not None and math.isfinite(dmax) else None
+    dists = row_distances(space, xs[rows], center)
+    j = int(dists.argmax())
+    return int(rows[j]), float(dists[j]), anchor
 
 
 def _sweep_rows(space: Space, xs: np.ndarray, center: np.ndarray, far: int, c0: np.ndarray, d0: np.ndarray):

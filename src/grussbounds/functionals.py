@@ -25,7 +25,10 @@ import numpy as np
 
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
-from .space import COMPLEX, REAL, ProbabilityVector, Space, _blocks, _distances, _pairing, _per_row, norm, row_norms
+from .space import (
+    COMPLEX, REAL, ProbabilityVector, Space, _blocks, _by_columns, _distances, _pairing, _per_row, _weighted_sum, norm,
+    row_norms,
+)
 
 
 def _checked(p: ProbabilityVector, a: np.ndarray) -> np.ndarray:
@@ -84,7 +87,7 @@ class _Centered:
     def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
         self.space, self.w, self.raw = space, w, raw
         if center is None:
-            center = w @ raw if raw.ndim == 2 else np.matmul(w[..., None, :], raw)
+            center = _weighted_sum(w, raw, -2)
         self.center = center
         self._sq = None
 
@@ -95,15 +98,10 @@ class _Centered:
         return self._sq
 
     def mad(self):
-        return _dot(self.w, np.sqrt(self.sq()))
+        return _weighted_sum(self.w, np.sqrt(self.sq()), -1)
 
     def variance(self):
-        return _dot(self.w, self.sq())
-
-
-def _dot(w: np.ndarray, values: np.ndarray):
-    """sum_i w_i v_i over the last axis, per candidate of a stack with the bits of ``w @ v``."""
-    return w @ values if values.ndim == 1 else np.matmul(w[..., None, :], values[..., None])[..., 0, 0]
+        return _weighted_sum(self.w, self.sq(), -1)
 
 
 class _CenteredScalars:
@@ -132,14 +130,26 @@ def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
     """sum_i w_i dev_i (x_i - cx.center), with the bits of the whole-array column sums.
 
     numpy sums the row axis of an (m, dim >= 2) array row after row from +0.0, so over row blocks each
-    block's terms go to rows 1... of one buffer whose row 0 carries the running sum; a width of 1
-    is summed pairwise and stays whole, as does a stack.
+    column carries its running sum into its block: where :func:`space._by_columns` holds, one column of a
+    block at a time, its terms summed in order by ``np.add.accumulate`` from the running sum added to the
+    first; wider, each block's terms go to rows 1... of one buffer whose row 0 carries the running sums.
+    A width of 1 is summed pairwise and stays whole, as does a stack.
     """
     wd = ca.w * ca.dev
     blocks = _blocks(cx.raw) if cx.raw.shape[-1] > 1 else None
     if blocks is None:
         return (wd[..., None] * (cx.raw - cx.center)).sum(axis=-2)
-    buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), np.result_type(wd, cx.raw)), None
+    dtype = np.result_type(wd, cx.raw)
+    if _by_columns(cx.space, cx.raw):
+        total = np.zeros(cx.raw.shape[1], dtype)
+        for lo in blocks:
+            x, w = cx.raw[lo:lo + blocks.step], wd[lo:lo + blocks.step]
+            for k in range(x.shape[1]):
+                terms = np.multiply(w, np.subtract(x[:, k], cx.center[k]), dtype=dtype)
+                terms[0] += total[k]
+                total[k] = np.add.accumulate(terms, out=terms)[-1]
+        return total
+    buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), dtype), None
     for lo in blocks:
         x = cx.raw[lo:lo + blocks.step]
         terms = np.subtract(x, cx.center, out=buf[1:len(x) + 1])
@@ -191,13 +201,13 @@ def identity_residual_210(encl: Enclosure, ws: WeightedSequence) -> float:
 def pair_scale(ws: WeightedSequence) -> float:
     """Relative-tolerance scale max(1, sum_i p_i ||x_i|| ||y_i||)."""
     ys = ws.require_ys()
-    return max(1.0, float(ws.p.weights @ (row_norms(ws.space, ws.xs) * row_norms(ws.space, ys))))
+    return max(1.0, float(_weighted_sum(ws.p.weights, row_norms(ws.space, ws.xs) * row_norms(ws.space, ys), -1)))
 
 
 def gruss_scale(ws: WeightedSequence) -> float:
     """Relative-tolerance scale max(1, sum_i p_i |a_i| ||x_i||)."""
     al = ws.require_alphas()
-    return max(1.0, float(ws.p.weights @ (np.abs(al) * row_norms(ws.space, ws.xs))))
+    return max(1.0, float(_weighted_sum(ws.p.weights, np.abs(al) * row_norms(ws.space, ws.xs), -1)))
 
 
 def _centered_alphas(p: ProbabilityVector, alphas) -> _CenteredScalars:

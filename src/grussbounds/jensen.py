@@ -31,7 +31,7 @@ from .bounds import _JENSEN, BoundChain, _evaluate, _same_space
 from .conditions import Enclosure, fit_enclosure
 from .errors import ContractViolationError, DegenerateInputError
 from .functionals import _Centered, _checked, _pair
-from .space import ProbabilityVector, Space, pairing
+from .space import ProbabilityVector, Space, _weighted_sum, pairing
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +230,7 @@ def reverse_jensen(
     p, zs = _normalized(space, q, zs)
     w = p.weights
     cz = _Centered(space, w, zs)
-    gap = float(w @ _values(oracle, zs) - _values(oracle, cz.center))
+    gap = float(_weighted_sum(w, _values(oracle, zs), -1) - _values(oracle, cz.center))
     grads = _gradients(space, oracle, zs)
     pgap = _pair(space, w, _Centered(space, w, grads), cz).item()
     grad_encl = _fitted(space, grad_encl, grads, "gradient enclosure")

@@ -21,11 +21,14 @@ Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` a
 them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
 output, with the bits of one whole-array call (their one call up to one block). Every such kernel, here
 or in another module, reaches the blocks through one ``_per_row`` call. Sums over the rows stay whole:
-in blocks they would round differently.
+in blocks they would round differently. The one exception is a product of the weights with values or
+rows, which BLAS computes: ``_weighted_sum`` adds the products of chunks that BLAS runs on one thread,
+so that the sum does not depend on the thread count.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +48,10 @@ COLUMN_ROWS = 512
 
 #: Elements per row block of the per-row kernels (a block and its temporaries fit in L2).
 BLOCK_ELEMS = 1 << 16
+
+#: Most entries of one weighted BLAS product over rows (see ``_weighted_sum``). OpenBLAS runs a dot
+#: product of at most 10^4 entries, and a matrix-vector product of fewer than 9216, on one thread.
+BLAS_ENTRIES = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,7 +204,11 @@ class ProbabilityVector:
     def from_nonnegative(cls, q) -> "ProbabilityVector":
         """Normalize arbitrary nonnegative weights with positive total."""
         q = _weight_array(q)
-        total = float(q.sum())
+        with np.errstate(over="ignore"):
+            total = float(q.sum())
+        if math.isinf(total):  # finite weights whose total overflows: scale them by the largest first
+            q = q / q.max()
+            total = float(q.sum())
         if total <= 0.0:
             raise DegenerateInputError("total weight must be positive")
         p = cls.__new__(cls)
@@ -239,6 +250,27 @@ def _per_row(kernel, *arrays) -> np.ndarray:
         out = np.empty(len(arrays[0]), part.dtype) if out is None else out
         out[lo:lo + blocks.step] = part
     return out
+
+
+def _weighted_sum(w: np.ndarray, a: np.ndarray, axis: int):
+    """sum_i w_i a_i over the rows i of ``a``, its ``axis``: -1 for values (n,), -2 for vectors (n, dim), or a
+    stack of either over leading axes, with (..., n) or shared (n,) weights, per candidate with its own bits.
+
+    BLAS computes it, and OpenBLAS splits a long product over its threads, so that its rounding follows the
+    thread count. Over more than ``BLAS_ENTRIES`` entries the sum therefore adds, in row order, the products of
+    chunks of rows with at most that many, which it runs on one thread; up to one chunk it is one call.
+    """
+    width = a.shape[-1] if axis == -2 else 1
+    if a.size > BLAS_ENTRIES and a.shape[axis] > (step := max(1, BLAS_ENTRIES // width)):
+        total = None
+        for lo in range(0, a.shape[axis], step):
+            chunk = a[..., lo:lo + step, :] if axis == -2 else a[..., lo:lo + step]
+            part = _weighted_sum(w[..., lo:lo + step], chunk, axis)
+            total = part if total is None else total + part
+        return total
+    if axis == -2:
+        return w @ a if a.ndim == 2 else np.matmul(w[..., None, :], a)
+    return w @ a if a.ndim == 1 else np.matmul(w[..., None, :], a[..., None])[..., 0, 0]
 
 
 def pairing(space: Space, a, b):

@@ -391,13 +391,12 @@ class TestFittedReports:
         ws = WeightedSequence(space, random_prob(rng, 40), xs=rng.standard_normal((40, 3)), ys=rng.standard_normal((40, 3)))
         encl = fit_enclosure(space, ws.xs)
         chain = bound_chebyshev(encl, ws)
-        assert report_calls == []
-        assert chain.hypothesis_reports[0] is encl._fitted[1]
+        assert chain.hypothesis_reports[0].holds and report_calls == []
         bound_variance(encl, ws.p, ws.xs)
         assert report_calls == []
 
     def test_equal_values_are_measured_again(self, rng, report_calls):
-        from grussbounds import fit_enclosure
+        from grussbounds import check_ball, fit_enclosure
 
         space = Space(2)
         xs = space.matrix(rng.standard_normal((30, 2)))
@@ -405,7 +404,7 @@ class TestFittedReports:
         ws = WeightedSequence(space, random_prob(rng, 30), xs=xs.copy(), ys=xs)
         chain = bound_chebyshev(encl, ws)
         assert report_calls == ["ball"]
-        assert np.array_equal(chain.hypothesis_reports[0].slacks, encl._fitted[1].slacks)
+        assert np.array_equal(chain.hypothesis_reports[0].slacks, check_ball(encl, xs).slacks)  # the fit's, read
 
     def test_the_fit_does_not_keep_its_rows_alive(self, rng):
         import weakref
@@ -416,7 +415,20 @@ class TestFittedReports:
         xs = space.matrix(rng.standard_normal((10, 2)))
         encl, rows = fit_enclosure(space, xs), weakref.ref(xs)
         del xs
-        assert rows() is None and encl._fitted[0]() is None and encl._fitted[1].holds
+        assert rows() is None and encl._fitted[0]() is None
+
+    def test_a_chain_report_keeps_its_rows(self, rng):
+        from grussbounds import fit_enclosure
+        from grussbounds.conditions import _report
+
+        space = Space(3)
+        ws = WeightedSequence(space, random_prob(rng, 40), xs=rng.standard_normal((40, 3)), ys=rng.standard_normal((40, 3)))
+        encl = fit_enclosure(space, ws.xs)
+        chain, expected = bound_chebyshev(encl, ws), _report(encl, ws.xs, "ball")
+        del ws  # the chain's report measures its slacks from the rows it was asked about, when read
+        report = chain.hypothesis_reports[0]
+        assert report.slacks.tobytes() == expected.slacks.tobytes() and np.array_equal(report.verdicts, expected.verdicts)
+        assert len(report) == 40 and report.ball_slacks is report.slacks
 
     def test_a_fitted_enclosure_pickles_without_its_report(self, rng):
         import pickle

@@ -372,7 +372,7 @@ class TestOneConstruction:
                 return
         raise AssertionError("no inflated fit drawn")
 
-    def test_the_fields_are_the_constructors(self, rng):
+    def test_the_fields_are_the_constructors(self, rng, report_calls):
         import pickle
 
         for space, pts in self.fits(rng):
@@ -385,7 +385,9 @@ class TestOneConstruction:
             copy = pickle.loads(pickle.dumps(encl))
             assert copy.lo.tobytes() == encl.lo.tobytes() and copy.hi.tobytes() == encl.hi.tobytes()
             assert copy.center.tobytes() == encl.center.tobytes() and copy.diameter == encl.diameter
-            assert check_ball(encl, pts) is encl._fitted[1] and check_ball(copy, pts).holds
+            report_calls.clear()
+            assert check_ball(encl, pts).holds and report_calls == []  # the fit's own report
+            assert check_ball(copy, pts).holds and report_calls == ["ball"]
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize(
@@ -404,16 +406,21 @@ class TestOneConstruction:
             fit_enclosure(Space(2, field), pts)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("field, error, message", [
-        # the pair's distance overflows but no ball distance does: a zero direction puts both antipodes
-        # on the center, or (complex) its phase 0/0 makes them NaN; the messages do not name the overflow
-        (REAL, DegenerateInputError, "degenerate enclosure: lo == hi"),
-        (COMPLEX, ContractViolationError, "vector entries must be finite"),
-    ])
-    def test_an_overflowing_pair_direction_raises_as_the_constructor_does(self, field, error, message):
-        with pytest.raises(error) as info:
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_an_overflowing_pair_direction_raises_as_the_constructor_does(self, field):
+        # the pair's distance overflows but no ball distance does, so the direction is zero (or NaN)
+        with pytest.raises(ContractViolationError) as info:
             fit_enclosure(Space(1, field), [[-1.2e154], [1.2e154]])
-        assert str(info.value) == message
+        assert str(info.value) == "cannot fit an enclosure: the distances overflow double precision"
+
+    def test_reverse_jensen_reports_an_overflowing_pair_direction(self):
+        from grussbounds import get_oracle, reverse_jensen
+
+        space = Space(1)
+        # the gradients are all 1 (a one-point enclosure); the z-fit's pair distance overflows
+        with pytest.raises(ContractViolationError) as info:
+            reverse_jensen(space, get_oracle("log_sum_exp", space), [0.5, 0.5], [[-1.2e154], [1.2e154]])
+        assert str(info.value) == "cannot fit an enclosure: the distances overflow double precision"
 
 
 def block_rows(dim):
@@ -463,7 +470,7 @@ class TestPrunedSweeps:
         return chosen
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_the_reference_fit_bit_for_bit(self, rng, case, sweeps):
+    def test_matches_the_reference_fit_bit_for_bit(self, rng, case, sweeps, report_calls):
         dim, field, with_metric, kind, scale = self.CASES[case]
         for _ in range(3):
             space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
@@ -471,7 +478,7 @@ class TestPrunedSweeps:
             lo, hi, _ = reference_fit(pts, space.metric)
             encl = fit_enclosure(space, pts)
             assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
-            assert check_ball(encl, pts) is encl._fitted[1] and encl._fitted[1].holds
+            assert check_ball(encl, pts).holds and report_calls == []
         # a real line needs no sweep and rows near a sphere fall back; the others measured fewer rows
         assert case in ("real_dim1", "sphere") or any(rows is not None for rows in sweeps)
 
@@ -504,6 +511,23 @@ class TestPrunedSweeps:
                 compared += 1
         assert compared
 
+    @pytest.mark.parametrize("case", ["metric", "complex", "dim32"])
+    def test_a_fitted_report_answers_without_a_full_pass(self, rng, monkeypatch, case):
+        from grussbounds.conditions import _report
+
+        dim, field, with_metric, kind, scale = self.CASES[case]
+        space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
+        pts = space.matrix(several_blocks(rng, dim, field, kind, scale))
+        encl = fit_enclosure(space, pts)
+        rows = passes(monkeypatch)
+        report = check_ball(encl, pts)
+        assert report.holds and report.failing_indices().size == 0 and len(report) == len(pts)
+        least = report.min_slack()
+        assert rows == []  # the fit's farthest distance answers them
+        expected = _report(encl, pts, "ball")
+        assert least.hex() == expected.min_slack().hex()
+        assert report.slacks.tobytes() == expected.slacks.tobytes() and rows == [len(pts)] * 2  # measured when read
+
     def test_tiny_distances_are_never_pruned(self, rng, sweeps):
         # below the normal range the squares round too coarsely for the margin
         fit_enclosure(Space(3), several_blocks(rng, 3, scale=1e-160))
@@ -514,8 +538,35 @@ class TestPrunedSweeps:
         with pytest.raises(ContractViolationError, match="overflow"):
             fit_enclosure(Space(3), pts)
 
-    def test_a_fit_measures_about_four_full_passes(self, monkeypatch):
+    def test_a_fit_measures_about_two_full_passes(self, monkeypatch):
         rows = passes(monkeypatch)
         pts = np.random.default_rng(0).standard_normal((200_000, 3))
         fit_enclosure(Space(3), pts)
-        assert sum(rows) <= 4.5 * len(pts)  # six full passes without the pruning
+        assert sum(rows) <= 2.5 * len(pts)  # six full passes without the pruning
+
+    #: (n, dim, field) of the benchmark's array shapes, and of its scalar discs.
+    SHAPES = {
+        "real3": (1_000_000, 3, REAL),
+        "disc": (1_000_000, 1, COMPLEX),
+        "complex3": (250_000, 3, COMPLEX),
+        "real32": (100_000, 32, REAL),
+    }
+
+    @pytest.mark.parametrize("first", [0.0, 2.5])
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_full_passes_on_the_benchmark_shapes(self, monkeypatch, shape, first):
+        # only the two seed passes measure every row, while the first row, whose distances bound the first
+        # sweep, lies near the middle of the rows; 2.5 off it that sweep keeps over a quarter and falls back
+        n, dim, field = self.SHAPES[shape]
+        rows = passes(monkeypatch)
+        rng = np.random.default_rng(4)
+        pts = rng.standard_normal((n, dim))
+        if field == COMPLEX:
+            pts = pts + 1j * rng.standard_normal((n, dim))
+        pts[0] = 0.0
+        pts[0, 0] = first
+        fit_enclosure(Space(dim, field), pts)
+        if dim == 32:  # 32 wide, the first sweep falls back wherever the first row lies
+            assert rows.count(n) <= 4, rows
+        else:
+            assert rows.count(n) == (2 if first == 0.0 else 3), rows

@@ -23,7 +23,8 @@ from grussbounds import (
     variance,
     vector_gruss,
 )
-from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm, row_norms
+from grussbounds.functionals import _Centered
+from grussbounds.space import BLAS_ENTRIES, BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm, row_norms
 from numpy_reference import reference_pairing
 
 
@@ -182,8 +183,9 @@ class TestChebyshev:
         draw = lambda: rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if field == COMPLEX else 0.0)
         ws = WeightedSequence(space, random_prob(rng, n), xs=draw(), ys=draw())
         w, x, y = ws.p.weights, ws.xs, ws.ys
+        ybar = _Centered(space, w, y).center  # the mean as the library sums it, over chunks of rows
         for c in (w @ x, random_vector(rng, space)):
-            whole = (w * reference_pairing(x - c, y - w @ y, space.metric)).sum()
+            whole = (w * reference_pairing(x - c, y - ybar, space.metric)).sum()
             assert np.array(chebyshev(ws, c)).tobytes() == whole.tobytes()
 
 
@@ -222,6 +224,45 @@ class TestVectorGruss:
         for c in (w @ x, random_vector(rng, space)):
             whole = ((w * (a - (w * a).sum()))[:, None] * (x - c)).sum(axis=0)
             assert vector_gruss(ws, c).tobytes() == whole.tobytes()
+
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_a_column_of_negative_zero_terms_sums_to_positive_zero(self, rng, field):
+        # zero alphas make every term 0 * (x - c), -0.0 below the center; numpy's sum starts from +0.0
+        space = Space(3, field)
+        n = 2 * BLOCK_ELEMS // 3 + 7
+        xs = -1.0 - rng.random((n, 3))
+        ws = WeightedSequence(space, random_prob(rng, n), xs=xs + (1j * xs if field == COMPLEX else 0.0), alphas=np.zeros(n))
+        whole = ((ws.p.weights * 0.0)[:, None] * (ws.xs - 0.0)).sum(axis=0)
+        assert vector_gruss(ws, np.zeros(3)).tobytes() == whole.tobytes() == np.zeros(3, space.dtype).tobytes()
+
+
+class TestWeightedSums:
+    """Weighted sums over the rows that BLAS computes (the means, ``_weighted_sum``) add, in row order, the products
+    of chunks of ``BLAS_ENTRIES`` entries, which BLAS runs on one thread; one chunk is one product."""
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", [1, 3, 32])
+    def test_chunks_of_rows_are_summed_in_order(self, rng, field, dim):
+        from grussbounds.space import _weighted_sum
+
+        space = Space(dim, field)
+        for width in (dim, 1):
+            step = BLAS_ENTRIES // width
+            for n in (step, step + 1, 3 * step + 5):
+                w = random_prob(rng, n).weights
+                a = rng.standard_normal((n, dim) if width == dim else n)
+                a = a + 1j * rng.standard_normal(a.shape) if field == COMPLEX else a
+                parts = [w[lo:lo + step] @ a[lo:lo + step] for lo in range(0, n, step)]
+                expected = parts[0]
+                for part in parts[1:]:
+                    expected = expected + part
+                stack = np.stack([a, a[::-1]])
+                if width == dim:
+                    got, stacked = _Centered(space, w, a).center, _Centered(space, w, stack).center[0, 0]
+                else:
+                    got, stacked = _weighted_sum(w, a, -1), _weighted_sum(w, stack, -1)[0]
+                assert got.tobytes() == stacked.tobytes() == np.asarray(expected).tobytes()
 
 
 class TestVariance:

@@ -8,7 +8,9 @@ labels (the forward-difference chains at Holder exponents 2 and inf), the ball
 and box slacks of xs (as SHA-256 digests of their bytes) and, on real spaces,
 the reverse-Jensen gaps, all as hex floats. The file was recorded with the
 whole-array kernels, before the row kernels were blocked; the blocked kernels
-must reproduce it exactly.
+must reproduce it exactly. It was recorded again when the weighted sums over
+the rows that BLAS computes were split into chunks that it runs on one thread,
+so that the outputs do not depend on the BLAS thread count.
 
 ``one_block`` holds the same outputs at n = 2 and 8 (one row block, real,
 complex and with a metric), recorded before the chains were evaluated through
@@ -21,6 +23,9 @@ Regenerate (only when an output is meant to change) with
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +137,18 @@ def test_one_block_outputs_equal_the_recorded_bits(name, n):
 
     assert n < max(COLUMN_ROWS, BLOCK_ELEMS // CASES[name][0])  # one block
     assert outputs(name, n) == json.loads(DATA.read_text())["one_block"][f"{name}/n{n}"]
+
+
+def test_the_outputs_do_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a long dot or complex matrix-vector product over its threads, which rounds differently
+    script = "import json, test_large_outputs as t; print(json.dumps([t.outputs(k, t.record_rows(3)) for k in ('real3', 'complex3')]))"
+    path = os.pathsep.join([str(DATA.parents[1]), str(DATA.parents[2] / "src")])
+    runs = [
+        subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
+        for threads in ("1", "2")
+    ]
+    assert runs[0] == runs[1] and json.loads(runs[0])[0]["n"] == record_rows(3)
 
 
 if __name__ == "__main__":

@@ -310,6 +310,16 @@ class TestProbabilityVector:
         p = ProbabilityVector.from_nonnegative([2.0, 6.0])
         assert p.weights == pytest.approx([0.25, 0.75])
 
+    def test_from_nonnegative_scales_an_overflowing_total(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = ProbabilityVector.from_nonnegative([1e308, 1e308])
+            q = ProbabilityVector.from_nonnegative([1e308, 1e308, 0.0, 5e307])
+        assert p.weights.tolist() == [0.5, 0.5]
+        assert q.weights.tolist() == [0.4, 0.4, 0.0, 0.2]
+
     def test_from_nonnegative_zero_total(self):
         with pytest.raises(DegenerateInputError):
             ProbabilityVector.from_nonnegative([0.0, 0.0])
