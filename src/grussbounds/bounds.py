@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, _disc, _measured
+from .conditions import ConditionReport, Enclosure, _disc, _report
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -179,10 +179,10 @@ def _gated(
     for name in gates:
         seq = ENCLOSED_SEQUENCE[name]
         if name != "disc":
-            report = _measured(encls[name], arrays[seq], "ball")
+            report = _report(encls[name], arrays[seq], "ball")
         else:
             encls[name] = encls[name] if isinstance(encls[name], Enclosure) else _disc(*encls[name])
-            report = _measured(encls[name], arrays[seq][..., None], "disc")
+            report = _report(encls[name], arrays[seq][..., None], "disc")
         if check and not report.holds:
             bad = report.failing_indices()
             raise HypothesisError(

@@ -84,88 +84,73 @@ class Enclosure:
         return self.diameter / 2.0
 
 
-@dataclass(frozen=True, eq=False)
 class ConditionReport:
-    """Per-point slacks and verdicts of one condition form.
+    """Per-point slacks and verdicts of one condition form; :func:`_report` builds it.
 
     ``kind`` is "box", "ball" or "disc" (the ball form on the complex line).
     ``scale``, the dead-zone normalizer, is diameter squared for the box form
-    and diameter for the ball form; ``verdicts`` (``slacks >= -COND_TOL * scale``)
-    and ``holds`` are derived at construction. The ``box_*`` or ``ball_*``
-    names read the fields on reports of their own form only.
+    and diameter for the ball form. ``holds`` (``least >= -COND_TOL * scale``,
+    which is ``verdicts.all()``, a NaN slack failing both), :meth:`min_slack`
+    and :meth:`failing_indices` answer from the least slack; ``slacks`` and
+    ``verdicts`` (``slacks >= -COND_TOL * scale``) are read when first asked
+    for, and a report given ``rows`` (an enclosure and its rows) measures its
+    slacks then. The ``box_*`` or ``ball_*`` names read the fields on reports
+    of their own form only.
     """
 
-    kind: str
-    slacks: np.ndarray
-    scale: float
-    verdicts: np.ndarray = field(init=False)
-    holds: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        verdicts = self.slacks >= -COND_TOL * self.scale
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "holds", bool(verdicts.all()))
+    def __init__(self, kind: str, scale: float, least: float, size: int, slacks=None, rows=None):
+        self.kind, self.scale, self.holds = kind, scale, least >= -COND_TOL * scale
+        self._least, self._size, self._rows = least, size, rows
+        if slacks is not None:
+            self.slacks = slacks
 
     def __getattr__(self, name: str):
+        if name == "slacks":
+            self.slacks = _slacks(*self._rows, self.kind)
+            return self.slacks
+        if name == "verdicts":
+            self.verdicts = self.slacks >= -COND_TOL * self.scale
+            return self.verdicts
         form, _, attr = name.partition("_")
         kind = vars(self).get("kind")
         if attr in ("slacks", "verdicts", "scale") and form == ("box" if kind == "box" else "ball"):
             return getattr(self, attr)
         raise AttributeError(f"{kind} condition report has no attribute {name!r}")
 
-    def failing_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.verdicts)
-
-    def min_slack(self) -> float:
-        return float(self.slacks.min())
-
-    def __len__(self) -> int:
-        return int(self.slacks.size)
-
-
-class _FittedReport(ConditionReport):
-    """A fit's ball report on the rows it was fitted to, which all hold.
-
-    Its least slack is ``radius - dmax`` for the farthest distance ``dmax`` the fit measured (rounding
-    is monotone, so that is the least of the slacks to the bit), so ``holds``, :meth:`min_slack` and
-    :meth:`failing_indices` measure nothing; ``slacks`` and ``verdicts`` are :func:`_report`'s, measured
-    when first read. It keeps its rows.
-    """
-
-    kind, holds = "ball", True
-
-    def __init__(self, encl: Enclosure, xs: np.ndarray, least: float):
-        vars(self).update(scale=encl.diameter, _least=least, _encl=encl, _rows=xs)
-
-    def __getattr__(self, name: str):
-        if name not in ("slacks", "verdicts"):
-            return super().__getattr__(name)
-        measured = _report(self._encl, self._rows, "ball")
-        vars(self).update(slacks=measured.slacks, verdicts=measured.verdicts)
-        return vars(self)[name]
+    def __repr__(self) -> str:
+        return (f"ConditionReport(kind={self.kind!r}, scale={self.scale!r}, holds={self.holds!r}, "
+                f"min_slack={self._least!r}, size={self._size!r})")
 
     def failing_indices(self) -> np.ndarray:
-        return np.empty(0, np.intp)
+        return np.empty(0, np.intp) if self.holds else np.flatnonzero(~self.verdicts)
 
     def min_slack(self) -> float:
         return self._least
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._size
 
 
 def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
-    """The ``kind`` condition on every row of validated ``xs``; only that form's slacks are computed."""
-    if kind == "box":  # Re<hi - x_i, x_i - lo>, a row block at a time
-        slacks = _per_row(lambda x: np.real(_pairing(encl.space, encl.hi - x, x - encl.lo)), xs)
-        return ConditionReport(kind, slacks.astype(np.float64), encl.diameter * encl.diameter)
-    return ConditionReport(kind, encl.radius - row_distances(encl.space, xs, encl.center), encl.diameter)
+    """The ``kind`` condition on every row of validated ``xs``.
 
-
-def _measured(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
-    """:func:`_report`, or the fit's own ball report when ``xs`` is the very array ``encl`` was fitted to."""
+    On the very array ``encl`` was fitted to, the ball report takes the fit's least slack and measures
+    nothing until its slacks are read; every other report measures them now, under the caller's
+    ``np.errstate``.
+    """
+    scale = encl.diameter * encl.diameter if kind == "box" else encl.diameter
     rows, least = encl._fitted
-    return _FittedReport(encl, xs, least) if kind == "ball" and rows() is xs else _report(encl, xs, kind)
+    if kind == "ball" and rows() is xs:
+        return ConditionReport(kind, scale, least, len(xs), rows=(encl, xs))
+    slacks = _slacks(encl, xs, kind)
+    return ConditionReport(kind, scale, float(slacks.min()), slacks.size, slacks=slacks)
+
+
+def _slacks(encl: Enclosure, xs: np.ndarray, kind: str) -> np.ndarray:
+    """The ``kind`` slacks of every row of validated ``xs``; only that form's are computed."""
+    if kind == "box":  # Re<hi - x_i, x_i - lo>, a row block at a time
+        return _per_row(lambda x: np.real(_pairing(encl.space, encl.hi - x, x - encl.lo)), xs).astype(np.float64)
+    return encl.radius - row_distances(encl.space, xs, encl.center)
 
 
 def check_box(encl: Enclosure, xs) -> ConditionReport:
@@ -174,8 +159,8 @@ def check_box(encl: Enclosure, xs) -> ConditionReport:
 
 
 def check_ball(encl: Enclosure, xs) -> ConditionReport:
-    """Check ||x_i - center|| <= radius for every point (a fit's report, for the array it was fitted to)."""
-    return _measured(encl, encl.space.matrix(xs), "ball")
+    """Check ||x_i - center|| <= radius for every point (the fit's report, for the array it was fitted to)."""
+    return _report(encl, encl.space.matrix(xs), "ball")
 
 
 def _disc(a, A) -> Enclosure:
@@ -228,7 +213,8 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     the rounding of the antipode construction; a required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``. Both take the farthest
     distance from the center, which ``_fitted`` keeps as the least slack of the
-    ball report on the rows (which it refers to, weakly): see :class:`_FittedReport`.
+    ball report on the rows (which it refers to, weakly), so that :func:`_report`
+    measures nothing for that report until its slacks are read.
 
     Each pass finds the farthest row from a center with :func:`_farthest`: two seed
     passes, one per sweep, and one or, after an inflation, two for the report (the

@@ -263,10 +263,10 @@ def loads(text: str) -> Instance:
 
 
 def _read(path) -> str:
-    """The UTF-8 text of ``path``; an unreadable or undecodable file, or one over
-    :data:`MAX_INPUT_BYTES`, is a format error."""
+    """The UTF-8 text of ``path``, line endings untranslated (so it encodes to the file's bytes); an
+    unreadable or undecodable file, or one over :data:`MAX_INPUT_BYTES`, is a format error."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             size = os.fstat(handle.fileno()).st_size
             if size > MAX_INPUT_BYTES:
                 raise InstanceFormatError(f"$: the file is {size} bytes, over the input cap of {MAX_INPUT_BYTES} bytes")

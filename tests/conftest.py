@@ -12,16 +12,16 @@ def rng():
 
 @pytest.fixture
 def report_calls(monkeypatch):
-    """The kinds of the condition reports measured afresh while the test runs."""
+    """The kinds of the condition slacks measured while the test runs."""
     from grussbounds import conditions
 
     calls = []
 
-    def counted(encl, xs, kind, report=conditions._report):
+    def counted(encl, xs, kind, slacks=conditions._slacks):
         calls.append(kind)
-        return report(encl, xs, kind)
+        return slacks(encl, xs, kind)
 
-    monkeypatch.setattr(conditions, "_report", counted)
+    monkeypatch.setattr(conditions, "_slacks", counted)
     return calls
 
 

@@ -395,6 +395,20 @@ class TestFittedReports:
         bound_variance(encl, ws.p, ws.xs)
         assert report_calls == []
 
+    def test_a_fitted_report_answers_without_measuring(self, rng, report_calls):
+        from grussbounds import check_ball, fit_enclosure
+
+        space = Space(3)
+        ws = WeightedSequence(space, random_prob(rng, 40), xs=rng.standard_normal((40, 3)), ys=rng.standard_normal((40, 3)))
+        encl = fit_enclosure(space, ws.xs)
+        chain = bound_chebyshev(encl, ws)
+        assert "ConditionReport(kind='ball'" in repr(chain)
+        for report in (check_ball(encl, ws.xs), chain.hypothesis_reports[0]):
+            assert "ConditionReport(kind='ball'" in repr(report) and report.holds and len(report) == 40
+            assert report.failing_indices().size == 0 and report.min_slack() == encl._fitted[1]
+        assert report_calls == []
+        assert report.slacks.min() == report.min_slack() and report_calls == ["ball"]  # measured when read
+
     def test_equal_values_are_measured_again(self, rng, report_calls):
         from grussbounds import check_ball, fit_enclosure
 
@@ -419,15 +433,15 @@ class TestFittedReports:
 
     def test_a_chain_report_keeps_its_rows(self, rng):
         from grussbounds import fit_enclosure
-        from grussbounds.conditions import _report
+        from grussbounds.conditions import _slacks
 
         space = Space(3)
         ws = WeightedSequence(space, random_prob(rng, 40), xs=rng.standard_normal((40, 3)), ys=rng.standard_normal((40, 3)))
         encl = fit_enclosure(space, ws.xs)
-        chain, expected = bound_chebyshev(encl, ws), _report(encl, ws.xs, "ball")
+        chain, expected = bound_chebyshev(encl, ws), _slacks(encl, ws.xs, "ball")
         del ws  # the chain's report measures its slacks from the rows it was asked about, when read
         report = chain.hypothesis_reports[0]
-        assert report.slacks.tobytes() == expected.slacks.tobytes() and np.array_equal(report.verdicts, expected.verdicts)
+        assert report.slacks.tobytes() == expected.tobytes() and report.verdicts.all()
         assert len(report) == 40 and report.ball_slacks is report.slacks
 
     def test_a_fitted_enclosure_pickles_without_its_report(self, rng):

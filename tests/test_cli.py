@@ -75,6 +75,16 @@ class TestCheck:
         assert doc["results"]["holds"] is True
         assert {c["name"] for c in doc["results"]["conditions"]} >= {"ball(x)", "box(x)", "disc(alpha)"}
 
+    def test_input_digest_is_of_the_files_bytes(self, capsys, tmp_path):
+        import hashlib
+
+        path = tmp_path / "crlf.json"
+        path.write_bytes((INSTANCES / "two_point.json").read_bytes().replace(b"\n", b"\r\n"))
+        assert b"\r\n" in path.read_bytes()
+        code, out, _ = run(capsys, "check", str(path), "--json")
+        assert code == 0
+        assert json.loads(out)["results"]["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_fit_reuses_the_fitted_ball_reports(self, capsys, tmp_path, report_calls):
         doc = json.loads((INSTANCES / "two_point.json").read_text())
         del doc["enclosures"]

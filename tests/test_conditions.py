@@ -206,38 +206,89 @@ class TestConditionEquivalence:
 _PTS = [[1.0, 0.0], [3.0, 0.0], [1.0, 1.0], [2.0 + 1e-12, 0.0]]
 _ENCL = Enclosure(Space(2), [0.0, 0.0], [2.0, 0.0])
 
-#: Each report-producing entry point and the form whose names its report carries.
+#: Real, complex and metric rows to fit enclosures to.
+_ROWS = {
+    "real": (Space(3), [[0.0, 0.0, 0.0], [1.0, 2.0, 0.0], [2.0, -1.0, 1.0], [-1.0, 0.0, 3.0]]),
+    "complex": (Space(2, COMPLEX), [[1 + 1j, 0.0], [0.0, 2j], [-1.0, 1 - 1j]]),
+    "metric": (Space(2, REAL, [0.5, 2.0]), [[0.0, 1.0], [3.0, -1.0], [1.0, 0.5], [-2.0, 0.0], [0.5, 0.5]]),
+}
+
+
+def _fitted_ball(rows):
+    """The fit's own ball report, on the very array it was fitted to: every row holds."""
+    space, pts = _ROWS[rows]
+    pts = space.matrix(pts)
+    return check_ball(fit_enclosure(space, pts), pts)
+
+
+def _fitted_gate():
+    """A chain's gate on the very array its enclosure was fitted to: the fit's own report."""
+    space, pts = _ROWS["real"]
+    ws = WeightedSequence(space, ProbabilityVector.uniform(len(pts)), xs=pts, ys=pts)
+    return bound_chebyshev(fit_enclosure(space, ws.xs), ws).hypothesis_reports[0]
+
+
+def _beyond_the_fit(check, rows):
+    """A report of a fit's enclosure measured on its rows and one row far beyond it, which fails."""
+    space, pts = _ROWS[rows]
+    encl = fit_enclosure(space, pts)
+    return check(encl, [*pts, encl.center + 3.0 * (encl.hi - encl.center)])
+
+
+def _overflowing(check):
+    """A report whose first row's slack overflows to -inf, which fails."""
+    with np.errstate(over="ignore"):
+        return check(_ENCL, [[1e200, 0.0], [1.0, 0.0]])
+
+
+#: Each report-producing entry point, the form whose names its report carries, and its verdicts.
 ONE_FORM_REPORTS = {
-    "check_box": (lambda: check_box(_ENCL, _PTS), "box"),
-    "check_ball": (lambda: check_ball(_ENCL, _PTS), "ball"),
-    "check_scalar_disc": (lambda: check_scalar_disc(0.0, 1.0, [0.5, 1.2, 1.0, 1.0 + 1e-12]), "ball"),
+    "check_box": (lambda: check_box(_ENCL, _PTS), "box", [True, False, True, True]),
+    "check_ball": (lambda: check_ball(_ENCL, _PTS), "ball", [True, False, True, True]),
+    "check_scalar_disc": (
+        lambda: check_scalar_disc(0.0, 1.0, [0.5, 1.2, 1.0, 1.0 + 1e-12]), "ball", [True, False, True, True]
+    ),
     "bound_chebyshev": (
         lambda: bound_chebyshev(
             _ENCL, WeightedSequence(Space(2), ProbabilityVector.uniform(4), xs=_PTS, ys=_PTS), check=False
         ).hypothesis_reports[0],
         "ball",
+        [True, False, True, True],
     ),
+    **{f"fitted_ball_{rows}": (lambda rows=rows: _fitted_ball(rows), "ball", [True] * len(_ROWS[rows][1]))
+       for rows in _ROWS},
+    **{f"measured_{form}_{rows}": (lambda check=check, rows=rows: _beyond_the_fit(check, rows), form,
+                                   [True] * len(_ROWS[rows][1]) + [False])
+       for form, check in (("ball", check_ball), ("box", check_box)) for rows in _ROWS},
+    "fitted_chain": (_fitted_gate, "ball", [True] * len(_ROWS["real"][1])),
+    "complex_disc": (lambda: check_scalar_disc(-1j, 1j, [0.5j, 1.5, 1j, -0.2]), "ball", [True, False, True, True]),
+    "overflowing_ball": (lambda: _overflowing(check_ball), "ball", [False, True]),
+    "overflowing_box": (lambda: _overflowing(check_box), "box", [False, True]),
 }
 
 
 class TestOneFormReport:
     @pytest.mark.parametrize("entry", list(ONE_FORM_REPORTS))
     def test_verdicts_and_holds_derive_from_the_slacks(self, entry):
-        make, form = ONE_FORM_REPORTS[entry]
+        make, form, verdicts = ONE_FORM_REPORTS[entry]
         report = make()
+        holds, least, failing, size = report.holds, report.min_slack(), report.failing_indices(), len(report)
         assert np.array_equal(report.verdicts, report.slacks >= -COND_TOL * report.scale)
-        assert report.holds == bool(report.verdicts.all())
-        assert report.verdicts.tolist() == [True, False, True, True]
+        assert holds == report.holds == bool(report.verdicts.all())
+        assert least.hex() == float(report.slacks.min()).hex()
+        assert np.array_equal(failing, np.flatnonzero(~report.verdicts)) and failing.dtype == np.intp
+        assert size == report.slacks.size == len(verdicts)
+        assert report.verdicts.tolist() == verdicts
         for field in ("slacks", "verdicts", "scale"):
             assert getattr(report, f"{form}_{field}") is getattr(report, field)
 
     @pytest.mark.parametrize("entry", list(ONE_FORM_REPORTS))
     def test_the_other_forms_names_raise(self, entry):
-        make, form = ONE_FORM_REPORTS[entry]
+        make, form, _ = ONE_FORM_REPORTS[entry]
         report = make()
         other = "ball" if form == "box" else "box"
         for field in ("slacks", "verdicts", "scale"):
-            with pytest.raises(AttributeError):
+            with pytest.raises(AttributeError, match=f"^{report.kind} condition report has no attribute '{other}_{field}'"):
                 getattr(report, f"{other}_{field}")
 
 
@@ -513,7 +564,7 @@ class TestPrunedSweeps:
 
     @pytest.mark.parametrize("case", ["metric", "complex", "dim32"])
     def test_a_fitted_report_answers_without_a_full_pass(self, rng, monkeypatch, case):
-        from grussbounds.conditions import _report
+        from grussbounds.conditions import _slacks
 
         dim, field, with_metric, kind, scale = self.CASES[case]
         space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
@@ -524,9 +575,9 @@ class TestPrunedSweeps:
         assert report.holds and report.failing_indices().size == 0 and len(report) == len(pts)
         least = report.min_slack()
         assert rows == []  # the fit's farthest distance answers them
-        expected = _report(encl, pts, "ball")
-        assert least.hex() == expected.min_slack().hex()
-        assert report.slacks.tobytes() == expected.slacks.tobytes() and rows == [len(pts)] * 2  # measured when read
+        expected = _slacks(encl, pts, "ball")
+        assert least.hex() == float(expected.min()).hex()
+        assert report.slacks.tobytes() == expected.tobytes() and rows == [len(pts)] * 2  # measured when read
 
     def test_tiny_distances_are_never_pruned(self, rng, sweeps):
         # below the normal range the squares round too coarsely for the margin
