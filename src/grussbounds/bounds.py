@@ -169,20 +169,17 @@ def _quarter(a: str, b: str, eq: str) -> Link:
 def _gated(
     gates: tuple[str, ...], space: Space, w: np.ndarray, arrays: dict, encls: dict, check: bool, holder_p=None
 ) -> tuple[tuple[ConditionReport, ...], _Stats]:
-    """The reports of ``gates`` (enclosure names) on their sequences, and the statistics they guard.
+    """The reports of ``gates`` (names in ``encls``, all enclosures) on their sequences, and the statistics they guard.
 
-    With ``check``, the first failing gate raises :class:`HypothesisError`. ``encls["disc"]`` may be
-    the antipodes (a, A), made into the disc at its gate, after the others. On a stack of candidates
-    (see :class:`_Stats`) a report's slacks have the leading axis too; only ``check=False`` reads them.
+    With ``check``, the first failing gate raises :class:`HypothesisError`. The disc is an enclosure on the complex
+    line, gated on the scalars. On a stack of candidates (see :class:`_Stats`) a report's slacks have the leading
+    axis too; only ``check=False`` reads them.
     """
     reports = []
     for name in gates:
         seq = ENCLOSED_SEQUENCE[name]
-        if name != "disc":
-            report = _report(encls[name], arrays[seq], "ball")
-        else:
-            encls[name] = encls[name] if isinstance(encls[name], Enclosure) else _disc(*encls[name])
-            report = _report(encls[name], arrays[seq][..., None], "disc")
+        rows, kind = (arrays[seq], "ball") if name != "disc" else (arrays[seq][..., None], "disc")
+        report = _report(encls[name], rows, kind)
         if check and not report.holds:
             bad = report.failing_indices()
             raise HypothesisError(
@@ -254,7 +251,8 @@ def bound_scalar_weighted(
     al = ws.require_alphas()
     _same_space(encl_x.space, ws.space, "enclosure")
     spec = _SCALAR_WEIGHTED if disc is None else _SCALAR_WEIGHTED_DISC
-    return _evaluate(spec, ws.space, ws.p, {"xs": ws.xs, "alphas": al}, {"x": encl_x, "disc": disc}, check)
+    encls = {"x": encl_x, "disc": None if disc is None else _disc(*disc)}
+    return _evaluate(spec, ws.space, ws.p, {"xs": ws.xs, "alphas": al}, encls, check)
 
 
 def bound_complex_sequence(a, A, p: ProbabilityVector, alphas, *, check: bool = True) -> BoundChain:
@@ -387,14 +385,6 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gates", self.enclosures + ("disc",) * self.disc)
-
-    def build(self, space: Space, p: ProbabilityVector, seqs: dict, encls: dict, disc, check: bool, holder_p) -> BoundChain:
-        """The chain on raw ``seqs``, validated as its builder validates them; ``disc`` is (a, A) or None."""
-        if "xs" not in seqs:  # "R2.7" reads scalars only, as points of its disc's complex line
-            disc = _disc(*disc)
-            space = disc.space
-        arrays = {name: _checked(p, space.scalars(a) if name == "alphas" else space.matrix(a)) for name, a in seqs.items()}
-        return _evaluate(self, space, p, arrays, dict(encls, disc=disc), check, holder_p)
 
 
 _CHEBYSHEV_FUNCTIONAL = ("|chebyshev(p;x,y)|", lambda s: abs(_pair(s.space, s.w, s["xs", "centered"], s["ys", "centered"])))

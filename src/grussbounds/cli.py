@@ -20,8 +20,8 @@ are rendered with 17 significant digits so round-trips are lossless.
 A run loads only what its command needs. The parser gives arguments only to
 the subcommand being run, and ``cmd_jensen`` and ``cmd_sharpness`` import their
 modules themselves, so ``check`` and ``bound`` never load ``jensen`` or
-``sharpness``. :func:`main` runs with the cyclic GC off, and it writes a
-``--json`` document as the encoder's pieces without joining them.
+``sharpness``. :func:`main` writes a ``--json`` document as the encoder's
+pieces without joining them.
 """
 
 from __future__ import annotations
@@ -29,15 +29,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import gc
 import math
 import sys
 
 import numpy as np
 
 from . import instancefile
-from .bounds import CHAINS, ENCLOSED_SEQUENCE, BoundChain
-from .conditions import check_ball, check_box, check_scalar_disc, fit_enclosure
+from .bounds import CHAINS, ENCLOSED_SEQUENCE, BoundChain, _evaluate
+from .conditions import _report, check_ball, check_box, fit_enclosure
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -49,7 +48,7 @@ from .errors import (
     SoundnessError,
 )
 from .instancefile import Instance, instance_document
-from .space import Space
+from .space import COMPLEX, Space
 
 GRADIENT_CHECK_H = 1e-5
 GRADIENT_CHECK_MAX_ERR = 1e-6
@@ -140,11 +139,6 @@ def _load(path: str) -> tuple[Instance, str]:
     return instancefile.loads(text), instancefile.sha256_hex(text)
 
 
-def _fit_disc(alphas: np.ndarray) -> tuple[complex, complex]:
-    encl = fit_enclosure(Space(1, "complex"), alphas[:, None])
-    return complex(encl.lo[0]), complex(encl.hi[0])
-
-
 @contextlib.contextmanager
 def _at(path: str):
     """Report a ``ContractViolationError`` (on parsed input, an overflow) or a ``DegenerateInputError``
@@ -156,13 +150,14 @@ def _at(path: str):
 
 
 def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
-    """The file's enclosure (or disc) ``name``; if absent and ``fit`` is set, a fit recorded in ``fitted``."""
-    found = inst.disc if name == "disc" else inst.enclosures.get(name)
+    """The file's enclosure ``name`` (the disc too, fitted on the complex line); if absent and ``fit``
+    is set, a fit recorded in ``fitted``."""
+    found = inst.enclosures.get(name)
     if found is None and fit:
         seq = ENCLOSED_SEQUENCE[name]
+        space, rows = (Space(1, COMPLEX), inst.alphas[:, None]) if name == "disc" else (inst.space, getattr(inst, seq))
         with _at(f"$.sequences.{seq}"):
-            found = _fit_disc(inst.alphas) if name == "disc" else fit_enclosure(inst.space, getattr(inst, seq))
-        fitted[name] = found
+            found = fitted[name] = fit_enclosure(space, rows)
     return found
 
 
@@ -170,13 +165,12 @@ def _fitted_lines(fitted: dict):
     for name in sorted(k for k in fitted if k != "disc"):
         yield f"fitted enclosure {name}: diameter {_fmt(fitted[name].diameter)}"
     if "disc" in fitted:
-        yield f"fitted disc: a={fitted['disc'][0]}, A={fitted['disc'][1]}"
+        yield f"fitted disc: a={complex(fitted['disc'].lo[0])}, A={complex(fitted['disc'].hi[0])}"
 
 
 def _echo_document(inst: Instance, fitted: dict) -> dict:
-    """The instance document with the fitted enclosures and disc in place."""
-    enclosures = {**inst.enclosures, **{k: v for k, v in fitted.items() if k != "disc"}}
-    return instance_document(**vars(dataclasses.replace(inst, enclosures=enclosures, disc=fitted.get("disc", inst.disc))))
+    """The instance document with the fitted enclosures (the disc too) in place."""
+    return instance_document(**vars(dataclasses.replace(inst, enclosures={**inst.enclosures, **fitted})))
 
 
 def _min_slack(report):
@@ -227,7 +221,7 @@ def cmd_check(args):
         if inst.alphas is not None:
             disc = _fit_missing(inst, "disc", args.fit, fitted)
             if disc is not None:
-                conditions.append(("disc(alpha)", check_scalar_disc(disc[0], disc[1], inst.alphas)))
+                conditions.append(("disc(alpha)", _report(disc, disc.space.scalars(inst.alphas)[:, None], "disc")))
     if not conditions:
         raise InstanceFormatError(
             "nothing to check: no enclosure matches a sequence (supply enclosures or pass --fit)"
@@ -245,7 +239,7 @@ def cmd_check(args):
 
 
 def evaluate_tag(inst: Instance, which: str, fit: bool, check: bool, holder_p: float | None):
-    """Run the chain selected by ``which``; returns (chain, fitted, disc).
+    """Run the chain selected by ``which`` on the parsed arrays; returns (chain, fitted).
 
     Inputs are checked in a fixed order, so the first missing one is the
     one reported: tag, weights, uniform weights, sequences, disc, enclosures.
@@ -258,24 +252,28 @@ def evaluate_tag(inst: Instance, which: str, fit: bool, check: bool, holder_p: f
     w = inst.weights.weights
     if spec.uniform and float(np.max(np.abs(w * len(w) - 1.0))) > 1e-9:
         raise ContractViolationError(f"tag {which} requires uniform weights")
-    seqs = {name: getattr(inst, name) for name in spec.sequences}
-    for name, seq in seqs.items():
+    arrays = {name: getattr(inst, name) for name in spec.sequences}
+    for name, seq in arrays.items():
         if seq is None:
             raise InstanceFormatError(f"tag {which} needs sequences.{name}")
     fitted: dict = {}
 
-    def supplied_or_fitted(name: str, what: str):
+    def supplied_or_fitted(name: str):
         found = _fit_missing(inst, name, fit, fitted)
         if found is None:
+            what = "the scalar disc a/A" if name == "disc" else f"the {name!r} enclosure"
             raise InstanceFormatError(f"tag {which} needs {what}; supply it or pass --fit")
         return found
 
-    disc = supplied_or_fitted("disc", "the scalar disc a/A") if spec.disc else None
-    encls = {name: supplied_or_fitted(name, f"the {name!r} enclosure") for name in spec.enclosures}
+    encls = {name: supplied_or_fitted(name) for name in ("disc",) * spec.disc + spec.enclosures}
+    space = inst.space
+    if "xs" not in arrays:  # "R2.7" reads scalars only, as points of its disc's complex line
+        space = encls["disc"].space
+        arrays["alphas"] = space.scalars(arrays["alphas"])
     hp = holder_p if holder_p is not None else (inst.holder_p if inst.holder_p is not None else 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # BoundChain rejects non-finite values
-        chain = spec.build(inst.space, inst.weights, seqs, encls, disc, check, hp)
-    return chain, fitted, disc
+        chain = _evaluate(spec, space, inst.weights, arrays, encls, check, hp)
+    return chain, fitted
 
 
 def _chain_results(chain: BoundChain) -> dict:
@@ -306,7 +304,7 @@ def _chain_lines(chain: dict):
 
 def cmd_bound(args):
     inst, digest = _load(args.file)
-    chain, fitted, _ = evaluate_tag(inst, args.which, args.fit, not args.unchecked, args.holder_p)
+    chain, fitted = evaluate_tag(inst, args.which, args.fit, not args.unchecked, args.holder_p)
     results = {"command": "bound", "which": args.which, "input_sha256": digest, **_chain_results(chain)}
     lines = [f"instance sha256 {digest}", *_fitted_lines(fitted), *_chain_lines(results)]
     return 0 if results["holds"] else 1, results, lambda: _echo_document(inst, fitted), lines
@@ -379,7 +377,7 @@ def cmd_sharpness(args):
     result = search(args.target, args.n, args.dim, args.budget, args.seed)
     info = TARGETS[args.target]
     inst = instancefile.parse_document(result.witness)
-    chain, _, _ = evaluate_tag(inst, info.equation, fit=False, check=True, holder_p=None)
+    chain, _ = evaluate_tag(inst, info.equation, fit=False, check=True, holder_p=None)
     if args.dump_witness:
         instancefile.dump(result.witness, args.dump_witness)
     results = {
@@ -424,26 +422,11 @@ def _error_document(exc: GrussBoundsError, code: int) -> dict:
     return {"error": error}
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """The cyclic GC off, and its previous state restored on exit."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-@_gc_paused()
 def main(argv=None) -> int:
     """Run one command and write what it returns, or its failure.
 
-    The cyclic GC is off for the run: a run leaves 140-160 objects in cycles
-    whatever its input, so the passes that decoding many lists would start would
-    find nothing to free. Output is formed whole before its first write, so a
-    failure writes only its error.
+    Output is formed whole before its first write, so a failure writes only its
+    error.
     """
     try:
         args = build_parser(argv).parse_args(argv)

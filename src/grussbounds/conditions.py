@@ -168,7 +168,8 @@ def _disc(a, A) -> Enclosure:
 
     Discs with float or complex antipodes are kept, the last ``DISC_CACHE_SIZE`` used, on the bits of
     the two complex numbers (so -0.0 and 0.0 are different antipodes); an enclosure is immutable, so
-    its callers share it. An invalid disc is never kept: it raises on every call.
+    its callers share it. An invalid disc is never kept: it raises on every call. The cache serves library
+    calls given the same antipodes call after call; a file's disc is built once, at parse, and a fit needs none.
     """
     if isinstance(a, (float, complex)) and isinstance(A, (float, complex)):
         a, A = complex(a), complex(A)

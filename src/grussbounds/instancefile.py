@@ -6,14 +6,16 @@ A document is JSON with the layout
       "space":      {"dim": 2, "field": "real", "metric": [..]?},
       "weights":    [..],
       "sequences":  {"xs": [[..],..], "ys"?, "alphas"?, "zs"?},
-      "enclosures": {"x_lo"/"x_hi"?, "y_lo"/"y_hi"?, "a"/"A"?, "m"/"M"?,
-                     "z_lo"/"z_hi"?},
+      "enclosures": {"x_lo"/"x_hi"?, "y_lo"/"y_hi"?, "m"/"M"?, "z_lo"/"z_hi"?,
+                     "a"/"A"?},
       "oracle":     "squared_norm"?,
       "holder_p":   2.0 | "inf"?
     }
 
 On complex spaces every scalar (vector coordinates, alphas, a/A) is encoded
 as a two-element [re, im] array; on real spaces scalars are plain numbers.
+Each enclosure pair is checked as it is read, a/A last, as an enclosure on the
+complex line (``conditions._disc``); a bad one is named at its first key.
 Weights are always plain numbers. One decoder reads every such array: it
 checks types and lengths a list at a time, converts once with numpy (complex
 values as a view of the [re, im] pairs, so signed zeros survive) and names the
@@ -38,7 +40,7 @@ from itertools import chain
 
 import numpy as np
 
-from .conditions import Enclosure
+from .conditions import Enclosure, _disc
 from .errors import InstanceFormatError
 from .space import COMPLEX, REAL, ProbabilityVector, Space
 
@@ -52,12 +54,12 @@ _TOP_KEYS = {"space", "weights", "sequences", "enclosures", "oracle", "holder_p"
 #: a file at the cap stays under 2.5 GiB.
 MAX_INPUT_BYTES = 2**29
 
-_ENCLOSURE_PAIRS = {"x": ("x_lo", "x_hi"), "y": ("y_lo", "y_hi"), "grad": ("m", "M"), "z": ("z_lo", "z_hi")}
+_ENCLOSURE_PAIRS = {"x": ("x_lo", "x_hi"), "y": ("y_lo", "y_hi"), "grad": ("m", "M"), "z": ("z_lo", "z_hi"), "disc": ("a", "A")}
 
 
 @dataclass(frozen=True, eq=False)
 class Instance:
-    """Parsed instance: the validated domain objects of a document."""
+    """Parsed instance: the validated domain objects of a document, the scalar disc among its enclosures."""
 
     space: Space
     weights: ProbabilityVector | None
@@ -65,10 +67,15 @@ class Instance:
     ys: np.ndarray | None = None
     zs: np.ndarray | None = None
     alphas: np.ndarray | None = None
-    enclosures: dict = field(default_factory=dict)  # keys "x", "y", "grad", "z"
-    disc: tuple | None = None  # (a, A)
+    enclosures: dict = field(default_factory=dict)  # keys "x", "y", "grad", "z", "disc"
     oracle: str | None = None
     holder_p: float | None = None
+
+    @property
+    def disc(self) -> tuple | None:
+        """The antipodes (a, A) of the disc, as complex numbers, or None."""
+        disc = self.enclosures.get("disc")
+        return None if disc is None else (complex(disc.lo[0]), complex(disc.hi[0]))
 
 
 def _fail(path: str, message: str) -> None:
@@ -204,7 +211,6 @@ def parse_document(doc) -> Instance:
             _fail(f"$.sequences.{name}", f"length {len(arr)} does not match {len(weights)} weights")
 
     enclosures: dict = {}
-    disc = None
     if "enclosures" in doc:
         encls = _expect_mapping(doc["enclosures"], "$.enclosures")
         _reject_unknown(encls, _ENCLOSURE_KEYS, "$.enclosures")
@@ -212,20 +218,12 @@ def parse_document(doc) -> Instance:
             if lo_key in encls or hi_key in encls:
                 if lo_key not in encls or hi_key not in encls:
                     _fail(f"$.enclosures.{lo_key}", f"{lo_key} and {hi_key} must come together")
-                lo = _decode(space, encls[lo_key], f"$.enclosures.{lo_key}", True)
-                hi = _decode(space, encls[hi_key], f"$.enclosures.{hi_key}", True)
+                vector = name != "disc"
+                lo, hi = (_decode(space, encls[key], f"$.enclosures.{key}", vector) for key in (lo_key, hi_key))
                 try:
-                    enclosures[name] = Enclosure(space, lo, hi)
+                    enclosures[name] = Enclosure(space, lo, hi) if vector else _disc(lo.item(), hi.item())
                 except ValueError as exc:
                     _fail(f"$.enclosures.{lo_key}", str(exc))
-        if "a" in encls or "A" in encls:
-            if "a" not in encls or "A" not in encls:
-                _fail("$.enclosures.a", "a and A must come together")
-            a = _decode(space, encls["a"], "$.enclosures.a", False).item()
-            A = _decode(space, encls["A"], "$.enclosures.A", False).item()
-            if complex(a) == complex(A):
-                _fail("$.enclosures.a", "degenerate disc: a == A")
-            disc = (a, A)
 
     oracle = None
     if "oracle" in doc:
@@ -247,7 +245,7 @@ def parse_document(doc) -> Instance:
         if not holder_p > 1.0:
             _fail("$.holder_p", f"expected a value > 1, got {holder_p!r}")
 
-    return Instance(space, weights, **found, enclosures=enclosures, disc=disc, oracle=oracle, holder_p=holder_p)
+    return Instance(space, weights, **found, enclosures=enclosures, oracle=oracle, holder_p=holder_p)
 
 
 def loads(text: str) -> Instance:
@@ -298,11 +296,10 @@ def instance_document(
     zs=None,
     alphas=None,
     enclosures: dict | None = None,
-    disc: tuple | None = None,
     oracle: str | None = None,
     holder_p: float | None = None,
 ) -> dict:
-    """Build a serializable document from domain objects."""
+    """Build a serializable document from domain objects; the disc's a/A follow the other enclosures."""
     doc: dict = {"space": {"dim": space.dim, "field": space.field}}
     if space.metric is not None:
         doc["space"]["metric"] = space.metric.tolist()
@@ -316,13 +313,9 @@ def instance_document(
     if seqs:
         doc["sequences"] = seqs
     encl_node = {}
-    for name, encl in (enclosures or {}).items():
-        lo_key, hi_key = _ENCLOSURE_PAIRS[name]
-        encl_node[lo_key] = _encode(space, encl.lo)
-        encl_node[hi_key] = _encode(space, encl.hi)
-    if disc is not None:
-        encl_node["a"] = _encode(space, disc[0])
-        encl_node["A"] = _encode(space, disc[1])
+    for name, encl in sorted((enclosures or {}).items(), key=lambda item: item[0] == "disc"):
+        for key, end in zip(_ENCLOSURE_PAIRS[name], (encl.lo, encl.hi)):
+            encl_node[key] = _encode(space, end[0] if name == "disc" else end)  # the disc's antipodes are scalars
     if encl_node:
         doc["enclosures"] = encl_node
     if oracle is not None:

@@ -29,7 +29,7 @@ from grussbounds import (
     bound_variance,
     fit_enclosure,
 )
-from grussbounds import instancefile
+from grussbounds import bounds, conditions, instancefile
 from grussbounds.bounds import CHAINS
 from grussbounds.cli import evaluate_tag, main
 from grussbounds.instancefile import Instance, load, parse_document
@@ -285,6 +285,13 @@ def direct_chain(tag, inst, holder_p):
     return builders[tag]()
 
 
+def gate_spy(monkeypatch) -> list:
+    """The (enclosure, kind) of each gate report a chain makes from now on."""
+    gated, report = [], bounds._report
+    monkeypatch.setattr(bounds, "_report", lambda encl, xs, kind: gated.append((encl, kind)) or report(encl, xs, kind))
+    return gated
+
+
 class TestChainTable:
     def test_every_tag_listed(self):
         assert list(CHAINS) == [
@@ -293,7 +300,7 @@ class TestChainTable:
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("tag", list(CHAINS))
-    def test_matches_direct_builder(self, rng, tag, field):
+    def test_matches_direct_builder(self, rng, monkeypatch, tag, field):
         # distinct xs, ys and alphas, so an adapter that reads the wrong
         # sequence, enclosure or builder gives different numbers
         def draw(*shape):
@@ -311,13 +318,14 @@ class TestChainTable:
             ys=space.matrix(ys),
             zs=None,
             alphas=alphas.astype(space.dtype),
-            enclosures={"x": fit_enclosure(space, xs), "y": fit_enclosure(space, ys)},
-            disc=(complex(disc.lo[0]), complex(disc.hi[0])),
+            enclosures={"x": fit_enclosure(space, xs), "y": fit_enclosure(space, ys), "disc": disc},
         )
-        chain, fitted, used_disc = evaluate_tag(inst, tag, fit=False, check=True, holder_p=3.0)
+        gated = gate_spy(monkeypatch)
+        chain, fitted = evaluate_tag(inst, tag, fit=False, check=True, holder_p=3.0)
+        discs = [encl for encl, kind in gated if kind == "disc"]
         ref = direct_chain(tag, inst, 3.0)
         assert fitted == {}
-        assert used_disc == (inst.disc if CHAINS[tag].disc else None)
+        assert len(discs) == CHAINS[tag].disc and all(encl is disc for encl in discs)  # that disc, not one made again
         assert chain.equation == ref.equation
         assert chain.functional_label == ref.functional_label
         assert chain.functional_value == ref.functional_value
@@ -415,7 +423,7 @@ def test_every_tag_gives_a_chain_or_a_library_error(inst):
 @given(chain_documents(MODERATE, st.floats(0.25, 4.0), st.floats(0.0, 1.0), min_n=2))
 def test_moderate_forward_difference_chains_evaluate_at_any_holder_exponent(inst):
     for tag in ("1.6", "1.8"):
-        chain, _, _ = evaluate_tag(inst, tag, True, True, None)
+        chain, _ = evaluate_tag(inst, tag, True, True, None)
         assert chain.holds()
 
 
@@ -606,6 +614,63 @@ class TestExtremeMagnitudes:
             slacks = {c["name"]: c["min_slack"] for c in json.loads(out)["results"]["conditions"]}
             assert slacks[next(iter(slacks))] == "-inf"
             assert all(not isinstance(v, str) or v == "-inf" for v in slacks.values())
+
+
+class TestFileDisc:
+    """The disc a/A is an enclosure on the complex line from the file to the chain."""
+
+    def write(self, tmp_path, **enclosures):
+        doc = json.loads((INSTANCES / "two_point.json").read_text())
+        doc["enclosures"].update(enclosures)
+        doc["enclosures"] = {k: v for k, v in doc["enclosures"].items() if v is not None}
+        path = tmp_path / "disc.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.fixture
+    def no_disc_built(self, monkeypatch):
+        """No disc is made from antipodes: ``_disc`` fails wherever it is called."""
+        for module in (bounds, conditions, instancefile):
+            monkeypatch.setattr(module, "_disc", lambda a, A: pytest.fail("a disc built from antipodes"))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("argv", [("check",), ("bound", "--which", "2.11"), ("bound", "--which", "R2.7")])
+    def test_overflowing_disc_is_an_input_error_at_its_path(self, capsys, tmp_path, argv, as_json):
+        path = self.write(tmp_path, a=-1e308, A=1e308)
+        code, out, err = run(capsys, argv[0], path, *argv[1:], *(["--json"] if as_json else []))
+        message = "$.enclosures.a: enclosure diameter overflows double precision"
+        assert code == 2 and err == f"error: {message}\n"
+        error = {"type": "InstanceFormatError", "message": message, "exit_code": 2}
+        assert out == (instancefile.dumps({"error": error}) if as_json else "")
+
+    @pytest.mark.parametrize("argv", [("check",), ("bound", "--which", "2.11")])
+    def test_degenerate_disc_keeps_its_message(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, argv[0], self.write(tmp_path, a=1, A=1.0), *argv[1:])
+        assert (code, out, err) == (2, "", "error: $.enclosures.a: degenerate disc: a == A\n")
+
+    @pytest.mark.parametrize("tag", ["2.11", "R2.7"])
+    def test_fit_gates_on_the_fitted_disc(self, monkeypatch, tmp_path, no_disc_built, tag):
+        inst = load(self.write(tmp_path, a=None, A=None))
+        assert inst.disc is None
+        gated = gate_spy(monkeypatch)
+        chain, fitted = evaluate_tag(inst, tag, fit=True, check=True, holder_p=None)
+        assert list(fitted) == ["disc"] and chain.hypothesis_verified
+        discs = [encl for encl, kind in gated if kind == "disc"]
+        assert len(discs) == 1 and discs[0] is fitted["disc"]
+
+    @pytest.mark.parametrize("argv", [("check", "--fit"), ("bound", "--which", "2.11", "--fit")])
+    def test_fitted_disc_is_not_built_again(self, capsys, tmp_path, no_disc_built, argv):
+        code, out, err = run(capsys, argv[0], self.write(tmp_path, a=None, A=None), *argv[1:])
+        assert (code, err) == (0, "") and "fitted disc: a=0j, A=(1+0j)" in out
+
+    def test_echo_writes_the_disc_after_a_fitted_enclosure(self, capsys, tmp_path):
+        path = self.write(tmp_path, x_lo=None, x_hi=None)
+        code, out, _ = run(capsys, "bound", path, "--which", "2.11", "--fit", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["enclosures"]) == ["y_lo", "y_hi", "z_lo", "z_hi", "x_lo", "x_hi", "a", "A"]
+        assert (doc["enclosures"]["a"], doc["enclosures"]["A"]) == (0, 1)
 
 
 class TestJensen:

@@ -1,9 +1,9 @@
 """What one CLI run loads, holds and leaves behind.
 
-A run imports only the modules its command needs, keeps the cyclic GC off and
-restores its state, leaves a fixed amount of cyclic garbage, peaks at a bounded
-multiple of its input under ``tracemalloc``, refuses a file over the input cap,
-and prints the same parser text as when every subcommand was built eagerly.
+A run imports only the modules its command needs, leaves a fixed amount of
+cyclic garbage, peaks at a bounded multiple of its input under ``tracemalloc``,
+refuses a file over the input cap, and prints the same parser text as when
+every subcommand was built eagerly.
 """
 
 import contextlib
@@ -103,53 +103,6 @@ class TestImports:
     def test_unknown_name_is_an_attribute_error(self):
         with pytest.raises(AttributeError, match="no attribute 'frobnicate'"):
             grussbounds.frobnicate  # noqa: B018
-
-
-EXITS = [
-    pytest.param(["check", "two_point.json"], 0, id="exit-0"),
-    pytest.param(["check", "exterior_point.json"], 1, id="exit-1"),
-    pytest.param(["check", "invalid/bad_json.json"], 2, id="exit-2"),
-    pytest.param(["bound", "exterior_point.json", "--which", "2.8", "--json"], 1, id="json-error-1"),
-    pytest.param(["check", "invalid/bad_weights.json", "--json"], 2, id="json-error-2"),
-    pytest.param(["sharpness", "--target", "bogus"], 2, id="usage-error"),
-    pytest.param(["bound", "--help"], 0, id="help"),
-]
-
-
-class TestGcState:
-    @pytest.fixture(autouse=True)
-    def gc_enabled_afterwards(self):
-        yield
-        gc.enable()
-
-    @pytest.mark.parametrize("argv, code", EXITS)
-    @pytest.mark.parametrize("enabled", [True, False])
-    def test_state_is_restored_on_every_exit(self, argv, code, enabled):
-        argv = [str(INSTANCES / a) if a.endswith(".json") else a for a in argv]
-        (gc.enable if enabled else gc.disable)()
-        assert quiet(argv) == code
-        assert gc.isenabled() is enabled
-
-    def test_state_is_restored_when_a_command_raises(self, monkeypatch):
-        def crash(args):
-            raise RuntimeError("boom")
-
-        monkeypatch.setattr(cli, "cmd_check", crash)
-        with pytest.raises(RuntimeError, match="boom"):
-            quiet(["check", str(INSTANCES / "two_point.json")])
-        assert gc.isenabled()
-
-    def test_collector_is_off_during_the_run(self, monkeypatch):
-        seen = []
-        cmd_check = cli.cmd_check
-
-        def watched(args):
-            seen.append(gc.isenabled())
-            return cmd_check(args)
-
-        monkeypatch.setattr(cli, "cmd_check", watched)
-        assert quiet(["check", str(INSTANCES / "two_point.json")]) == 0
-        assert seen == [False] and gc.isenabled()
 
 
 def cyclic_garbage(argv) -> int:

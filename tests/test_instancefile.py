@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import reference_encoder
 from conftest import random_space, random_vector
 from grussbounds import Enclosure, InstanceFormatError, ProbabilityVector, Space
+from grussbounds.conditions import _disc
 from grussbounds.instancefile import (
     Instance,
     dumps,
@@ -20,6 +22,8 @@ from grussbounds.instancefile import (
     sha256_hex,
 )
 from grussbounds.space import COMPLEX
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def test_seventeen_digit_floats_roundtrip(rng):
@@ -62,13 +66,26 @@ def test_document_roundtrip_complex(rng):
         weights=[0.2, 0.3, 0.5],
         xs=xs,
         alphas=alphas,
-        disc=(-1j, 1j),
+        enclosures={"disc": _disc(-1j, 1j)},
     )
     inst = loads(dumps(doc))
     assert inst.space.is_complex
     assert np.array_equal(inst.xs, xs)
     assert np.array_equal(inst.alphas, alphas)
     assert inst.disc == (-1j, 1j)
+
+
+@pytest.mark.parametrize(
+    "name, antipodes",
+    [("two_point.json", (0j, 1 + 0j)), ("complex_disc.json", (complex(0.0, -1.0), 1j)), ("exterior_point.json", None)],
+)
+def test_disc_reads_the_antipodes(name, antipodes):
+    inst = load(INSTANCES / name)
+    assert inst.disc == antipodes
+    if antipodes is not None:
+        assert all(type(v) is complex for v in inst.disc)
+        assert inst.enclosures["disc"] is _disc(*antipodes)  # one disc, on the complex line
+        assert [math.copysign(1.0, v.real) for v in inst.disc] == [math.copysign(1.0, v.real) for v in antipodes]
 
 
 def test_reserialization_is_stable(rng):
@@ -100,7 +117,7 @@ def test_output_is_valid_json(rng):
         space,
         weights=[0.5, 0.5],
         xs=np.array([random_vector(rng, space) for _ in range(2)]),
-        disc=(0.0, 1.0 + 1.0j),
+        enclosures={"disc": _disc(0.0, 1.0 + 1.0j)},
     )
     parsed = json.loads(dumps(doc))
     assert parsed["space"]["field"] == "complex"
@@ -224,6 +241,26 @@ class TestParseErrors:
     def test_degenerate_disc(self):
         message = self.error('{"space": {"dim": 1}, "enclosures": {"a": 1.0, "A": 1.0}}')
         assert "degenerate" in message
+
+    @pytest.mark.parametrize(
+        "field, a, A",
+        [("real", "1", "1.0"), ("real", "-0.0", "0"), ("complex", "[1, -0.0]", "[1.0, 0]")],
+    )
+    def test_degenerate_disc_keeps_its_message(self, field, a, A):
+        text = f'{{"space": {{"dim": 1, "field": "{field}"}}, "enclosures": {{"a": {a}, "A": {A}}}}}'
+        assert self.error(text) == "$.enclosures.a: degenerate disc: a == A"
+
+    @pytest.mark.parametrize("field, a, A", [("real", "-1e308", "1e308"), ("complex", "[0, -1e308]", "[1e308, 0]")])
+    def test_overflowing_disc_names_its_path(self, field, a, A):
+        text = f'{{"space": {{"dim": 1, "field": "{field}"}}, "enclosures": {{"a": {a}, "A": {A}}}}}'
+        assert self.error(text) == "$.enclosures.a: enclosure diameter overflows double precision"
+
+    def test_a_bad_enclosure_is_named_before_a_bad_disc(self):
+        text = '{"space": {"dim": 1}, "enclosures": {"a": 1.0, "A": 1.0, "z_lo": [0.0], "z_hi": [0.0]}}'
+        assert self.error(text) == "$.enclosures.z_lo: degenerate enclosure: lo == hi"
+
+    def test_half_disc(self):
+        assert self.error('{"space": {"dim": 1}, "enclosures": {"A": 1.0}}') == "$.enclosures.a: a and A must come together"
 
     def test_complex_scalar_encoding_enforced(self):
         message = self.error(

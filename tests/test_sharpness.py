@@ -269,7 +269,7 @@ def test_ratio_denominator_is_the_chain_link(target):
             problem.space, problem._weights(cand), xs=cand["xs"], ys=cand.get("ys"), alphas=cand.get("alphas"),
             enclosures=problem.enclosures, holder_p=HOLDER_P,
         )
-        chain, _, _ = evaluate_tag(inst, problem.info.equation, fit=False, check=True, holder_p=None)
+        chain, _ = evaluate_tag(inst, problem.info.equation, fit=False, check=True, holder_p=None)
         assert (len(seen), seen[-1].hex()) == (step + 1, chain.links[index].value.hex())
         cand = sequential.propose(problem, rng, cand, 0.3 if step % 2 else 0.05)
 
