@@ -219,17 +219,28 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
 
     Each pass finds the farthest row from a center with :func:`_farthest`: two seed
     passes, one per sweep, and one or, after an inflation, two for the report (the
-    sweep that stops the expansion gives the tight radius). Only the seed passes
-    measure every row. On rows of more than one block every later pass measures the
-    rows that can still be farthest from its center, bounded by the distances of the
-    last full pass (the first seed pass's, from ``xs[0]``, to begin with), or all of
-    them when over a quarter can; so a fit of well-spread rows makes about two full passes.
+    sweep that stops the expansion gives the tight radius). On rows of more than one block
+    one full pass, the anchor, bounds how far each row can lie from a later center, and every
+    later pass measures only rows not strictly nearer than a row it is given (:func:`_sweep_rows`).
+    The anchor is a pass from the middle of the rows when a sample of them shows that it prunes
+    the first seed pass (distances from the middle spread, unlike a shell's): a fit of well-spread
+    rows makes that one full pass. Otherwise the first seed pass, from ``xs[0]``, is the anchor.
     """
     xs = space.matrix(xs)
-    i1, dmax, anchor = _farthest(space, xs, xs[0], 0, None)
+    far, anchor = 0, None
+    if _blocks(xs) is not None:  # sample rows: the farthest from xs[0] is its floor, the rest estimate the share kept
+        sample = xs[::_SAMPLE]
+        c = sample.mean(axis=0)
+        far = _SAMPLE * int(row_distances(space, sample, xs[0]).argmax())
+        thr = _threshold(space, norm(space, xs[far] - xs[0]), norm(space, xs[0] - c))
+        if thr is not None and np.count_nonzero(row_distances(space, sample, c) >= thr) < _PRUNE_SHARE * len(sample):
+            anchor = _farthest(space, xs, c, 0, None)[2]
+    central = anchor is not None
+    i1, dmax, anchor = _farthest(space, xs, xs[0], far, anchor)
     if dmax == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
-    i2, dmax = _farthest(space, xs, xs[i1], 0, None)[:2]  # the first pass's distances stay the anchor
+    far = _SAMPLE * int(row_distances(space, sample, xs[i1]).argmax()) if central else i1  # i1: a floor of 0 prunes nothing
+    i2, dmax, anchor = _farthest(space, xs, xs[i1], far, anchor)
     center, radius, far, anchor = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, dmax / 2.0, i2, anchor)
     u = xs[i2] - xs[i1]
     d = norm(space, u)
@@ -266,8 +277,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-#: Relative widening of the pruned sweeps' triangle-inequality test, far above the distances' rounding.
+#: Relative widening of the pruned passes' triangle-inequality tests, far above the distances' rounding.
 _PRUNE_MARGIN = 1e-9
+
+#: The largest share of the rows a pruned pass measures; one that would keep more measures them all.
+_PRUNE_SHARE = 0.25
+
+#: The stride of the sample rows that decide on an anchor from the middle and give the seed passes their floors.
+_SAMPLE = 64
 
 
 def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float, far: int, anchor):
@@ -301,37 +318,50 @@ def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float, far
     return center, dmax, far, anchor
 
 
-def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor) -> tuple[int, float, tuple | None]:
+def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor) -> tuple[int, float, list | None]:
     """The row farthest from ``center`` (the first of equals), its distance, and the anchor after this pass.
 
-    ``anchor`` is (center, distances of every row) of the last full pass, or None. With one, only
-    :func:`_sweep_rows` are measured, with the same result; without one, or when it falls back, every
-    row is, and on rows of more than one block with a finite farthest distance that pass is the anchor.
+    ``anchor`` is [c0, d0, kept, above] or None: the distances d0 of every row from c0, from the last full
+    pass, and the rows the last pruned pass kept, every row with d0_i >= ``above`` among them. With one, only
+    :func:`_sweep_rows` are measured, with the same result; without one, or when it falls back, every row is,
+    and on rows of more than one block with a finite farthest distance that pass is the anchor.
     """
-    rows = None if anchor is None else _sweep_rows(space, xs, center, far, *anchor)
-    if rows is None:
-        dists = row_distances(space, xs, center)
-        far = int(dists.argmax())
-        dmax = float(dists[far])
-        return far, dmax, (center, dists) if _blocks(xs) is not None and math.isfinite(dmax) else None
-    dists = row_distances(space, xs[rows], center)
+    rows = None if anchor is None else _sweep_rows(space, xs, center, far, anchor)
+    dists = row_distances(space, xs if rows is None else np.take(xs, rows, axis=0), center)  # take: as xs[rows], faster
     j = int(dists.argmax())
-    return int(rows[j]), float(dists[j]), anchor
+    if rows is not None:
+        return int(rows[j]), float(dists[j]), anchor
+    return j, float(dists[j]), [center, dists, None, math.inf] if _blocks(xs) is not None and math.isfinite(dists[j]) else None
 
 
-def _sweep_rows(space: Space, xs: np.ndarray, center: np.ndarray, far: int, c0: np.ndarray, d0: np.ndarray):
-    """The rows that can be farthest from ``center``, ascending, or None when a full sweep is due.
+def _sweep_rows(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor: list):
+    """The rows that can be farthest from ``center``, ascending, or None when every row is to be measured.
 
-    ``d0`` are the distances of every row from ``c0``. Row i lies within d0_i + ||center - c0|| of
-    the center, and the farthest row no nearer than ``far`` (the previous farthest row), so a row
-    whose bound, widened by ``_PRUNE_MARGIN``, falls below far's distance is strictly nearer than the
-    farthest row and never the first of equals. The widening covers the rounding while the squared
-    distances are normal numbers; below that, or at an overflow, every row is measured.
+    Row i lies within d0_i + ||center - c0|| of the center, and the farthest row no nearer than ``far`` (the
+    previous farthest row, or a sample row for a seed pass), so a row whose bound, widened by ``_PRUNE_MARGIN``,
+    falls below far's distance is strictly nearer and never the first of equals. The widening covers the rounding
+    while the squared distances are normal numbers; below that, at an overflow, or past ``_PRUNE_SHARE``, all are.
     """
-    floor = float(row_distances(space, xs[far:far + 1], center)[0])
-    moved = norm(space, center - c0)
-    if not (space.dim * np.finfo(np.float64).tiny < (floor * _PRUNE_MARGIN) ** 2 < math.inf and moved < math.inf):
+    thr = _threshold(space, float(row_distances(space, xs[far:far + 1], center)[0]), norm(space, center - anchor[0]))
+    return None if thr is None else _kept_rows(anchor, thr, far)
+
+
+def _threshold(space: Space, floor: float, moved: float) -> float | None:
+    """The d0 below which a row is strictly nearer the center than ``floor``; None when the margin may not cover it."""
+    ok = space.dim * np.finfo(np.float64).tiny < (floor * _PRUNE_MARGIN) ** 2 < math.inf and moved < math.inf
+    return floor * (1.0 - _PRUNE_MARGIN) - moved * (1.0 + _PRUNE_MARGIN) if ok else None
+
+
+def _kept_rows(anchor: list, thr: float, far: int):
+    """The rows with d0_i >= ``thr``, and ``far``, ascending, kept in ``anchor``; None if over ``_PRUNE_SHARE``
+    (a threshold no lower than the kept rows' filters them; a lower one counts every d0_i >= thr first)."""
+    _, d0, kept, above = anchor
+    if thr < above and np.count_nonzero(keep := d0 >= thr) > _PRUNE_SHARE * len(d0):
         return None
-    keep = d0 >= floor * (1.0 - _PRUNE_MARGIN) - moved * (1.0 + _PRUNE_MARGIN)
-    keep[far] = True
-    return np.flatnonzero(keep) if 4 * np.count_nonzero(keep) <= keep.size else None
+    rows = kept[d0[kept] >= thr] if thr >= above else np.flatnonzero(keep)
+    if (at := int(np.searchsorted(rows, far))) == len(rows) or rows[at] != far:
+        rows = np.insert(rows, at, far)
+    if len(rows) > _PRUNE_SHARE * len(d0):
+        return None
+    anchor[2:] = rows, thr
+    return rows

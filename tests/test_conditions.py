@@ -1,7 +1,11 @@
+import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_enclosure, random_space, random_vector, sample_in_ball
 from grussbounds import (
@@ -541,26 +545,20 @@ class TestPrunedSweeps:
         assert None in sweeps  # the rows all lie near the farthest distance
         assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
 
-    def test_the_first_of_tied_farthest_rows_wins(self, rng, monkeypatch):
+    def test_the_first_of_tied_farthest_rows_wins(self, rng, monkeypatch, sweeps):
         from grussbounds import conditions
 
-        calls, pick = [], conditions._sweep_rows
-
-        def recorded(space, xs, center, far, *anchor):
-            calls.append((center, far))  # far: the farthest row of the sweep before, at the center before
-            return pick(space, xs, center, far, *anchor)
-
-        monkeypatch.setattr(conditions, "_sweep_rows", recorded)
-        compared = 0
+        found, farthest = [], conditions._farthest
+        monkeypatch.setattr(conditions, "_farthest", lambda space, xs, center, *args: found.append(
+            (center, farthest(space, xs, center, *args))) or found[-1][1])
         for _ in range(3):
-            calls.clear()
+            found.clear()
             half = several_blocks(rng, 3, kind="ties")[: 2 * block_rows(3)]
             pts = np.concatenate([half, half])  # every row has an equal row in a later block
             fit_enclosure(Space(3), pts)
-            for (center, _), (_, far) in zip(calls, calls[1:]):
+            for center, (far, _, _) in found:  # every pass, pruned or full, from the middle, the seeds and the sweeps
                 assert far == int(np.argmax(reference_norms(pts - center))) < len(half)
-                compared += 1
-        assert compared
+        assert any(rows is not None for rows in sweeps)
 
     @pytest.mark.parametrize("case", ["metric", "complex", "dim32"])
     def test_a_fitted_report_answers_without_a_full_pass(self, rng, monkeypatch, case):
@@ -606,8 +604,9 @@ class TestPrunedSweeps:
     @pytest.mark.parametrize("first", [0.0, 2.5])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_full_passes_on_the_benchmark_shapes(self, monkeypatch, shape, first):
-        # only the two seed passes measure every row, while the first row, whose distances bound the first
-        # sweep, lies near the middle of the rows; 2.5 off it that sweep keeps over a quarter and falls back
+        # 3 wide, real or complex, and on the discs, only the anchor pass from the middle of the rows measures every
+        # row, wherever the first row lies; 32 wide the sample shows that no such anchor prunes, and the seed passes
+        # and the first sweep measure every row, and 2.5 off the middle the second sweep too
         n, dim, field = self.SHAPES[shape]
         rows = passes(monkeypatch)
         rng = np.random.default_rng(4)
@@ -617,7 +616,122 @@ class TestPrunedSweeps:
         pts[0] = 0.0
         pts[0, 0] = first
         fit_enclosure(Space(dim, field), pts)
-        if dim == 32:  # 32 wide, the first sweep falls back wherever the first row lies
-            assert rows.count(n) <= 4, rows
+        full = {"real3": (1, 1), "disc": (1, 1), "complex3": (1, 1), "real32": (3, 4)}[shape]
+        assert rows.count(n) == full[first == 2.5], rows
+
+    @pytest.mark.parametrize("shell", ["sphere", "circle"])
+    def test_full_passes_on_a_shell(self, monkeypatch, shell):
+        # every row lies about as far from the middle, so no anchor there prunes the first seed pass: the sample
+        # rows show it, and the fit makes the four full passes it made with the first seed pass as the anchor,
+        # and measures no more than 1 / 64 of the rows on each of two sample passes and in its pruned passes
+        n = 1_000_000
+        rng = np.random.default_rng(4)
+        if shell == "sphere":
+            space, pts = Space(3), rng.standard_normal((n, 3))
+            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
         else:
-            assert rows.count(n) == (2 if first == 0.0 else 3), rows
+            space, pts = Space(1, COMPLEX), np.exp(2j * np.pi * rng.random(n))[:, None]
+        rows = passes(monkeypatch)
+        fit_enclosure(space, pts)
+        assert rows.count(n) == 4 and sum(rows) < 4.2 * n, rows
+
+
+def centred_blocks(rng, scale=1.0):
+    """Several blocks of 3-wide normal rows, the first row at their middle, so that both seed passes prune."""
+    pts = several_blocks(rng, 3)
+    pts[0] = 0.0
+    return pts * scale
+
+
+class TestSecondSeedPass:
+    """The second seed pass, from the row farthest from ``xs[0]``, measures only the rows that can lie as far
+    from it as the farthest sample row, and finds the full pass's row and distance."""
+
+    @pytest.fixture
+    def seed_rows(self, monkeypatch):
+        """The rows the second seed pass chose, one entry per fit (None when it measures every row)."""
+        from grussbounds import conditions
+
+        chosen, pick = [], conditions._sweep_rows
+
+        def recorded(space, xs, center, far, anchor):
+            rows = pick(space, xs, center, far, anchor)
+            if center.tobytes() == xs[int(np.argmax(reference_norms(xs - xs[0])))].tobytes():  # from the seed row
+                chosen.append(None if rows is None else rows.copy())
+            return rows
+
+        monkeypatch.setattr(conditions, "_sweep_rows", recorded)
+        return chosen
+
+    def test_the_first_of_tied_farthest_rows_wins_across_blocks(self, rng, monkeypatch, seed_rows):
+        # p is farthest from xs[0] = 0, about the anchor's center; q2, q1, q3 lie 25 from p in three later blocks,
+        # at different distances from xs[0], and every other row lies within 4 of xs[0], so within 20 of p
+        step = block_rows(3)
+        pts = centred_blocks(rng) * 0.5
+        p, ties = [16.0, 0.0, 0.0], {step + 7: [-8.0, 7.0, 0.0], 2 * step + 3: [-9.0, 0.0, 0.0], 3 * step: [-4.0, 15.0, 0.0]}
+        pts[5] = p
+        for row, q in ties.items():
+            pts[row] = q
+        from grussbounds import conditions
+
+        found, farthest = [], conditions._farthest
+        monkeypatch.setattr(conditions, "_farthest", lambda space, xs, center, *args: found.append(
+            (center, farthest(space, xs, center, *args))) or found[-1][1])
+        rows = passes(monkeypatch)
+        encl = fit_enclosure(Space(3), pts)
+        kept = seed_rows[0].tolist()
+        assert {5, *ties} <= set(kept) and 4 * len(kept) < len(pts) and rows.count(len(pts)) == 1  # a pruned second pass
+        seed = [result for center, result in found if center.tobytes() == pts[5].tobytes()]
+        assert seed[0][:2] == (step + 7, 25.0) == (int(np.argmax(reference_norms(pts - pts[5]))), 25.0)
+        lo, hi, _ = reference_fit(pts)
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+
+    @pytest.mark.parametrize("scale", [2.0 ** -532, 1.0, 2.0 ** 498])
+    def test_extreme_scales_keep_the_reference_bits(self, monkeypatch, seed_rows, scale):
+        # about 1e-160 the squared distances leave the normal range and nothing is pruned; about 1e150 they are
+        # normal numbers, and a power-of-two scale prunes exactly the rows it prunes at scale 1
+        pts = centred_blocks(np.random.default_rng(7), scale)
+        encl = fit_enclosure(Space(3), pts)
+        lo, hi, _ = reference_fit(pts)
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+        if scale < 1.0:
+            assert seed_rows == [None]
+        else:
+            fit_enclosure(Space(3), centred_blocks(np.random.default_rng(7)))
+            assert seed_rows[0] is not None and seed_rows[0].tolist() == seed_rows[1].tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_filtering_the_kept_rows_equals_a_fresh_comparison(self, data):
+        from grussbounds.conditions import _PRUNE_SHARE, _kept_rows
+
+        halves = st.integers(-2, 18).map(lambda k: k / 2.0)  # repeated values: ties with the thresholds
+        d0 = np.array(data.draw(st.lists(halves.filter(lambda v: v >= 0.0), min_size=1, max_size=40)))
+        n = len(d0)
+        steps = data.draw(st.lists(st.tuples(halves, st.integers(0, n - 1)), min_size=1, max_size=8))
+        anchor = [np.zeros(3), d0, None, math.inf]
+        for thr, far in zip(sorted(t for t, _ in steps), (f for _, f in steps)):
+            expected = np.flatnonzero((d0 >= thr) | (np.arange(n) == far))
+            rows = _kept_rows(anchor, thr, far)
+            if len(expected) > _PRUNE_SHARE * n:
+                assert rows is None
+            else:
+                assert rows.tolist() == expected.tolist() and anchor[2] is rows and anchor[3] == thr
+
+    def test_nothing_of_the_anchor_outlives_the_fit(self, rng, monkeypatch):
+        from grussbounds import conditions
+
+        refs, measure = [], conditions.row_distances
+
+        def recorded(space, xs, c):
+            dists = measure(space, xs, c)
+            refs.append((len(xs), weakref.ref(dists)))
+            return dists
+
+        monkeypatch.setattr(conditions, "row_distances", recorded)
+        pts = centred_blocks(rng)
+        encl = fit_enclosure(Space(3), pts)
+        full = [ref for n, ref in refs if n == len(pts)]
+        assert len(full) == 1 and len(refs) > 3  # the anchor's distances, from the one full pass, and pruned passes
+        assert full[0]() is None and all(ref() is None for _, ref in refs)
+        assert check_ball(encl, pts).holds

@@ -2,11 +2,12 @@
 
 Usage, from the root of a git checkout::
 
-    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_7.json
+    python3 tools/bench_pairs.py PARENT CHANGE --out BENCH_7.json [--workload NAME ...]
 
 PARENT and CHANGE are git revisions of this repository. Each is exported with
 ``git archive`` into a scratch directory, and ``perfbench/run.py`` runs in
-each export in turn, for every workload of ``BENCHMARK.json`` and at its
+each export in turn, for every workload of ``BENCHMARK.json`` (or each
+``--workload`` given, in order) and at its
 ``run_seconds``: pair i runs seed ``FIRST_SEED + i`` on both sides, the parent
 first in even pairs and the change first in odd ones, so neither side always
 runs on a warmer or a cooler host. ``PAIRS`` = 10 is the fewest pairs on which
@@ -24,8 +25,9 @@ export holds any ``__pycache__`` before the first run and after the last. A
 ``git archive`` export ships none, so with that variable set every child
 compiles every module it imports, and its op times include that.
 
-Last, ``traced`` holds ``TRACED_RUNS`` ``--trace 1`` runs of ``TRACED_WORKLOAD``
-per side (seed ``FIRST_SEED``, alternating, the parent first): every run, each
+``options`` records the workloads run. Last, when ``TRACED_WORKLOAD`` is
+among them, ``traced`` holds ``TRACED_RUNS`` ``--trace 1`` runs of it per side
+(seed ``FIRST_SEED``, alternating, the parent first): every run, each
 per-layer metric's median over a side's runs and the change/parent ratio of the
 medians, which show in which layer a change of the end-to-end metrics sits. One
 traced run is too noisy to read a layer from.
@@ -99,23 +101,27 @@ def summary(runs: list, metrics: list) -> dict:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in spec["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workload", action="append", choices=names, metavar="NAME",
+                        help=f"a workload to pair, repeatable; default every one of BENCHMARK.json ({', '.join(names)})")
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
+    workloads = list(dict.fromkeys(args.workload or names))
     commits = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
-    doc = {"commits": commits, "seconds": seconds, "workloads": {}}
+    doc = {"commits": commits, "seconds": seconds, "options": {"workloads": workloads}, "workloads": {}}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
         checkouts = {side: export(commit, Path(scratch) / side) for side, commit in commits.items()}
         doc["bytecode"] = {
             side: {"PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"), "pycache_at_start": has_bytecode(path)}
             for side, path in checkouts.items()
         }
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in workloads:
             runs = []
             for i in range(PAIRS):
                 seed = FIRST_SEED + i
@@ -135,24 +141,25 @@ def main(argv=None) -> int:
         for side, path in checkouts.items():
             doc["bytecode"][side]["pycache_at_end"] = has_bytecode(path)
             print(f"bytecode {side:<6} {json.dumps(doc['bytecode'][side])}", flush=True)
-        traced = {"parent": [], "change": []}
-        for i in range(TRACED_RUNS):
-            for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                traced[side].append(run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1))
-        values = {side: {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in runs[0]["metrics"]}
-                  for side, runs in traced.items()}
-        doc["traced"] = {
-            "workload": TRACED_WORKLOAD,
-            "seed": FIRST_SEED,
-            "runs": traced,
-            "medians": values,
-            "ratios": {k: values["change"][k] / v if v else None for k, v in values["parent"].items()},
-        }
-        for name, ratio in doc["traced"]["ratios"].items():
-            print(f"traced {TRACED_WORKLOAD} {name:<44} parent {values['parent'][name]:.4g} "
-                  f"change {values['change'][name]:.4g} ratio {ratio if ratio is None else round(ratio, 3)}", flush=True)
+        if TRACED_WORKLOAD in workloads:
+            doc["traced"] = traced_runs(checkouts, seconds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
+
+
+def traced_runs(checkouts: dict, seconds: float) -> dict:
+    """``TRACED_RUNS`` traced runs of ``TRACED_WORKLOAD`` per side, alternating, and their per-layer medians."""
+    traced = {"parent": [], "change": []}
+    for i in range(TRACED_RUNS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            traced[side].append(run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1))
+    values = {side: {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in runs[0]["metrics"]}
+              for side, runs in traced.items()}
+    ratios = {k: values["change"][k] / v if v else None for k, v in values["parent"].items()}
+    for name, ratio in ratios.items():
+        print(f"traced {TRACED_WORKLOAD} {name:<44} parent {values['parent'][name]:.4g} "
+              f"change {values['change'][name]:.4g} ratio {ratio if ratio is None else round(ratio, 3)}", flush=True)
+    return {"workload": TRACED_WORKLOAD, "seed": FIRST_SEED, "runs": traced, "medians": values, "ratios": ratios}
 
 
 if __name__ == "__main__":
