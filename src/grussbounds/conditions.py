@@ -31,7 +31,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _blocks, _pairing, _per_row, norm, row_distances
+from .space import COMPLEX, Space, _blocks, _by_columns, _pairing, _per_row, norm, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -211,7 +211,11 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
 
     The result is validated with the ball condition and inflated about its
     center by the minimal factor needed to cover all points, which absorbs
-    the rounding of the antipode construction; a required factor above
+    the rounding of the antipode construction. The inflated antipodes round
+    at their own magnitude, which can leave the farthest row outside by about
+    3 u (||center|| + its distance), u = 2**-53, more than the dead zone from
+    about 1e6 diameters out; then the inflation is redone to reach
+    ``_ANTIPODE_ROUNDING`` times that sum further. A required factor above
     ``MAX_INFLATION`` raises ``EnclosureFitError``. Both take the farthest
     distance from the center, which ``_fitted`` keeps as the least slack of the
     ball report on the rows (which it refers to, weakly), so that :func:`_report`
@@ -225,8 +229,11 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     The anchor is a pass from the middle of the rows when a sample of them shows that it prunes
     the first seed pass (distances from the middle spread, unlike a shell's): a fit of well-spread
     rows makes that one full pass. Otherwise the first seed pass, from ``xs[0]``, is the anchor.
+    On rows 8 or more real numbers wide, where that test prunes little, a pass it leaves with every
+    row is filtered by one matrix-vector product against the last exact pass (:func:`_filtered_rows`):
+    such a fit makes one exact pass. The first full pass also shows a non-finite entry (:func:`_farthest`).
     """
-    xs = space.matrix(xs)
+    xs = space._rows(xs)
     far, anchor = 0, None
     if _blocks(xs) is not None:  # sample rows: the farthest from xs[0] is its floor, the rest estimate the share kept
         sample = xs[::_SAMPLE]
@@ -255,20 +262,24 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     elif u.item(k) < 0.0:
         u = -u  # u * sign(pivot), to the bit
 
-    encl = Enclosure(space, _read_only(center - radius * u), _read_only(center + radius * u))
-    far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
-    factor = dmax / encl.radius
-    if factor > MAX_INFLATION:
-        raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
-    if factor > 1.0:
-        c = encl.center
-        encl = Enclosure(space, _read_only(c + (encl.lo - c) * factor), _read_only(c + (encl.hi - c) * factor))
-        far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
-    least = encl.radius - dmax
-    if not least >= -COND_TOL * encl.diameter:  # the ball report's verdict
-        raise EnclosureFitError("inflated enclosure still fails the ball condition")
-    object.__setattr__(encl, "_fitted", (weakref.ref(xs), least))  # the rows may be freed with their owner
-    return encl
+    fit = Enclosure(space, _read_only(center - radius * u), _read_only(center + radius * u))
+    c = fit.center
+    far, reach, anchor = _farthest(space, xs, c, far, anchor)
+    slack = 0.0
+    for _ in range(2):
+        factor = (reach + slack) / fit.radius
+        if factor > MAX_INFLATION:
+            raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
+        encl, dmax = fit, reach
+        if factor > 1.0:
+            encl = Enclosure(space, _read_only(c + (fit.lo - c) * factor), _read_only(c + (fit.hi - c) * factor))
+            far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
+        least = encl.radius - dmax
+        if least >= -COND_TOL * encl.diameter:  # the ball report's verdict
+            object.__setattr__(encl, "_fitted", (weakref.ref(xs), least))  # the rows may be freed with their owner
+            return encl
+        slack = _ANTIPODE_ROUNDING * (norm(space, c) + reach)  # the antipodes' rounding (see the docstring)
+    raise EnclosureFitError("inflated enclosure still fails the ball condition")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -282,6 +293,9 @@ _PRUNE_MARGIN = 1e-9
 
 #: The largest share of the rows a pruned pass measures; one that would keep more measures them all.
 _PRUNE_SHARE = 0.25
+
+#: How far past the farthest distance a redone inflation reaches, against ||center|| + that distance: 8 u.
+_ANTIPODE_ROUNDING = 2.0 ** -50
 
 #: The stride of the sample rows that decide on an anchor from the middle and give the seed passes their floors.
 _SAMPLE = 64
@@ -321,17 +335,76 @@ def _ritter(space: Space, xs: np.ndarray, center: np.ndarray, radius: float, far
 def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor) -> tuple[int, float, list | None]:
     """The row farthest from ``center`` (the first of equals), its distance, and the anchor after this pass.
 
-    ``anchor`` is [c0, d0, kept, above] or None: the distances d0 of every row from c0, from the last full
-    pass, and the rows the last pruned pass kept, every row with d0_i >= ``above`` among them. With one, only
-    :func:`_sweep_rows` are measured, with the same result; without one, or when it falls back, every row is,
-    and on rows of more than one block with a finite farthest distance that pass is the anchor.
+    ``anchor`` is [c0, d0, kept, above, base] or None: upper bounds d0 on every row's distance from c0, the rows
+    the last pruned pass kept, every row with d0_i >= ``above`` among them, and, on rows 8 or more real numbers wide
+    (not :func:`_by_columns`), the base: the last exact pass. With an anchor only :func:`_sweep_rows` are measured,
+    with the same result; when that is every row, the base filters them (:func:`_filtered_rows`), and its bounds
+    become d0 from ``center``. Otherwise every row is, and on rows of more than one block with a finite farthest
+    distance that exact pass is the anchor and the base. The fit does not check its rows finite on entry, and every
+    pass before the first anchor is a full one: a non-finite entry makes its farthest distance NaN or inf, and such
+    a distance checks the entries, to tell a bad one from an overflow.
     """
     rows = None if anchor is None else _sweep_rows(space, xs, center, far, anchor)
+    if rows is None and anchor is not None and anchor[4] is not None:
+        rows, bounds = _filtered_rows(space, xs, center, anchor[4])
+        if rows is not None:
+            anchor = [center, bounds, None, math.inf, anchor[4]]
     dists = row_distances(space, xs if rows is None else np.take(xs, rows, axis=0), center)  # take: as xs[rows], faster
     j = int(dists.argmax())
     if rows is not None:
         return int(rows[j]), float(dists[j]), anchor
-    return j, float(dists[j]), [center, dists, None, math.inf] if _blocks(xs) is not None and math.isfinite(dists[j]) else None
+    dmax = float(dists[j])
+    if not math.isfinite(dmax) and not np.isfinite(xs).all():
+        raise ContractViolationError("vector entries must be finite")
+    if _blocks(xs) is None or not math.isfinite(dmax):
+        return j, dmax, None
+    wide = not _by_columns(space, xs) and xs.shape[1] * (1 + space.is_complex) > 1  # 8 or more real numbers
+    return j, dmax, [center, dists, None, math.inf, (center, dists, dmax) if wide else None]
+
+
+def _filtered_rows(space: Space, xs: np.ndarray, center: np.ndarray, base: tuple):
+    """The rows that can be farthest from ``center``, ascending, and an upper bound on every row's distance from it,
+    from one product of the rows against ``center - c_b``; (None, None) when every row is to be measured.
+
+    The base is an exact pass: its center c_b, every row's distance d_i from it, and the largest D. With
+    v = center - c_b, row i's squared distance is e_i = d_i**2 - 2 Re<x_i, v> + (2 Re<c_b, v> + ||v||**2), all n
+    <x_i, v> from one ``xs @ (metric * conj(v))``. In floats e_i is off by at most E = 4 (dim + 8) u S, u = 2**-53,
+    where S = D**2 + 2 (2 ||c_b|| + D) ||v|| + ||v||**2 bounds every term and partial sum. With W <= 2 dim real
+    numbers a row and gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
+    d_i**2 (differences, squares, weights, a sum in any order, root and square) is off by gamma_(W+5) D**2; a real
+    dot product of W terms in any order by gamma_W sum_k m_k |x_ik| |v_k| <= gamma_W ||x_i|| ||v|| (Cauchy-Schwarz
+    in the metric), with ||x_i|| <= ||c_b|| + D, and one u more for the weights; likewise 2 Re<c_b, v>, and
+    ||v||**2 by gamma_(W+5) ||v||**2; the rounding of v itself moves e_i by 2 u S; three additions, u S each. That
+    is about (W + 10) u S <= (2 dim + 10) u S, and E, at least twice it, also covers the rounding of its own inputs.
+    It holds for any summation order, so for any BLAS thread count.
+
+    So U_i = sqrt(max(e_i, 0) + E) (1 + ``_PRUNE_MARGIN``) bounds row i's distance, and the farthest is at least
+    L = sqrt(max(max e - E, 0)); the margin covers the square roots and the measured distances, as in
+    :func:`_threshold`. A row with U_i < L (1 - margin) is strictly nearer than the farthest, so the rows left hold
+    every first of equals. E must be a normal number (below, the products lose relative precision) and 2 S finite
+    (nothing overflows); when it is not, or over ``_PRUNE_SHARE`` of the rows are left, every row is measured.
+    """
+    cb, db, dmax = base
+    v = center - cb
+    moved = norm(space, v)
+    size = dmax * dmax + 2.0 * (2.0 * norm(space, cb) + dmax) * moved + moved * moved
+    err = 4.0 * (space.dim + 8) * 2.0 ** -53 * size
+    if not (np.finfo(np.float64).tiny <= err and 2.0 * size < math.inf):
+        return None, None
+    w = np.conj(v) if space.metric is None else np.conj(v) * space.metric
+    bounds = np.real(xs @ w)
+    bounds *= -2.0
+    bounds += db * db
+    bounds += 2.0 * float(np.real(cb @ w)) + moved * moved
+    floor = math.sqrt(max(float(bounds.max()) - err, 0.0)) * (1.0 - _PRUNE_MARGIN)
+    np.maximum(bounds, 0.0, out=bounds)
+    bounds += err
+    np.sqrt(bounds, out=bounds)
+    bounds *= 1.0 + _PRUNE_MARGIN
+    keep = bounds >= floor
+    if np.count_nonzero(keep) > _PRUNE_SHARE * len(bounds):
+        return None, None
+    return np.flatnonzero(keep), bounds
 
 
 def _sweep_rows(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor: list):
@@ -355,7 +428,7 @@ def _threshold(space: Space, floor: float, moved: float) -> float | None:
 def _kept_rows(anchor: list, thr: float, far: int):
     """The rows with d0_i >= ``thr``, and ``far``, ascending, kept in ``anchor``; None if over ``_PRUNE_SHARE``
     (a threshold no lower than the kept rows' filters them; a lower one counts every d0_i >= thr first)."""
-    _, d0, kept, above = anchor
+    d0, kept, above = anchor[1:4]
     if thr < above and np.count_nonzero(keep := d0 >= thr) > _PRUNE_SHARE * len(d0):
         return None
     rows = kept[d0[kept] >= thr] if thr >= above else np.flatnonzero(keep)
@@ -363,5 +436,5 @@ def _kept_rows(anchor: list, thr: float, far: int):
         rows = np.insert(rows, at, far)
     if len(rows) > _PRUNE_SHARE * len(d0):
         return None
-    anchor[2:] = rows, thr
+    anchor[2:4] = rows, thr
     return rows

@@ -94,8 +94,13 @@ class Space:
 
     def matrix(self, rows) -> np.ndarray:
         """Validate a nonempty sequence of conforming vectors as an (n, dim) array."""
+        return self._rows(rows, "vector entries")
+
+    def _rows(self, rows, entries: str = "") -> np.ndarray:
+        """:meth:`matrix` given its ``entries``; without, every check of it but finiteness, for a caller whose own
+        pass over every entry shows a non-finite one (and who then raises :meth:`matrix`'s error)."""
         return self._array(rows, (None, self.dim), f"rows as {self.field} vectors",
-                           f"expected shape (n, {self.dim})", "vector entries", "sequence of vectors")
+                           f"expected shape (n, {self.dim})", entries, "sequence of vectors")
 
     def scalars(self, values) -> np.ndarray:
         """Validate a nonempty sequence of this space's scalars as an (n,) array.
@@ -109,7 +114,8 @@ class Space:
         """A read-only finite copy of ``values`` (or, if :func:`_frozen`, itself) in this field, of ``shape``.
 
         With ``sequence`` naming the items, the leading length (``None`` in
-        ``shape``) is free but must be nonzero.
+        ``shape``) is free but must be nonzero. Without ``entries``, which names
+        them in the error, the entries are not checked finite.
         """
         a = values if _frozen(values, self, len(shape)) else np.array(
             _numeric(values, self.field, what), dtype=self.dtype, ndmin=1 if shape == (None,) else 0)  # () reads as (1,)
@@ -117,7 +123,7 @@ class Space:
             raise DegenerateInputError(f"{sequence} must be nonempty")
         if a.shape != (shape if shape[0] is not None else a.shape[:1] + shape[1:]):
             raise DimensionMismatchError(f"{expected}, got {a.shape}")
-        if not np.isfinite(a).all():
+        if entries and not np.isfinite(a).all():
             raise ContractViolationError(f"{entries} must be finite")
         a.flags.writeable = False
         return a

@@ -352,6 +352,34 @@ class TestFitEnclosure:
         encl = fit_enclosure(space, pts)
         assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(dim=st.sampled_from([1, 3, 32]), several=st.booleans(), exponent=st.floats(6.0, 12.0),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_far_from_the_origin_fit(self, dim, several, exponent, seed):
+        # one ulp of the antipodes at the offset can exceed the dead zone COND_TOL * diameter
+        rng = np.random.default_rng(seed)
+        n = 3 * block_rows(dim) + 5 if several else int(rng.integers(2, 60))
+        pts = rng.standard_normal((n, dim)) + 10.0 ** exponent * rng.choice([-1.0, 1.0], dim)
+        encl = fit_enclosure(Space(dim), pts)
+        assert check_ball(encl, pts).holds  # the fit's own report
+        assert check_ball(Enclosure(Space(dim), encl.lo, encl.hi), pts).holds  # measured afresh
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("row", ["first", "sample", "last"])
+    @pytest.mark.parametrize("several", [False, True])
+    @pytest.mark.parametrize("dim, field", [(3, REAL), (32, REAL), (2, COMPLEX)])
+    def test_a_non_finite_entry_raises_at_the_first_full_pass(self, rng, dim, field, several, row, bad):
+        # the rows are not checked on entry: the first full pass shows the entry, and then they are checked
+        n = 3 * block_rows(dim) + 5 if several else 300
+        pts = rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if field == COMPLEX else 0.0)
+        pts[{"first": 0, "sample": 3 * 64, "last": n - 1}[row], dim - 1] = bad
+        frozen = pts.copy()
+        frozen.flags.writeable = False
+        for rows in (pts, frozen):  # the fit copies writeable rows, not read-only ones
+            with pytest.raises(ContractViolationError) as info:
+                fit_enclosure(Space(dim, field), rows)
+            assert str(info.value) == "vector entries must be finite"
+
     def test_peak_memory_stays_within_three_and_a_half_inputs(self, rng):
         pts = rng.standard_normal((200_000, 3))
         tracemalloc.start()
@@ -363,12 +391,29 @@ class TestFitEnclosure:
         assert peak <= 3.5 * pts.nbytes  # the validated copy and a few (n,) arrays
 
 
+class Passes(list):
+    """The rows of each ``row_distances`` call, and in ``filtered`` the rows of each pass that one product against
+    the last exact pass filtered (the rows it kept were measured, so they are in the list as well)."""
+
+    def __init__(self):
+        super().__init__()
+        self.filtered = []
+
+
 def passes(monkeypatch):
-    """The rows of each ``row_distances`` call the fits make from here on."""
+    """The :class:`Passes` the fits make from here on."""
     from grussbounds import conditions
 
-    rows, measure = [], conditions.row_distances
+    rows, measure, filtered = Passes(), conditions.row_distances, conditions._filtered_rows
+
+    def filter_rows(space, xs, center, base):
+        kept, bounds = filtered(space, xs, center, base)
+        if kept is not None:
+            rows.filtered.append(len(xs))
+        return kept, bounds
+
     monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
+    monkeypatch.setattr(conditions, "_filtered_rows", filter_rows)
     return rows
 
 
@@ -513,6 +558,10 @@ class TestPrunedSweeps:
         "sphere": (3, REAL, False, "sphere", 1.0),
         "huge": (3, REAL, False, "normal", 1e150),
         "small": (3, REAL, False, "normal", 1e-140),
+        "wide_metric_cauchy": (16, REAL, True, "cauchy", 1.0),
+        "wide_complex": (5, COMPLEX, True, "normal", 1.0),
+        "wide_huge": (32, REAL, False, "normal", 1e150),
+        "wide_small": (32, REAL, False, "normal", 1e-140),
     }
 
     @pytest.fixture
@@ -525,8 +574,9 @@ class TestPrunedSweeps:
         return chosen
 
     @pytest.mark.parametrize("case", list(CASES))
-    def test_matches_the_reference_fit_bit_for_bit(self, rng, case, sweeps, report_calls):
+    def test_matches_the_reference_fit_bit_for_bit(self, rng, monkeypatch, case, sweeps, report_calls):
         dim, field, with_metric, kind, scale = self.CASES[case]
+        rows = passes(monkeypatch)
         for _ in range(3):
             space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
             pts = space.matrix(several_blocks(rng, dim, field, kind, scale))
@@ -536,6 +586,7 @@ class TestPrunedSweeps:
             assert check_ball(encl, pts).holds and report_calls == []
         # a real line needs no sweep and rows near a sphere fall back; the others measured fewer rows
         assert case in ("real_dim1", "sphere") or any(rows is not None for rows in sweeps)
+        assert bool(rows.filtered) == (dim * (1 + (field == COMPLEX)) >= 8)  # only rows 8 or more wide are filtered
 
     def test_rows_near_the_sphere_fall_back_to_a_full_pass(self, rng, sweeps):
         space = Space(3)
@@ -593,20 +644,25 @@ class TestPrunedSweeps:
         fit_enclosure(Space(3), pts)
         assert sum(rows) <= 2.5 * len(pts)  # six full passes without the pruning
 
-    #: (n, dim, field) of the benchmark's array shapes, and of its scalar discs.
+    #: (n, dim, field) of the benchmark's array shapes, of its scalar discs, and of rows 8 to 24 wide.
     SHAPES = {
         "real3": (1_000_000, 3, REAL),
         "disc": (1_000_000, 1, COMPLEX),
         "complex3": (250_000, 3, COMPLEX),
         "real32": (100_000, 32, REAL),
+        "real8": (100_000, 8, REAL),
+        "real16": (100_000, 16, REAL),
+        "real24": (100_000, 24, REAL),
     }
 
     @pytest.mark.parametrize("first", [0.0, 2.5])
     @pytest.mark.parametrize("shape", list(SHAPES))
     def test_full_passes_on_the_benchmark_shapes(self, monkeypatch, shape, first):
         # 3 wide, real or complex, and on the discs, only the anchor pass from the middle of the rows measures every
-        # row, wherever the first row lies; 32 wide the sample shows that no such anchor prunes, and the seed passes
-        # and the first sweep measure every row, and 2.5 off the middle the second sweep too
+        # row, wherever the first row lies, and no pass is filtered; 8 or more wide one exact pass measures every row,
+        # from the middle or from the first row, and where the triangle test keeps too many rows a product against
+        # it filters the pass (32 wide the sample shows that no anchor from the middle prunes: the first seed pass is
+        # the exact one, and the other passes are filtered)
         n, dim, field = self.SHAPES[shape]
         rows = passes(monkeypatch)
         rng = np.random.default_rng(4)
@@ -616,8 +672,9 @@ class TestPrunedSweeps:
         pts[0] = 0.0
         pts[0, 0] = first
         fit_enclosure(Space(dim, field), pts)
-        full = {"real3": (1, 1), "disc": (1, 1), "complex3": (1, 1), "real32": (3, 4)}[shape]
-        assert rows.count(n) == full[first == 2.5], rows
+        assert rows.count(n) == 1, rows
+        assert set(rows.filtered) <= ({n} if dim >= 8 else set()), rows.filtered
+        assert dim != 32 or len(rows.filtered) >= 2, rows.filtered  # the second seed pass and a sweep at least
 
     @pytest.mark.parametrize("shell", ["sphere", "circle"])
     def test_full_passes_on_a_shell(self, monkeypatch, shell):
@@ -633,7 +690,57 @@ class TestPrunedSweeps:
             space, pts = Space(1, COMPLEX), np.exp(2j * np.pi * rng.random(n))[:, None]
         rows = passes(monkeypatch)
         fit_enclosure(space, pts)
-        assert rows.count(n) == 4 and sum(rows) < 4.2 * n, rows
+        assert rows.count(n) == 4 and sum(rows) < 4.2 * n and rows.filtered == [], rows
+
+
+class TestFilteredPass:
+    """On rows 8 or more real numbers wide, a pass that would measure every row is filtered by one product against
+    the last exact pass: the rows it keeps hold the full pass's farthest row, and its bounds hold every distance."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide=st.integers(8, 40), field=st.sampled_from([REAL, COMPLEX]), with_metric=st.booleans(),
+           exponent=st.one_of(st.integers(-400, 400), st.integers(-560, -480), st.integers(500, 510)),  # the last two:
+           # below about 2**-490 the bound is subnormal, and past about 2**505 a sum overflows
+           offset=st.one_of(st.just(0.0), st.floats(1.0, 1e7)), ties=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_the_kept_rows_give_the_full_passs_row_and_distance(self, wide, field, with_metric, exponent, offset, ties,
+                                                                 seed):
+        rng = np.random.default_rng(seed)
+        dim = (wide + 1) // 2 if field == COMPLEX else wide
+        space = Space(dim, field, rng.uniform(0.2, 3.0, dim) if with_metric else None)
+        n = int(rng.integers(1, 200))
+        pts = rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if field == COMPLEX else 0.0)
+        if ties:  # rounded rows, each of them twice
+            pts = np.round(np.concatenate([pts, pts]) * 2.0)
+        pts = pts + offset * rng.choice([-1.0, 1.0], dim)
+        xs = space.matrix(pts * 2.0 ** exponent)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the fit: an overflow shows as inf
+            self.check(space, xs, *rng.integers(0, n, 3))
+
+    @staticmethod
+    def check(space, xs, i, j, k):
+        from grussbounds.conditions import _PRUNE_SHARE, _filtered_rows
+        from grussbounds.space import row_distances
+
+        n, dim = xs.shape
+        cb, center = xs[i], (xs[j] + xs[k]) / 2.0  # a seed pass's base, and a center between rows (or on one)
+        db = row_distances(space, xs, cb)
+        base = (cb, db, float(db.max()))
+        rows, bounds = _filtered_rows(space, xs, center, base)
+        moved = norm(space, center - cb)
+        size = base[2] ** 2 + 2.0 * (2.0 * norm(space, cb) + base[2]) * moved + moved ** 2
+        err = 4.0 * (dim + 8) * 2.0 ** -53 * size
+        if not (np.finfo(np.float64).tiny <= err and 2.0 * size < math.inf):
+            assert rows is None and bounds is None  # the bound is not a normal number, or a sum may overflow
+            return
+        if rows is None:
+            return  # over a quarter of the rows are left
+        full = row_distances(space, xs, center)
+        assert (bounds >= full).all()
+        assert len(rows) <= _PRUNE_SHARE * n and (np.diff(rows) > 0).all()
+        assert np.isin(np.flatnonzero(full == full.max()), rows).all()  # every first of equals
+        measured = row_distances(space, np.take(xs, rows, axis=0), center)
+        far = int(measured.argmax())
+        assert rows[far] == int(full.argmax()) and measured[far].hex() == full.max().hex()
 
 
 def centred_blocks(rng, scale=1.0):
