@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .conditions import ConditionReport, Enclosure, _disc, _report
+from .conditions import ConditionReport, Enclosure, _disc, _matrix, _report
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -236,7 +236,7 @@ def bound_chebyshev_gruss(
 
 def bound_variance(encl: Enclosure, p: ProbabilityVector, xs, *, check: bool = True) -> BoundChain:
     """Chain "2.8": variance <= diam(x)/2 * mad(x) <= diam(x)^2 / 4."""
-    return _evaluate(_VARIANCE, encl.space, p, {"xs": _checked(p, encl.space.matrix(xs))}, {"x": encl}, check)
+    return _evaluate(_VARIANCE, encl.space, p, {"xs": _checked(p, _matrix(encl, xs))}, {"x": encl}, check)
 
 
 def bound_scalar_weighted(

@@ -153,14 +153,20 @@ def _slacks(encl: Enclosure, xs: np.ndarray, kind: str) -> np.ndarray:
     return encl.radius - row_distances(encl.space, xs, encl.center)
 
 
+def _matrix(encl: Enclosure, xs) -> np.ndarray:
+    """``xs`` as ``encl.space.matrix`` gives it; the very rows ``encl`` was fitted to are not checked again,
+    since that fit's first full pass showed every entry finite."""
+    return xs if encl._fitted[0]() is xs else encl.space.matrix(xs)
+
+
 def check_box(encl: Enclosure, xs) -> ConditionReport:
     """Check Re<hi - x_i, x_i - lo> >= 0 for every point."""
-    return _report(encl, encl.space.matrix(xs), "box")
+    return _report(encl, _matrix(encl, xs), "box")
 
 
 def check_ball(encl: Enclosure, xs) -> ConditionReport:
     """Check ||x_i - center|| <= radius for every point (the fit's report, for the array it was fitted to)."""
-    return _report(encl, encl.space.matrix(xs), "ball")
+    return _report(encl, _matrix(encl, xs), "ball")
 
 
 def _disc(a, A) -> Enclosure:

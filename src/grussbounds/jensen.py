@@ -21,6 +21,7 @@ supplied. Everything here is real: complex spaces are rejected.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -88,19 +89,27 @@ def diagonal_quadratic_oracle(space: Space) -> ConvexOracle:
     return ConvexOracle("diag_quadratic", value, gradient)
 
 
+def _shifted_exp(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row maxima of ``z``, exp(z - max) and its row sums, to the bit ``z.max(axis=-1)`` and ``.sum(axis=-1)``;
+    under 8 columns, which numpy adds left to right, a column at a time, without per-row reductions."""
+    cols = z.shape[-1] < 8
+    zmax = functools.reduce(np.maximum, [z[..., k] for k in range(z.shape[-1])]) if cols else z.max(axis=-1)
+    e = np.exp(z - zmax[..., None])
+    return zmax, e, functools.reduce(np.add, [e[..., k] for k in range(e.shape[-1])]) if cols else e.sum(axis=-1)
+
+
 def log_sum_exp_oracle(space: Space) -> ConvexOracle:
     """F(z) = log sum_k exp(z_k); the representer divides softmax by the metric."""
     m = _metric(space)
 
     def value(z: np.ndarray) -> np.ndarray:
-        zmax = z.max(axis=-1)
-        sums = np.exp(z - zmax[..., None]).sum(axis=-1)
+        zmax, _, sums = _shifted_exp(z)
         # math.log, whose last bit numpy's vectorized log does not always match
-        return zmax + np.reshape(list(map(math.log, sums.ravel().tolist())), sums.shape)
+        return zmax + np.fromiter(map(math.log, sums.ravel().tolist()), np.float64, sums.size).reshape(sums.shape)
 
     def gradient(z: np.ndarray) -> np.ndarray:
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        return (e / e.sum(axis=-1, keepdims=True)) / m
+        _, e, sums = _shifted_exp(z)
+        return (e / sums[..., None]) / m
 
     return ConvexOracle("log_sum_exp", value, gradient)
 

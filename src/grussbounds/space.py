@@ -6,7 +6,9 @@ pure functions over immutable values.
 
 Each kind of array input has one validator, which copies numbers (only) into
 the field, checks shape, nonemptiness and finiteness, and returns it read-only
-(an array that nothing can write to is checked but not copied):
+(an array that nothing can write to is checked but not copied). A sequence of
+more than one block is checked in the pass that copies it, a block at a time,
+so that it is read once:
 
 * ``Space.vector``   one vector, shape ``(dim,)`` (enclosure endpoints, centers);
 * ``Space.matrix``   a sequence of vectors, shape ``(n, dim)`` (xs, ys, zs, gradients);
@@ -22,8 +24,8 @@ them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` ro
 output, with the bits of one whole-array call (their one call up to one block). Every such kernel, here
 or in another module, reaches the blocks through one ``_per_row`` call. Sums over the rows stay whole:
 in blocks they would round differently. The one exception is a product of the weights with values or
-rows, which BLAS computes: ``_weighted_sum`` adds the products of chunks that BLAS runs on one thread,
-so that the sum does not depend on the thread count.
+rows, which BLAS computes: ``_weighted_sum`` adds in row order the products of chunks that BLAS runs on
+one thread, every whole chunk in one stacked product, so that the sum does not depend on the thread count.
 """
 from __future__ import annotations
 
@@ -115,16 +117,30 @@ class Space:
 
         With ``sequence`` naming the items, the leading length (``None`` in
         ``shape``) is free but must be nonzero. Without ``entries``, which names
-        them in the error, the entries are not checked finite.
+        them in the error, the entries are not checked finite. A C-contiguous sequence
+        of rows in :func:`_blocks`, or of over ``BLOCK_ELEMS`` scalars, is copied a block
+        at a time, each checked while in cache; another keeps ``np.array``'s copy.
         """
-        a = values if _frozen(values, self, len(shape)) else np.array(
-            _numeric(values, self.field, what), dtype=self.dtype, ndmin=1 if shape == (None,) else 0)  # () reads as (1,)
-        if sequence and a.shape[:1] == (0,):
+        frozen = _frozen(values, self, len(shape))
+        src = values if frozen else _numeric(values, self.field, what)
+        got = (1,) if shape == (None,) and src.ndim == 0 else src.shape  # () reads as (1,)
+        if sequence and got[:1] == (0,):
             raise DegenerateInputError(f"{sequence} must be nonempty")
-        if a.shape != (shape if shape[0] is not None else a.shape[:1] + shape[1:]):
-            raise DimensionMismatchError(f"{expected}, got {a.shape}")
-        if entries and not np.isfinite(a).all():
-            raise ContractViolationError(f"{entries} must be finite")
+        if got != (shape if shape[0] is not None else got[:1] + shape[1:]):
+            raise DimensionMismatchError(f"{expected}, got {got}")
+        big = not frozen and entries and sequence and src.size > BLOCK_ELEMS and src.flags.c_contiguous
+        blocks = (_blocks(src) if src.ndim == 2 else range(0, src.size, BLOCK_ELEMS)) if big else None
+        if blocks is None:
+            a = src if frozen else np.array(src, dtype=self.dtype, ndmin=len(got))
+            if entries and not np.isfinite(a).all():
+                raise ContractViolationError(f"{entries} must be finite")
+        else:  # a safe cast keeps each entry finite or not, so then the (narrower) source block is checked
+            a, safe = np.empty(got, self.dtype), np.can_cast(src.dtype, self.dtype)
+            for lo in blocks:
+                block = a[lo:lo + blocks.step]
+                block[...] = part = src[lo:lo + blocks.step]
+                if not np.isfinite((x := part if safe else block).view(x.real.dtype)).all():  # complex as real pairs
+                    raise ContractViolationError(f"{entries} must be finite")
         a.flags.writeable = False
         return a
 
@@ -158,22 +174,26 @@ def _numeric(values, field: str, what: str) -> np.ndarray:
     return a
 
 
-def _weight_array(q) -> np.ndarray:
-    """A nonempty flat float copy of ``q`` with finite nonnegative entries."""
+def _weight_array(q) -> tuple[np.ndarray, float]:
+    """A nonempty flat float copy of ``q`` with finite nonnegative entries, shown by one ``min`` and one sum (a
+    failure reads them again, to word it), and that sum, ``inf`` where it overflows."""
     w = np.array(_numeric(q, REAL, "weights"), dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise DimensionMismatchError(f"weights must be a nonempty flat array, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ContractViolationError("weights must be finite")
-    if np.any(w < 0.0):
-        raise ContractViolationError("weights must be nonnegative")
-    return w
+    with np.errstate(over="ignore"):
+        total = float(np.add.reduce(w))
+    if not (w.min() >= 0.0 and math.isfinite(total)):  # a NaN, a negative entry, an infinite one or an overflow
+        if not np.isfinite(w).all():
+            raise ContractViolationError("weights must be finite")
+        if (w < 0.0).any():
+            raise ContractViolationError("weights must be nonnegative")
+    return w, total
 
 
 def _probability_rows(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative float weights (one row of them, or a stack of rows) as :class:`ProbabilityVector`
     holds them, each divided by its sum, and which rows it accepts: those summing to one within
-    ``PROB_SUM_TOL`` (so finite). A rejected row is left undivided.
+    ``PROB_SUM_TOL`` (so finite). A rejected row is left undivided; ``w`` is not written to.
     """
     s = np.add.reduce(w, axis=-1, keepdims=True)
     ok = np.abs(s - 1.0) <= PROB_SUM_TOL
@@ -187,16 +207,17 @@ class ProbabilityVector:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        self._normalize(_weight_array(self.weights))
+        self._normalize(*_weight_array(self.weights))
 
-    def _normalize(self, w: np.ndarray) -> None:
-        """Hold the nonnegative float weights ``w``, divided by their sum, if it is one within ``PROB_SUM_TOL``."""
-        w, ok = _probability_rows(w)
-        if not ok:
+    def _normalize(self, w: np.ndarray, total: float) -> None:
+        """Hold the nonnegative float weights ``w``, divided in place by their sum ``total`` if it is one within
+        ``PROB_SUM_TOL``."""
+        if not abs(total - 1.0) <= PROB_SUM_TOL:
             raise ContractViolationError(
-                f"weights must sum to 1 within {PROB_SUM_TOL:g} (got sum {float(w.sum())!r}); "
+                f"weights must sum to 1 within {PROB_SUM_TOL:g} (got sum {total!r}); "
                 "use ProbabilityVector.from_nonnegative to normalize arbitrary weights"
             )
+        w /= total
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -209,16 +230,15 @@ class ProbabilityVector:
     @classmethod
     def from_nonnegative(cls, q) -> "ProbabilityVector":
         """Normalize arbitrary nonnegative weights with positive total."""
-        q = _weight_array(q)
-        with np.errstate(over="ignore"):
-            total = float(q.sum())
+        q, total = _weight_array(q)
         if math.isinf(total):  # finite weights whose total overflows: scale them by the largest first
-            q = q / q.max()
-            total = float(q.sum())
+            q /= q.max()
+            total = float(np.add.reduce(q))
         if total <= 0.0:
             raise DegenerateInputError("total weight must be positive")
+        q /= total
         p = cls.__new__(cls)
-        p._normalize(q / total)  # a fresh array of checked weights, which the constructor would copy and check again
+        p._normalize(q, float(np.add.reduce(q)))  # checked weights, which the constructor would copy and check again
         return p
 
     def __len__(self) -> int:
@@ -260,23 +280,31 @@ def _per_row(kernel, *arrays) -> np.ndarray:
 
 def _weighted_sum(w: np.ndarray, a: np.ndarray, axis: int):
     """sum_i w_i a_i over the rows i of ``a``, its ``axis``: -1 for values (n,), -2 for vectors (n, dim), or a
-    stack of either over leading axes, with (..., n) or shared (n,) weights, per candidate with its own bits.
+    stack of either over leading axes, with (..., n) or shared (n,) weights, per candidate with its own bits (a
+    stack of vectors keeps the row axis: (..., 1, dim)).
 
     BLAS computes it, and OpenBLAS splits a long product over its threads, so that its rounding follows the
     thread count. Over more than ``BLAS_ENTRIES`` entries the sum therefore adds, in row order, the products of
-    chunks of rows with at most that many, which it runs on one thread; up to one chunk it is one call.
+    chunks of rows with at most that many, which it runs on one thread: the whole chunks in one stacked product
+    of views (each chunk read as its slice is), then the short last one; up to one chunk it is one product. Real
+    weights of complex rows are cast per product, so there one takes ``BLOCK_ELEMS // 2`` weights, cast in cache.
     """
     width = a.shape[-1] if axis == -2 else 1
-    if a.size > BLAS_ENTRIES and a.shape[axis] > (step := max(1, BLAS_ENTRIES // width)):
-        total = None
-        for lo in range(0, a.shape[axis], step):
-            chunk = a[..., lo:lo + step, :] if axis == -2 else a[..., lo:lo + step]
-            part = _weighted_sum(w[..., lo:lo + step], chunk, axis)
-            total = part if total is None else total + part
-        return total
-    if axis == -2:
-        return w @ a if a.ndim == 2 else np.matmul(w[..., None, :], a)
-    return w @ a if a.ndim == 1 else np.matmul(w[..., None, :], a[..., None])[..., 0, 0]
+    if a.size <= BLAS_ENTRIES or (n := a.shape[axis]) <= (step := max(1, BLAS_ENTRIES // width)):
+        if axis == -2:
+            return w @ a if a.ndim == 2 else np.matmul(w[..., None, :], a)
+        return w @ a if a.ndim == 1 else np.matmul(w[..., None, :], a[..., None])[..., 0, 0]
+    k, rows = n // step, a if axis == -2 else a[..., None]  # (..., n, width)
+    wc = w[..., :k * step].reshape(*w.shape[:-1], k, 1, step)  # splitting the row axis is a view for any strides
+    rc = rows[..., :k * step, :].reshape(*rows.shape[:-2], k, step, width)
+    parts = np.empty((*np.broadcast_shapes(wc.shape[:-3], rc.shape[:-3]), k, 1, width), np.result_type(w, a))
+    per = k if w.dtype == a.dtype else max(1, BLOCK_ELEMS // (2 * step))
+    for lo in range(0, k, per):
+        np.matmul(wc[..., lo:lo + per, :, :], rc[..., lo:lo + per, :, :], out=parts[..., lo:lo + per, :, :])
+    total = np.add.accumulate(parts, axis=-3)[..., -1, :, :]
+    total = total[..., 0, 0] if axis == -1 else total[0] if a.ndim == 2 else total
+    tail = a[..., k * step:, :] if axis == -2 else a[..., k * step:]
+    return total if k * step == n else total + _weighted_sum(w[..., k * step:], tail, axis)
 
 
 def pairing(space: Space, a, b):

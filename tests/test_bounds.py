@@ -29,14 +29,17 @@ from grussbounds import (
     bound_forward_difference_self,
     bound_scalar_weighted,
     bound_variance,
+    check_ball,
+    check_box,
     equal_weight_coefficients,
+    fit_enclosure,
     half_complementary_weight,
     index_variance,
     pair_index_coefficient,
     alpha_variance,
     variance,
 )
-from grussbounds.space import COMPLEX, REAL
+from grussbounds.space import BLOCK_ELEMS, COMPLEX, REAL
 
 
 def two_point_sharp():
@@ -545,6 +548,23 @@ class TestValidateOnce:
         assert len(matrix_calls) == 0
         bound_variance(encl, ws.p, xs)
         assert len(matrix_calls) == 1
+
+    def test_the_fitted_rows_are_not_validated_again(self, rng, matrix_calls):
+        sp = Space(3)
+        for n in (50, BLOCK_ELEMS + 5):  # one block, and three of 3-wide rows
+            xs = sp.matrix(rng.standard_normal((n, 3)))
+            p = random_prob(rng, n)
+            encl = fit_enclosure(sp, xs)
+            matrix_calls.clear()
+            check_ball(encl, xs), check_box(encl, xs), bound_variance(encl, p, xs)
+            assert matrix_calls == []
+            bad = xs.copy()
+            bad[n // 2, 1] = np.nan
+            bad.flags.writeable = False  # read-only: taken as it is, and still checked
+            for call in (check_ball, check_box, lambda e, x: bound_variance(e, p, x)):
+                with pytest.raises(ContractViolationError, match="^vector entries must be finite$"):
+                    call(encl, bad)
+            assert len(matrix_calls) == 3
 
 
 def test_complex_sequence_validates_alphas_once(monkeypatch):

@@ -239,7 +239,8 @@ class TestVectorGruss:
 
 class TestWeightedSums:
     """Weighted sums over the rows that BLAS computes (the means, ``_weighted_sum``) add, in row order, the products
-    of chunks of ``BLAS_ENTRIES`` entries, which BLAS runs on one thread; one chunk is one product."""
+    of chunks of ``BLAS_ENTRIES`` entries, which BLAS runs on one thread; one chunk is one product. The whole chunks
+    are one stacked product, with the bits of one product per chunk, for any layout of the rows."""
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("dim", [1, 3, 32])
@@ -249,7 +250,7 @@ class TestWeightedSums:
         space = Space(dim, field)
         for width in (dim, 1):
             step = BLAS_ENTRIES // width
-            for n in (step, step + 1, 3 * step + 5):
+            for n in (step, step + 1, 2 * step, 2 * step + 1, 3 * step + 5):
                 w = random_prob(rng, n).weights
                 a = rng.standard_normal((n, dim) if width == dim else n)
                 a = a + 1j * rng.standard_normal(a.shape) if field == COMPLEX else a
@@ -263,6 +264,42 @@ class TestWeightedSums:
                 else:
                     got, stacked = _weighted_sum(w, a, -1), _weighted_sum(w, stack, -1)[0]
                 assert got.tobytes() == stacked.tobytes() == np.asarray(expected).tobytes()
+
+    @staticmethod
+    def chunk_loop(w, a, axis):
+        """The sum as one product per chunk of rows, added in row order: the reference the stacked product keeps."""
+        step = max(1, BLAS_ENTRIES // (a.shape[-1] if axis == -2 else 1))
+        total = None
+        for lo in range(0, a.shape[axis], step):
+            wc, ac = w[..., lo:lo + step], a[..., lo:lo + step, :] if axis == -2 else a[..., lo:lo + step]
+            if axis == -2:
+                part = wc @ ac if ac.ndim == 2 else np.matmul(wc[..., None, :], ac)
+            else:
+                part = wc @ ac if ac.ndim == 1 else np.matmul(wc[..., None, :], ac[..., None])[..., 0, 0]
+            total = part if total is None else total + part
+        return total
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    def test_the_stacked_product_equals_the_chunk_loop(self, rng, width, field, layout):
+        from grussbounds.space import _weighted_sum
+
+        step = BLAS_ENTRIES // width
+        for n in (step, 2 * step, 2 * step + 1, 3 * step + 5):
+            w = random_prob(rng, n).weights
+            a = rng.standard_normal((2 * n, width))
+            a = a + 1j * rng.standard_normal(a.shape) if field == COMPLEX else a
+            a = {"C": a[:n], "F": np.asfortranarray(a[:n]), "strided": a[::2]}[layout]
+            stack = np.stack([a, a[::-1], 2.0 * a])
+            stack = np.asfortranarray(stack) if layout == "F" else stack
+            ws = np.stack([w, w[::-1], w])
+            cases = [(w, a, -2), (w, stack, -2), (ws, stack, -2), (w, a[:, 0], -1), (w, stack[..., 0], -1),
+                     (ws, stack[..., 0], -1)]
+            for weights, rows, axis in cases:
+                got, expected = _weighted_sum(weights, rows, axis), self.chunk_loop(weights, rows, axis)
+                assert np.shape(got) == np.shape(expected)
+                assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
 
 class TestVariance:

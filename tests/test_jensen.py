@@ -91,6 +91,22 @@ class TestOracleCatalog:
             assert np.array_equal(grads, [oracle.grad(z) for z in zs])
             assert np.shape(oracle.eval(zs[0])) == ()
 
+    @pytest.mark.parametrize("dim", [*range(1, 10), 32])
+    def test_log_sum_exp_keeps_the_bits_of_its_row_reductions(self, rng, dim):
+        """Its values and gradients, formed a column at a time, equal the per-row max and sum expressions."""
+        metric = rng.uniform(0.2, 3.0, dim)
+        for space in (Space(dim), Space(dim, REAL, metric)):
+            oracle, m = get_oracle("log_sum_exp", space), metric if space.metric is not None else np.ones(dim)
+            zs = rng.standard_normal((2000, dim)) * 30.0
+            zs[::7, 0], zs[::5, -1] = 0.0, -0.0
+            for z in (zs, zs[3], zs.reshape(40, 50, dim)):
+                zmax = z.max(axis=-1)
+                sums = np.exp(z - zmax[..., None]).sum(axis=-1)
+                value = zmax + np.reshape(list(map(math.log, np.ravel(sums).tolist())), np.shape(sums))
+                e = np.exp(z - z.max(axis=-1, keepdims=True))
+                assert np.asarray(oracle.eval(z)).tobytes() == np.asarray(value).tobytes()
+                assert oracle.grad(z).tobytes() == ((e / e.sum(axis=-1, keepdims=True)) / m).tobytes()
+
     def test_unknown_oracle(self):
         with pytest.raises(ContractViolationError):
             get_oracle("cubic", Space(2))

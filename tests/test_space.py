@@ -220,6 +220,85 @@ class TestColumnPath:
         assert same_bits(pairing(space, a, b), np.array([reference_pairing(x, y, metric) for x, y in zip(a, b)]))
 
 
+class TestBlockedValidation:
+    """A C-contiguous sequence of more than one block is copied a block at a time, each block checked finite as it
+    is copied: the same values, messages and ownership as one ``np.array`` copy and one check."""
+
+    @staticmethod
+    def blocks_of(space, sequence):
+        """Three blocks, the last one short, of ``sequence`` ("rows" or "scalars") in ``space``."""
+        step = block_rows(space.dim) if sequence == "rows" else BLOCK_ELEMS
+        return 2 * step + 7, step
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("sequence", ["rows", "scalars"])
+    def test_a_non_finite_entry_in_any_block_raises(self, rng, sequence, field, where, value):
+        space = Space(3, field)
+        n, step = self.blocks_of(space, sequence)
+        a = random_rows(rng, space, n) if sequence == "rows" else random_rows(rng, space, n)[:, 0].copy()
+        at = {"first": 0, "middle": step + 3, "last": n - 1}[where]
+        at = (at, 1) if sequence == "rows" else at
+        if field == COMPLEX and where == "middle":
+            a.imag[at] = value  # a finite real part with a non-finite imaginary one
+        else:
+            a[at] = value
+        validate, message = (space.matrix, "vector entries") if sequence == "rows" else (space.scalars, "scalars")
+        with pytest.raises(ContractViolationError) as info:
+            validate(a)
+        assert str(info.value) == f"{message} must be finite"
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.uint8])
+    def test_casts_give_the_values_np_array_gives(self, rng, field, dtype):
+        space = Space(3, field)
+        n, _ = self.blocks_of(space, "rows")
+        src = (rng.integers(0, 200, (n, 3)) if np.dtype(dtype).kind in "iu" else rng.standard_normal((n, 3)) * 100).astype(dtype)
+        for validate, a in ((space.matrix, src), (space.scalars, src[:, 0].copy()), (space.scalars, src.reshape(-1))):
+            out = validate(a)
+            assert out.dtype == space.dtype and not out.flags.writeable and not np.shares_memory(out, a)
+            assert out.tobytes() == np.array(a, dtype=space.dtype).tobytes()
+
+    def test_a_cast_to_an_infinity_raises(self):
+        n, _ = self.blocks_of(Space(3), "rows")
+        src = np.ones((n, 3), dtype=np.longdouble)
+        src[-1, 2] = np.longdouble("1e400")  # finite where long double is wider than double, infinite as a double
+        with np.errstate(over="ignore"), pytest.raises(ContractViolationError, match="vector entries must be finite"):
+            Space(3).matrix(src)
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_other_layouts_keep_the_layout_of_np_array(self, rng, field):
+        space = Space(3, field)
+        n, _ = self.blocks_of(space, "rows")
+        rows = random_rows(rng, space, 2 * n)
+        for src in (np.asfortranarray(rows), rows[::2], rows[:, ::-1], rows.T.copy().T):
+            out, expected = space.matrix(src), np.array(src, dtype=space.dtype)
+            assert out.strides == expected.strides and out.tobytes(order="A") == expected.tobytes(order="A")
+        values = rows[:, 0]  # a strided column
+        assert space.scalars(values).tobytes() == np.array(values).tobytes()
+
+    @pytest.mark.parametrize("sequence", ["rows", "scalars"])
+    def test_writing_to_the_source_afterwards_changes_nothing(self, rng, sequence):
+        space = Space(3)
+        n, _ = self.blocks_of(space, sequence)
+        src = rng.standard_normal((n, 3)) if sequence == "rows" else rng.standard_normal(n)
+        out = space.matrix(src) if sequence == "rows" else space.scalars(src)
+        before = out.tobytes()
+        src[...] = np.nan
+        assert out.tobytes() == before and not out.flags.writeable
+
+    def test_rows_allocate_about_their_output(self, rng):
+        src = rng.standard_normal((1_000_000, 3))
+        tracemalloc.start()
+        try:
+            out = Space(3).matrix(src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
+
+
 def random_rows(rng, space, n, scale=10.0):
     a = rng.standard_normal((n, space.dim)) * scale
     return a + 1j * rng.standard_normal((n, space.dim)) * scale if space.is_complex else a
@@ -342,6 +421,61 @@ class TestProbabilityVector:
         with pytest.raises(error) as info:
             ProbabilityVector.from_nonnegative(q)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("make", [ProbabilityVector, ProbabilityVector.from_nonnegative])
+    @pytest.mark.parametrize("q, message", [
+        ([np.nan, -1.0, 0.5], "weights must be finite"),
+        ([-1.0, np.inf], "weights must be finite"),
+        ([-np.inf, 2.0], "weights must be finite"),
+        ([0.5, -0.25, 0.75], "weights must be nonnegative"),
+    ])
+    def test_checks_keep_their_order(self, make, q, message):
+        with pytest.raises(ContractViolationError) as info:
+            make(np.array(q))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("q, total", [([0.5, 0.3], "0.8"), ([1e308, 1e308], "inf"), ([0.25] * 3, "0.75")])
+    def test_the_sum_message_prints_the_sum(self, q, total):
+        with pytest.raises(ContractViolationError) as info:
+            ProbabilityVector(q)
+        assert str(info.value) == (f"weights must sum to 1 within 1e-09 (got sum {total}); "
+                                   "use ProbabilityVector.from_nonnegative to normalize arbitrary weights")
+
+    def test_the_callers_weights_are_never_written_to(self, rng):
+        w = rng.exponential(size=100_000)
+        w /= w.sum()
+        for make, q in ((ProbabilityVector, w), (ProbabilityVector.from_nonnegative, w * 3.0),
+                        (ProbabilityVector.from_nonnegative, np.array([1e308, 1e308]))):
+            before = q.tobytes()
+            p = make(q)
+            assert q.tobytes() == before and q.flags.writeable and not np.shares_memory(p.weights, q)
+
+    def test_the_weights_are_divided_in_place_with_the_bits_of_a_division(self, rng):
+        w = rng.exponential(size=1000)
+        w /= w.sum()
+        total = float(np.add.reduce(w))
+        assert ProbabilityVector(w).weights.tobytes() == (w / total).tobytes()
+
+    def test_a_stack_of_proposals_is_not_divided_in_place(self, rng):
+        from grussbounds.space import _probability_rows
+
+        w = rng.exponential(size=(4, 9))
+        w[1] /= w[1].sum()
+        before = w.tobytes()
+        rows, ok = _probability_rows(w)
+        assert w.tobytes() == before and not np.shares_memory(rows, w)
+        assert ok.tolist() == [False, True, False, False] and rows[1].tobytes() == ProbabilityVector(w[1]).weights.tobytes()
+
+    def test_weights_allocate_about_their_output(self, rng):
+        w = rng.exponential(size=1_000_000)
+        w /= w.sum()
+        tracemalloc.start()
+        try:
+            p = ProbabilityVector(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * p.weights.nbytes
 
     def test_uniform(self):
         assert ProbabilityVector.uniform(4).weights == pytest.approx([0.25] * 4)
