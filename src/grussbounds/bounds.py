@@ -112,7 +112,7 @@ class _Stats(dict):
 
     Keys are (name, kind): ``(seq, "centered")`` the centered view of a sequence, ``(seq, "diff")`` the row
     norms of its forward differences and ``(seq, "max")`` their largest, ``(encl, "diam")`` an enclosure's
-    diameter (the disc's |A - a|). ``w`` are the weights. The sequences may be stacks of candidates,
+    diameter (|A - a| for the disc). ``w`` are the weights. The sequences may be stacks of candidates,
     (K, n, dim) rows and (K, n) scalars with (K, n) or shared (n,) weights: a statistic is then an array
     over the leading axis (see :class:`functionals._Centered`), and so is what a link makes of it.
     """
@@ -126,8 +126,7 @@ class _Stats(dict):
             rows = self.arrays[name]
             value = self[key] = _CenteredScalars(self.w, rows) if name == "alphas" else _Centered(self.space, self.w, rows)
         elif kind == "diam":
-            encl = self.encls[name]
-            value = self[key] = abs(complex(encl.hi[0]) - complex(encl.lo[0])) if name == "disc" else encl.diameter
+            value = self[key] = self.encls[name].diameter
         else:  # "diff" or "max", made together
             rows = self.arrays[name]
             if rows.shape[-2] < 2:
@@ -293,7 +292,7 @@ def half_complementary_weight(p: ProbabilityVector) -> float:
 
 
 def _half_complementary_weight(w: np.ndarray) -> float:
-    return 0.5 * float((w * (1.0 - w)).sum())
+    return 0.5 * float(_weighted_sum(w, 1.0 - w, -1))
 
 
 def equal_weight_coefficients(n: int) -> tuple[float, float, float]:
@@ -390,7 +389,7 @@ class ChainSpec:
 _CHEBYSHEV_FUNCTIONAL = ("|chebyshev(p;x,y)|", lambda s: abs(_pair(s.space, s.w, s["xs", "centered"], s["ys", "centered"])))
 _VARIANCE_FUNCTIONAL = ("variance(p;x)", lambda s: s["xs", "centered"].variance())
 _GRUSS_FUNCTIONAL = ("||gruss(p;alpha,x)||", lambda s: row_norms(s.space, _gruss(s["alphas", "centered"], s["xs", "centered"])))
-_SQUARE_FUNCTIONAL = ("|sq_gruss(p;alpha)|", lambda s: abs((s.w * s["alphas", "centered"].dev ** 2).sum(axis=-1)))
+_SQUARE_FUNCTIONAL = ("|sq_gruss(p;alpha)|", lambda s: abs(_weighted_sum(s.w, s["alphas", "centered"].dev ** 2, -1)))
 
 _CHEBYSHEV = ChainSpec("2.3", _CHEBYSHEV_FUNCTIONAL, _spread("x", "ys", "2.3"), ("xs", "ys"), ("x",))
 _CHEBYSHEV_GRUSS = replace(

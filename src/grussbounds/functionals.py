@@ -74,9 +74,8 @@ class _Centered:
     """Centered view of one validated sequence, built once per chain, or of a stack of them.
 
     Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of
-    x_i - center, are ``row_distances``' squares (on complex spaces kept as the real view of a complex
-    array, as pairing gave them: BLAS sums a strided view in another order), and ``_pair`` and ``_gruss``
-    center a row block at a time, so none builds an (n, dim) copy (``_gruss`` does at a width of 1).
+    x_i - center, are ``row_distances``' squares, and ``_pair`` and ``_gruss`` center a row block at a time,
+    so none builds an (n, dim) copy. Every weighted sum over the rows is one ``_weighted_sum``.
 
     A stack is (K, n, dim) rows of K candidates with (K, n) or shared (n,) weights; its mean keeps the
     row axis, (K, 1, dim), so that it broadcasts against the rows. Every reduction runs per candidate,
@@ -93,8 +92,7 @@ class _Centered:
 
     def sq(self) -> np.ndarray:
         if self._sq is None:
-            sq = _distances(self.space, self.raw, self.center, False)
-            self._sq = sq.astype(np.complex128).real if self.space.is_complex else sq
+            self._sq = _distances(self.space, self.raw, self.center, False)
         return self._sq
 
     def mad(self):
@@ -105,60 +103,42 @@ class _Centered:
 
 
 class _CenteredScalars:
-    """Scalars a_i - abar (or a (K, n) stack of them), with the same two reductions; like ``_pair``
-    and ``_gruss`` it sums as (w * terms).sum() (``np.add.reduce``, without the method's Python wrapper),
-    the rounding the sharpness search's trajectories follow."""
+    """Scalars a_i - abar (or a (K, n) stack of them), with the same two reductions, each one ``_weighted_sum``."""
 
     def __init__(self, w: np.ndarray, alphas: np.ndarray):
         self.w = w
-        self.dev = alphas - np.add.reduce(w * alphas, axis=-1, keepdims=True)
+        self.dev = alphas - _weighted_sum(w, alphas, -1)[..., None]
 
     def mad(self):
-        return np.add.reduce(self.w * np.abs(self.dev), axis=-1)
+        return _weighted_sum(self.w, np.abs(self.dev), -1)
 
     def variance(self):
-        return np.add.reduce(self.w * np.abs(self.dev) ** 2, axis=-1)
+        return _weighted_sum(self.w, np.abs(self.dev) ** 2, -1)
 
 
 def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered):
     """sum_i w_i <x_i - cx.center, y_i - cy.center>, the differences formed a row block at a time."""
     terms = _per_row(lambda x, y: _pairing(space, x, y, cx.center, cy.center), cx.raw, cy.raw)
-    return np.add.reduce(w * terms, axis=-1)
+    return _weighted_sum(w, terms, -1)
 
 
 def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
-    """sum_i w_i dev_i (x_i - cx.center), with the bits of the whole-array column sums.
+    """sum_i w_i dev_i (x_i - cx.center), one ``_weighted_sum`` of the differences (a stack's per candidate).
 
-    numpy sums the row axis of an (m, dim >= 2) array row after row from +0.0, so over row blocks each
-    column carries its running sum into its block: where :func:`space._by_columns` holds, one column of a
-    block at a time, its terms summed in order by ``np.add.accumulate`` from the running sum added to the
-    first; wider, each block's terms go to rows 1... of one buffer whose row 0 carries the running sums.
-    A width of 1 is summed pairwise and stays whole, as does a stack.
+    Over row blocks it adds one such sum per block, in block order: where :func:`space._by_columns` holds, one
+    column of a block at a time, so that each sum reads a contiguous column.
     """
-    wd = ca.w * ca.dev
-    blocks = _blocks(cx.raw) if cx.raw.shape[-1] > 1 else None
+    wd, x, c = ca.w * ca.dev, cx.raw, cx.center
+    blocks = _blocks(x)
     if blocks is None:
-        return (wd[..., None] * (cx.raw - cx.center)).sum(axis=-2)
-    dtype = np.result_type(wd, cx.raw)
-    if _by_columns(cx.space, cx.raw):
-        total = np.zeros(cx.raw.shape[1], dtype)
-        for lo in blocks:
-            x, w = cx.raw[lo:lo + blocks.step], wd[lo:lo + blocks.step]
-            for k in range(x.shape[1]):
-                terms = np.multiply(w, np.subtract(x[:, k], cx.center[k]), dtype=dtype)
-                terms[0] += total[k]
-                total[k] = np.add.accumulate(terms, out=terms)[-1]
-        return total
-    buf, total = np.empty((blocks.step + 1, cx.raw.shape[1]), dtype), None
+        total = _weighted_sum(wd, x - c, -2)
+        return total if x.ndim == 2 else total[..., 0, :]
+    by_columns, total = _by_columns(cx.space, x), None
     for lo in blocks:
-        x = cx.raw[lo:lo + blocks.step]
-        terms = np.subtract(x, cx.center, out=buf[1:len(x) + 1])
-        np.multiply(wd[lo:lo + blocks.step, None], terms, out=terms)
-        if total is None:
-            total = terms.sum(axis=0)
-        else:
-            buf[0] = total
-            total = buf[:len(x) + 1].sum(axis=0)
+        xb, wb = x[lo:lo + blocks.step], wd[lo:lo + blocks.step]
+        part = (np.array([_weighted_sum(wb, xb[:, k] - c[k], -1) for k in range(x.shape[1])]) if by_columns
+                else _weighted_sum(wb, xb - c, -2))
+        total = part if total is None else total + part
     return total
 
 

@@ -22,10 +22,10 @@ conjugate-linear in the second. Every norm is the induced one.
 Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` and what builds on
 them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
 output, with the bits of one whole-array call (their one call up to one block). Every such kernel, here
-or in another module, reaches the blocks through one ``_per_row`` call. Sums over the rows stay whole:
-in blocks they would round differently. The one exception is a product of the weights with values or
-rows, which BLAS computes: ``_weighted_sum`` adds in row order the products of chunks that BLAS runs on
-one thread, every whole chunk in one stacked product, so that the sum does not depend on the thread count.
+or in another module, reaches the blocks through one ``_per_row`` call. Every weighted sum over the rows
+(a mean, a functional, a statistic or a coefficient) is one ``_weighted_sum``: BLAS products of chunks that
+it runs on one thread, every whole chunk in one stacked product, added in row order, so that a sum depends
+only on its values and the fixed chunking, not on the thread count or on which functional asked for it.
 """
 from __future__ import annotations
 
@@ -117,9 +117,9 @@ class Space:
 
         With ``sequence`` naming the items, the leading length (``None`` in
         ``shape``) is free but must be nonzero. Without ``entries``, which names
-        them in the error, the entries are not checked finite. A C-contiguous sequence
-        of rows in :func:`_blocks`, or of over ``BLOCK_ELEMS`` scalars, is copied a block
-        at a time, each checked while in cache; another keeps ``np.array``'s copy.
+        them in the error, the entries are not checked finite. A copy is C-ordered, whatever
+        the layout of ``values``: a sequence of rows in :func:`_blocks`, or of over ``BLOCK_ELEMS``
+        scalars, is copied a block at a time, each checked while in cache.
         """
         frozen = _frozen(values, self, len(shape))
         src = values if frozen else _numeric(values, self.field, what)
@@ -128,14 +128,14 @@ class Space:
             raise DegenerateInputError(f"{sequence} must be nonempty")
         if got != (shape if shape[0] is not None else got[:1] + shape[1:]):
             raise DimensionMismatchError(f"{expected}, got {got}")
-        big = not frozen and entries and sequence and src.size > BLOCK_ELEMS and src.flags.c_contiguous
+        big = not frozen and entries and sequence and src.size > BLOCK_ELEMS
         blocks = (_blocks(src) if src.ndim == 2 else range(0, src.size, BLOCK_ELEMS)) if big else None
         if blocks is None:
-            a = src if frozen else np.array(src, dtype=self.dtype, ndmin=len(got))
+            a = src if frozen else np.array(src, dtype=self.dtype, order="C", ndmin=len(got))
             if entries and not np.isfinite(a).all():
                 raise ContractViolationError(f"{entries} must be finite")
-        else:  # a safe cast keeps each entry finite or not, so then the (narrower) source block is checked
-            a, safe = np.empty(got, self.dtype), np.can_cast(src.dtype, self.dtype)
+        else:  # a safe cast keeps each entry finite or not, so then a (narrower) C-contiguous source block is checked
+            a, safe = np.empty(got, self.dtype), np.can_cast(src.dtype, self.dtype) and src.flags.c_contiguous
             for lo in blocks:
                 block = a[lo:lo + blocks.step]
                 block[...] = part = src[lo:lo + blocks.step]
@@ -154,10 +154,10 @@ class Space:
 
 
 def _frozen(a, space: Space, ndim: int) -> bool:
-    """Whether ``a`` is a contiguous ``ndim``-d array of ``space``'s dtype, read-only down its whole ``.base`` chain."""
+    """Whether ``a`` is a C-contiguous ``ndim``-d array of ``space``'s dtype, read-only down its whole ``.base`` chain."""
     if type(a) is not np.ndarray or a.flags.writeable:
         return False
-    ok = a.dtype == space.dtype and a.ndim == ndim and a.flags.forc
+    ok = a.dtype == space.dtype and a.ndim == ndim and a.flags.c_contiguous
     while ok and type(a) is np.ndarray:
         ok, a = not a.flags.writeable, a.base
     return ok and a is None

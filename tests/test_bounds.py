@@ -35,6 +35,7 @@ from grussbounds import (
     fit_enclosure,
     half_complementary_weight,
     index_variance,
+    mad,
     pair_index_coefficient,
     alpha_variance,
     variance,
@@ -381,6 +382,32 @@ class TestFittedEnclosureChains:
             chain = bound_chebyshev(encl, ws)
             assert chain.hypothesis_verified
             assert chain.holds(), chain.values()
+
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("dim", [2, 3, 8, 32])
+    @pytest.mark.parametrize("n", [5, 40, 700, 3000, 25000])
+    def test_chain_values_do_not_depend_on_the_layout(self, rng, n, dim, field):
+        # every input is copied to C order, so BLAS and the per-row kernels see the same array for any layout
+        space = Space(dim, field)
+        draw = lambda: rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if field == COMPLEX else 0.0)
+        xs, ys, p = draw(), draw(), random_prob(rng, n)
+
+        def read_only_fortran(a):
+            a = np.asfortranarray(a)
+            a.flags.writeable = False
+            return a
+
+        def outputs(layout):
+            x, y = layout(xs), layout(ys)
+            encl = fit_enclosure(space, x)
+            chain = bound_chebyshev(encl, WeightedSequence(space, p, xs=x, ys=y), check=False)
+            values = (*chain.values(), encl.diameter, variance(space, p, x), mad(space, p, x))
+            return [float(v).hex() for v in values]
+
+        expected = outputs(np.ascontiguousarray)
+        for layout in (np.asfortranarray, lambda a: np.repeat(a, 2, axis=0)[::2], read_only_fortran):
+            assert outputs(layout) == expected
 
 
 class TestFittedReports:

@@ -24,7 +24,9 @@ from grussbounds import (
     vector_gruss,
 )
 from grussbounds.functionals import _Centered
-from grussbounds.space import BLAS_ENTRIES, BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, norm, row_norms
+from grussbounds.space import (
+    BLAS_ENTRIES, BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, _blocks, _by_columns, _weighted_sum, norm, row_norms,
+)
 from numpy_reference import reference_pairing
 
 
@@ -185,7 +187,7 @@ class TestChebyshev:
         w, x, y = ws.p.weights, ws.xs, ws.ys
         ybar = _Centered(space, w, y).center  # the mean as the library sums it, over chunks of rows
         for c in (w @ x, random_vector(rng, space)):
-            whole = (w * reference_pairing(x - c, y - ybar, space.metric)).sum()
+            whole = _weighted_sum(w, reference_pairing(x - c, y - ybar, space.metric), -1)
             assert np.array(chebyshev(ws, c)).tobytes() == whole.tobytes()
 
 
@@ -221,14 +223,28 @@ class TestVectorGruss:
         ws = WeightedSequence(space, random_prob(rng, n), xs=[random_vector(rng, space, 3.0) for _ in range(n)],
                               alphas=random_vector(rng, Space(n, field)))
         w, x, a = ws.p.weights, ws.xs, ws.alphas
+        wd, blocks = w * (a - _weighted_sum(w, a, -1)), _blocks(x)
         for c in (w @ x, random_vector(rng, space)):
-            whole = ((w * (a - (w * a).sum()))[:, None] * (x - c)).sum(axis=0)
-            assert vector_gruss(ws, c).tobytes() == whole.tobytes()
+            # one weighted sum per row block, added in block order; by columns, one per column of a block
+            parts = []
+            for lo in blocks:
+                wb, d = wd[lo:lo + blocks.step], x[lo:lo + blocks.step] - c
+                if _by_columns(space, x):
+                    parts.append(np.array([_weighted_sum(wb, d[:, k].copy(), -1) for k in range(dim)]))
+                else:
+                    parts.append(_weighted_sum(wb, d, -2))
+            whole = parts[0]
+            for part in parts[1:]:
+                whole = whole + part
+            got = vector_gruss(ws, c)
+            assert got.tobytes() == whole.tobytes()
+            terms = wd[:, None] * (x - c)
+            assert np.abs(got - terms.sum(axis=0)).max() <= 1e-13 * np.abs(terms).sum()
 
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_a_column_of_negative_zero_terms_sums_to_positive_zero(self, rng, field):
-        # zero alphas make every term 0 * (x - c), -0.0 below the center; numpy's sum starts from +0.0
+        # zero alphas make every term 0 * (x - c), -0.0 below the center; numpy's sum and BLAS's start from +0.0
         space = Space(3, field)
         n = 2 * BLOCK_ELEMS // 3 + 7
         xs = -1.0 - rng.random((n, 3))
@@ -238,15 +254,13 @@ class TestVectorGruss:
 
 
 class TestWeightedSums:
-    """Weighted sums over the rows that BLAS computes (the means, ``_weighted_sum``) add, in row order, the products
-    of chunks of ``BLAS_ENTRIES`` entries, which BLAS runs on one thread; one chunk is one product. The whole chunks
+    """Every weighted sum over the rows (``_weighted_sum``) adds, in row order, the products of chunks of
+    ``BLAS_ENTRIES`` entries, which BLAS runs on one thread; one chunk is one product. The whole chunks
     are one stacked product, with the bits of one product per chunk, for any layout of the rows."""
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("dim", [1, 3, 32])
     def test_chunks_of_rows_are_summed_in_order(self, rng, field, dim):
-        from grussbounds.space import _weighted_sum
-
         space = Space(dim, field)
         for width in (dim, 1):
             step = BLAS_ENTRIES // width
@@ -283,8 +297,6 @@ class TestWeightedSums:
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("width", [1, 3, 32])
     def test_the_stacked_product_equals_the_chunk_loop(self, rng, width, field, layout):
-        from grussbounds.space import _weighted_sum
-
         step = BLAS_ENTRIES // width
         for n in (step, 2 * step, 2 * step + 1, 3 * step + 5):
             w = random_prob(rng, n).weights

@@ -10,7 +10,10 @@ the reverse-Jensen gaps, all as hex floats. The file was recorded with the
 whole-array kernels, before the row kernels were blocked; the blocked kernels
 must reproduce it exactly. It was recorded again when the weighted sums over
 the rows that BLAS computes were split into chunks that it runs on one thread,
-so that the outputs do not depend on the BLAS thread count.
+so that the outputs do not depend on the BLAS thread count, and again when
+every weighted sum of a functional or link (the Chebyshev functional, the
+scalar statistics, ``vector_gruss``, R2.7's square functional and the
+complementary weight) became one ``space._weighted_sum``.
 
 ``one_block`` holds the same outputs at n = 2 and 8 (one row block, real,
 complex and with a metric), recorded before the chains were evaluated through
@@ -140,15 +143,17 @@ def test_one_block_outputs_equal_the_recorded_bits(name, n):
 
 
 def test_the_outputs_do_not_depend_on_the_blas_thread_count():
-    # OpenBLAS splits a long dot or complex matrix-vector product over its threads, which rounds differently
-    script = "import json, test_large_outputs as t; print(json.dumps([t.outputs(k, t.record_rows(3)) for k in ('real3', 'complex3')]))"
+    # OpenBLAS splits a long dot or complex matrix-vector product over its threads, which rounds differently; on
+    # 32-wide rows the row-block sums of vector_gruss and the fit's filtered passes are matrix-vector products
+    script = ("import json, test_large_outputs as t; "
+              "print(json.dumps([t.outputs(k, t.record_rows(t.CASES[k][0])) for k in ('real3', 'complex3', 'real32')]))")
     path = os.pathsep.join([str(DATA.parents[1]), str(DATA.parents[2] / "src")])
     runs = [
         subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
                        env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}).stdout
         for threads in ("1", "2")
     ]
-    assert runs[0] == runs[1] and json.loads(runs[0])[0]["n"] == record_rows(3)
+    assert runs[0] == runs[1] and [case["n"] for case in json.loads(runs[0])] == [record_rows(3)] * 2 + [record_rows(32)]
 
 
 if __name__ == "__main__":

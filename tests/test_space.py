@@ -221,8 +221,8 @@ class TestColumnPath:
 
 
 class TestBlockedValidation:
-    """A C-contiguous sequence of more than one block is copied a block at a time, each block checked finite as it
-    is copied: the same values, messages and ownership as one ``np.array`` copy and one check."""
+    """A sequence of more than one block is copied a block at a time, each block checked finite as it is copied:
+    the same values, messages and ownership as one C-ordered ``np.array`` copy and one check."""
 
     @staticmethod
     def blocks_of(space, sequence):
@@ -267,15 +267,20 @@ class TestBlockedValidation:
         with np.errstate(over="ignore"), pytest.raises(ContractViolationError, match="vector entries must be finite"):
             Space(3).matrix(src)
 
+    @pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "blocked"])
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
-    def test_other_layouts_keep_the_layout_of_np_array(self, rng, field):
+    def test_other_layouts_are_copied_to_c_order(self, rng, field, blocked):
         space = Space(3, field)
-        n, _ = self.blocks_of(space, "rows")
+        n = self.blocks_of(space, "rows")[0] if blocked else 40
         rows = random_rows(rng, space, 2 * n)
-        for src in (np.asfortranarray(rows), rows[::2], rows[:, ::-1], rows.T.copy().T):
-            out, expected = space.matrix(src), np.array(src, dtype=space.dtype)
-            assert out.strides == expected.strides and out.tobytes(order="A") == expected.tobytes(order="A")
+        frozen = np.asfortranarray(rows[:n])
+        frozen.flags.writeable = False  # read-only, but not C-ordered: copied too
+        for src in (np.asfortranarray(rows), rows[::2], rows[:, ::-1], rows.T.copy().T, frozen):
+            out = space.matrix(src)
+            assert out.flags.c_contiguous and not out.flags.writeable and not np.shares_memory(out, src)
+            assert out.tobytes() == np.array(src, dtype=space.dtype, order="C").tobytes()
         values = rows[:, 0]  # a strided column
+        assert space.scalars(values).flags.c_contiguous
         assert space.scalars(values).tobytes() == np.array(values).tobytes()
 
     @pytest.mark.parametrize("sequence", ["rows", "scalars"])
