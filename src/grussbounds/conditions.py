@@ -31,7 +31,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _blocks, _by_columns, _pairing, _per_row, norm, row_distances
+from .space import COMPLEX, Space, _blocks, _by_columns, _distances, _pairing, _per_row, norm, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -63,18 +63,33 @@ class Enclosure:
     _fitted: tuple = field(default=(lambda: None, None), init=False, repr=False, compare=False)  # a fit's (rows ref, least slack)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", self.space.vector(self.lo))
-        object.__setattr__(self, "hi", self.space.vector(self.hi))
         with np.errstate(over="ignore", invalid="ignore"):
-            d = norm(self.space, self.hi - self.lo)
-            center = (self.lo + self.hi) / 2.0
+            self._hold(self.space.vector(self.lo), self.space.vector(self.hi))
+
+    @classmethod
+    def _fit(cls, space: Space, lo: np.ndarray, hi: np.ndarray) -> "Enclosure":
+        """The enclosure of a fit's endpoints, fresh C-ordered ``(dim,)`` arrays of ``space``'s dtype, not validated
+        again: a non-finite one shows in the diameter. The fit ignores overflow."""
+        encl = cls.__new__(cls)
+        object.__setattr__(encl, "space", space)
+        object.__setattr__(encl, "allow_degenerate", False)
+        encl._hold(lo, hi)
+        return encl
+
+    def _hold(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Hold the endpoints, checked, and their diameter and center, read-only; overflow is ignored by the caller."""
+        d = norm(self.space, hi - lo)
         if not math.isfinite(d * d):  # the box verdicts scale by the squared diameter
+            if not (np.isfinite(lo).all() and np.isfinite(hi).all()):  # a fit's endpoint, unchecked till here
+                raise ContractViolationError("vector entries must be finite")
             raise ContractViolationError("enclosure diameter overflows double precision")
         if d == 0.0 and not self.allow_degenerate:
             raise DegenerateInputError("degenerate enclosure: lo == hi")
-        center.flags.writeable = False
-        object.__setattr__(self, "diameter", d)
-        object.__setattr__(self, "center", center)
+        center = (lo + hi) / 2.0
+        for a in (lo, hi, center):  # on a fresh array a third of the time of ``a.flags.writeable = False``
+            a.setflags(write=False)
+        for name, value in (("lo", lo), ("hi", hi), ("diameter", d), ("center", center)):
+            object.__setattr__(self, name, value)  # vars(self).update would slow every later attribute read
 
     def __getstate__(self) -> dict:  # a fit's weak reference to its rows does not pickle; a copy measures again
         return {k: v for k, v in vars(self).items() if k != "_fitted"}
@@ -238,6 +253,8 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     On rows 8 or more real numbers wide, where that test prunes little, a pass it leaves with every
     row is filtered by one matrix-vector product against the last exact pass (:func:`_filtered_rows`):
     such a fit makes one exact pass. The first full pass also shows a non-finite entry (:func:`_farthest`).
+    On rows of one block every pass is a full one, one call of the distance kernel. Only the input is validated:
+    ``Enclosure._fit`` holds the fit's own fresh endpoints as they are, with the constructor's checks and errors.
     """
     xs = space._rows(xs)
     far, anchor = 0, None
@@ -261,14 +278,15 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
     u = u / d
     # canonical sign/phase: make the first nonzero component positive real
-    k = int((u != 0.0).argmax())
+    k = next(i for i, v in enumerate(u.tolist()) if v)
     if space.is_complex:
         pivot = u[k]
         u = u * (np.conj(pivot) / abs(pivot))
     elif u.item(k) < 0.0:
         u = -u  # u * sign(pivot), to the bit
 
-    fit = Enclosure(space, _read_only(center - radius * u), _read_only(center + radius * u))
+    u *= radius
+    fit = Enclosure._fit(space, center - u, center + u)
     c = fit.center
     far, reach, anchor = _farthest(space, xs, c, far, anchor)
     slack = 0.0
@@ -278,7 +296,7 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
             raise EnclosureFitError(f"enclosure needs inflation by {factor:.6g} > {MAX_INFLATION}")
         encl, dmax = fit, reach
         if factor > 1.0:
-            encl = Enclosure(space, _read_only(c + (fit.lo - c) * factor), _read_only(c + (fit.hi - c) * factor))
+            encl = Enclosure._fit(space, c + (fit.lo - c) * factor, c + (fit.hi - c) * factor)
             far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
         least = encl.radius - dmax
         if least >= -COND_TOL * encl.diameter:  # the ball report's verdict
@@ -286,12 +304,6 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
             return encl
         slack = _ANTIPODE_ROUNDING * (norm(space, c) + reach)  # the antipodes' rounding (see the docstring)
     raise EnclosureFitError("inflated enclosure still fails the ball condition")
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """``a``, a fresh array, made read-only, so that :meth:`Space.vector` checks it without a copy."""
-    a.flags.writeable = False
-    return a
 
 
 #: Relative widening of the pruned passes' triangle-inequality tests, far above the distances' rounding.
@@ -350,19 +362,21 @@ def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor
     pass before the first anchor is a full one: a non-finite entry makes its farthest distance NaN or inf, and such
     a distance checks the entries, to tell a bad one from an overflow.
     """
+    one = _blocks(xs) is None  # then every pass is a full one, one call of the distance kernel
     rows = None if anchor is None else _sweep_rows(space, xs, center, far, anchor)
     if rows is None and anchor is not None and anchor[4] is not None:
         rows, bounds = _filtered_rows(space, xs, center, anchor[4])
         if rows is not None:
             anchor = [center, bounds, None, math.inf, anchor[4]]
-    dists = row_distances(space, xs if rows is None else np.take(xs, rows, axis=0), center)  # take: as xs[rows], faster
+    dists = _distances(space, xs, center) if one else row_distances(  # take: as xs[rows], faster
+        space, xs if rows is None else np.take(xs, rows, axis=0), center)
     j = int(dists.argmax())
     if rows is not None:
         return int(rows[j]), float(dists[j]), anchor
     dmax = float(dists[j])
     if not math.isfinite(dmax) and not np.isfinite(xs).all():
         raise ContractViolationError("vector entries must be finite")
-    if _blocks(xs) is None or not math.isfinite(dmax):
+    if one or not math.isfinite(dmax):
         return j, dmax, None
     wide = not _by_columns(space, xs) and xs.shape[1] * (1 + space.is_complex) > 1  # 8 or more real numbers
     return j, dmax, [center, dists, None, math.inf, (center, dists, dmax) if wide else None]

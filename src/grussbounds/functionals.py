@@ -92,7 +92,7 @@ class _Centered:
 
     def sq(self) -> np.ndarray:
         if self._sq is None:
-            self._sq = _distances(self.space, self.raw, self.center, False)
+            self._sq = _per_row(lambda r: _distances(self.space, r, self.center, False), self.raw)
         return self._sq
 
     def mad(self):

@@ -246,7 +246,7 @@ class ProbabilityVector:
 
 
 def _conform(space: Space, u) -> np.ndarray:
-    u = np.asarray(u, dtype=space.dtype)
+    u = np.asarray(u, dtype=space.dtype, order="C")
     if u.shape != (space.dim,):
         raise DimensionMismatchError(f"vector must have shape ({space.dim},), got {u.shape}")
     return u
@@ -316,7 +316,9 @@ def pairing(space: Space, a, b):
     follow. Below 8 columns numpy adds that product's columns left to right from +0.0, so where
     :func:`_by_columns` holds they are summed one by one instead: the same bits, without the
     ``(n, dim)`` product. From 8 columns numpy sums pairwise; below ``COLUMN_ROWS`` rows one product is cheaper.
+    Arrays of another layout are copied to C order first, so that the bits depend only on the values.
     """
+    a, b = np.asarray(a, order="C"), np.asarray(b, order="C")
     return _per_row(lambda a, b: _pairing(space, a, b), a, b)
 
 
@@ -359,8 +361,9 @@ def inner(space: Space, u, v) -> float | complex:
 
 
 def norm(space: Space, u) -> float:
-    """Induced norm sqrt(Re inner(u, u))."""
-    return float(row_norms(space, _conform(space, u)))
+    """Induced norm sqrt(Re inner(u, u)): the root of :func:`pairing`'s square, to the bit :func:`row_norms`'."""
+    u = _conform(space, u)
+    return math.sqrt(_pairing(space, u, u).real)
 
 
 def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
@@ -368,7 +371,7 @@ def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
 
     The squares are :func:`pairing`'s, summed column by column where it sums that way.
     """
-    rows = np.asarray(rows, dtype=space.dtype)
+    rows = np.asarray(rows, dtype=space.dtype, order="C")
     return np.sqrt(np.real(pairing(space, rows, rows)))
 
 
@@ -379,13 +382,12 @@ def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
     squared and added in ``pairing``'s order (einsum's on complex rows), so no
     ``(n, dim)`` array is built; other real rows square ``rows - c`` in place.
     """
-    return _distances(space, rows, c, True)
+    return _per_row(lambda r: _distances(space, r, c), rows)
 
 
-def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
-    """:func:`row_distances`, or (``root`` false) their squares; one block is one direct call."""
-    if _blocks(rows) is not None:
-        return _per_row(lambda r: _distances(space, r, c, root), rows)
+def _distances(space: Space, rows: np.ndarray, c, root: bool = True) -> np.ndarray:
+    """:func:`row_distances` of one row block, or (``root`` false) their squares: the one distance kernel, which
+    :func:`_per_row` calls a block at a time and a caller holding one block calls directly."""
     m = space.metric
     if _by_columns(space, rows):
         sq = None
@@ -406,7 +408,7 @@ def _distances(space: Space, rows: np.ndarray, c, root: bool) -> np.ndarray:
     else:
         d = rows - c
         if space.is_complex:
-            sq = np.real(_pairing(space, d, d))
+            sq = _pairing(space, d, d).real
         else:
             d *= d
             if m is not None:

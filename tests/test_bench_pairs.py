@@ -1,5 +1,5 @@
-"""``tools/bench_pairs.py`` runs the workloads its options ask for, and the traced runs when the traced workload is
-among them; no benchmark runs here."""
+"""``tools/bench_pairs.py`` runs the workloads its options ask for, and the traced runs of the first one named (of
+``large_n`` when none is); no benchmark runs here."""
 
 import importlib.util
 import json
@@ -47,16 +47,19 @@ def test_defaults_run_every_workload_and_the_traced_runs(bench_pairs, tmp_path):
     assert doc["commits"] == {"parent": "rev-a", "change": "rev-b"}
 
 
-def test_a_workload_other_than_the_traced_one_makes_no_traced_runs(bench_pairs, tmp_path):
+@pytest.mark.parametrize("workload", ["small_n", "cli"])
+def test_a_single_workload_is_the_traced_one(bench_pairs, tmp_path, workload):
     out = tmp_path / "bench.json"
-    assert bench_pairs.main(["a", "b", "--out", str(out), "--workload", "cli"]) == 0
-    assert workloads(bench_pairs.calls, 0) == ["cli"] and workloads(bench_pairs.calls, 1) == []
-    # the pairs alternate which side runs first, on the same seed
-    firsts = [bench_pairs.calls[i][0] for i in range(0, len(bench_pairs.calls), 2)]
-    assert firsts == ["parent", "change"] * (bench_pairs.PAIRS // 2)
+    assert bench_pairs.main(["a", "b", "--out", str(out), "--workload", workload]) == 0
+    assert workloads(bench_pairs.calls, 0) == [workload] and workloads(bench_pairs.calls, 1) == [workload]
+    # the pairs alternate which side runs first, on the same seed, and so do the traced runs
+    untraced = [c for c in bench_pairs.calls if c[3] == 0]
+    assert [untraced[i][0] for i in range(0, len(untraced), 2)] == ["parent", "change"] * (bench_pairs.PAIRS // 2)
+    traced = [c for c in bench_pairs.calls if c[3] == 1]
+    assert len(traced) == 2 * bench_pairs.TRACED_RUNS and {c[2] for c in traced} == {bench_pairs.FIRST_SEED}
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert doc["options"] == {"workloads": ["cli"]}
-    assert list(doc["workloads"]) == ["cli"] and "traced" not in doc
+    assert doc["options"] == {"workloads": [workload]}
+    assert list(doc["workloads"]) == [workload] and doc["traced"]["workload"] == workload
 
 
 def test_workloads_run_in_the_order_given(bench_pairs, tmp_path):
@@ -65,6 +68,10 @@ def test_workloads_run_in_the_order_given(bench_pairs, tmp_path):
     assert bench_pairs.main(argv) == 0
     assert workloads(bench_pairs.calls, 0) == ["large_n", "small_n"] and workloads(bench_pairs.calls, 1) == ["large_n"]
     assert json.loads(out.read_text(encoding="utf-8"))["options"]["workloads"] == ["large_n", "small_n"]
+    argv = ["a", "b", "--out", str(out), "--workload", "small_n", "--workload", "large_n"]
+    bench_pairs.calls.clear()
+    assert bench_pairs.main(argv) == 0  # the first named is traced
+    assert workloads(bench_pairs.calls, 0) == ["small_n", "large_n"] and workloads(bench_pairs.calls, 1) == ["small_n"]
 
 
 @pytest.mark.parametrize("argv", [["--workload", "huge_n"], ["--traced", "0"]])

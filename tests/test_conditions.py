@@ -392,8 +392,9 @@ class TestFitEnclosure:
 
 
 class Passes(list):
-    """The rows of each ``row_distances`` call, and in ``filtered`` the rows of each pass that one product against
-    the last exact pass filtered (the rows it kept were measured, so they are in the list as well)."""
+    """The rows of each distance pass (a ``row_distances`` call, or on rows of one block a direct call of the distance
+    kernel), and in ``filtered`` the rows of each pass that one product against the last exact pass filtered (the rows
+    it kept were measured, so they are in the list as well)."""
 
     def __init__(self):
         super().__init__()
@@ -405,6 +406,7 @@ def passes(monkeypatch):
     from grussbounds import conditions
 
     rows, measure, filtered = Passes(), conditions.row_distances, conditions._filtered_rows
+    measure_block = conditions._distances
 
     def filter_rows(space, xs, center, base):
         kept, bounds = filtered(space, xs, center, base)
@@ -413,6 +415,7 @@ def passes(monkeypatch):
         return kept, bounds
 
     monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
+    monkeypatch.setattr(conditions, "_distances", lambda space, xs, c: rows.append(len(xs)) or measure_block(space, xs, c))
     monkeypatch.setattr(conditions, "_filtered_rows", filter_rows)
     return rows
 
@@ -459,7 +462,8 @@ class TestSweepsStopAtARecurringBall:
 
 
 class TestOneConstruction:
-    """A fit builds its enclosure with the constructor, from read-only endpoints, with the same fields and errors."""
+    """A fit's enclosure, built from its own read-only endpoints without validating them again, has the
+    constructor's fields and errors."""
 
     def fits(self, rng):
         for space in (Space(3), Space(2, COMPLEX), Space(3, REAL, [0.5, 1.0, 2.0]), Space(1)):
@@ -513,6 +517,23 @@ class TestOneConstruction:
             fit_enclosure(Space(1, field), [[-1.2e154], [1.2e154]])
         assert str(info.value) == "cannot fit an enclosure: the distances overflow double precision"
 
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize(
+        "lo, hi, error, message",
+        [
+            ([1.0, math.inf], [0.0, 0.0], ContractViolationError, "vector entries must be finite"),
+            ([math.nan, 0.0], [math.nan, 0.0], ContractViolationError, "vector entries must be finite"),
+            ([-1e200, 0.0], [1e200, 0.0], ContractViolationError, "enclosure diameter overflows double precision"),
+            ([2.0, 3.0], [2.0, 3.0], DegenerateInputError, "degenerate enclosure: lo == hi"),
+        ],
+    )
+    def test_the_fits_own_endpoints_are_checked_as_the_constructor_checks(self, field, lo, hi, error, message):
+        space = Space(2, field)
+        for build in (Enclosure, Enclosure._fit):
+            with pytest.raises(error) as info, np.errstate(over="ignore", invalid="ignore"):
+                build(space, np.array(lo, space.dtype), np.array(hi, space.dtype))
+            assert str(info.value) == message
+
     def test_reverse_jensen_reports_an_overflowing_pair_direction(self):
         from grussbounds import get_oracle, reverse_jensen
 
@@ -526,6 +547,49 @@ class TestOneConstruction:
 def block_rows(dim):
     """Rows in one block of the per-row kernels at width ``dim``."""
     return max(COLUMN_ROWS, BLOCK_ELEMS // dim)
+
+
+class TestOneBlockFit:
+    """A fit of one block (at most ``BLOCK_ELEMS`` numbers, or at most ``COLUMN_ROWS`` rows) measures every pass by
+    one direct call of the distance kernel and validates only its input, with the bits of the reference fit."""
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "metric"])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    @pytest.mark.parametrize("rows_for", [
+        lambda dim: COLUMN_ROWS - 1, lambda dim: COLUMN_ROWS, lambda dim: BLOCK_ELEMS // dim,
+        lambda dim: BLOCK_ELEMS // dim + 1,
+    ], ids=["column_rows-1", "column_rows", "block", "block+1"])
+    def test_matches_the_reference_fit_bit_for_bit(self, rng, monkeypatch, rows_for, dim, kind):
+        from grussbounds import conditions
+
+        n = rows_for(dim)
+        space = Space(dim, COMPLEX if kind == "complex" else REAL, rng.uniform(0.2, 3.0, dim) if kind == "metric" else None)
+        pts = space.matrix(rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if kind == "complex" else 0.0))
+        calls, kernel = [], conditions._distances
+        monkeypatch.setattr(conditions, "_distances", lambda *args: calls.append(len(args[1])) or kernel(*args))
+        lo, hi, _ = reference_fit(pts, space.metric)
+        encl = fit_enclosure(space, pts)
+        assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
+        one = n * dim <= BLOCK_ELEMS or n <= COLUMN_ROWS
+        assert calls == [n] * len(calls) and (len(calls) >= 4) == one  # two seed passes, a sweep and the report's
+
+    def test_a_fit_validates_only_its_input(self, rng, monkeypatch):
+        # the endpoints and the inflated ones are the fit's own, not checked again as the constructor checks its input
+        validated, validate = [], Space._array
+        monkeypatch.setattr(Space, "_array", lambda self, values, *args: validated.append(values) or validate(self, values, *args))
+        space = Space(3)
+        for pts in (rng.standard_normal((16, 3)), rng.standard_normal((2 * COLUMN_ROWS, 3))):
+            validated.clear()
+            fit_enclosure(space, pts)
+            assert len(validated) == 1 and validated[0] is pts
+        for _ in range(100):
+            pts = rng.standard_normal((COLUMN_ROWS * 2, 3))
+            if reference_fit(pts)[2]:
+                break
+        assert reference_fit(pts)[2]  # an inflated fit
+        validated.clear()
+        fit_enclosure(space, pts)
+        assert len(validated) == 1 and validated[0] is pts
 
 
 def several_blocks(rng, dim, field=REAL, kind="normal", scale=1.0):

@@ -361,6 +361,42 @@ class TestRowBlocks:
         assert calls == [(block_rows(3), 3), (block_rows(3), 3), (1, 3)]
 
 
+class TestLayout:
+    """``row_norms`` and ``pairing`` give the bits of C-ordered rows whatever the layout of the rows they are
+    given, and take C-contiguous rows, views among them, as they are."""
+
+    LAYOUTS = {
+        "fortran": np.asfortranarray,
+        "strided": lambda a: np.concatenate([a, a])[::2],
+        "reversed": lambda a: a[::-1],
+        "reversed_columns": lambda a: a[:, ::-1],
+    }
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_other_layouts_give_the_c_ordered_bits(self, rng, field, with_metric, layout):
+        space = Space(12, field, rng.uniform(0.2, 3.0, 12) if with_metric else None)
+        arrange = self.LAYOUTS[layout]
+        for _ in range(5):
+            a, b = arrange(random_rows(rng, space, 2000)), arrange(random_rows(rng, space, 2000))
+            ca, cb = np.ascontiguousarray(a), np.ascontiguousarray(b)
+            assert same_bits(row_norms(space, a), row_norms(space, ca))
+            assert same_bits(pairing(space, a, b), pairing(space, ca, cb))
+
+    def test_c_contiguous_views_are_not_copied(self, rng, monkeypatch):
+        from grussbounds import space as space_module
+
+        space, seen = Space(3), []
+        kernel = space_module._pairing
+        monkeypatch.setattr(space_module, "_pairing", lambda *args: seen.append(args[1:3]) or kernel(*args))
+        grads, d = random_rows(rng, space, 50), rng.standard_normal((50, 4, 3))
+        pairing(space, grads[:, None, :], d)  # as gradient_check pairs each gradient with its directions
+        row_norms(space, grads)
+        (a, b), (rows, again) = seen
+        assert a.base is grads and b is d and rows is grads and again is grads
+
+
 class TestNorm:
     def test_zero(self):
         sp = Space(3)

@@ -25,12 +25,12 @@ export holds any ``__pycache__`` before the first run and after the last. A
 ``git archive`` export ships none, so with that variable set every child
 compiles every module it imports, and its op times include that.
 
-``options`` records the workloads run. Last, when ``TRACED_WORKLOAD`` is
-among them, ``traced`` holds ``TRACED_RUNS`` ``--trace 1`` runs of it per side
-(seed ``FIRST_SEED``, alternating, the parent first): every run, each
-per-layer metric's median over a side's runs and the change/parent ratio of the
-medians, which show in which layer a change of the end-to-end metrics sits. One
-traced run is too noisy to read a layer from.
+``options`` records the workloads run. Last, ``traced`` holds ``TRACED_RUNS``
+``--trace 1`` runs per side of the first ``--workload`` named, or of
+``TRACED_WORKLOAD`` when none is (seed ``FIRST_SEED``, alternating, the parent
+first): every run, each per-layer metric's median over a side's runs and the
+change/parent ratio of the medians, which show in which layer a change of the
+end-to-end metrics sits. One traced run is too noisy to read a layer from.
 """
 
 from __future__ import annotations
@@ -141,25 +141,24 @@ def main(argv=None) -> int:
         for side, path in checkouts.items():
             doc["bytecode"][side]["pycache_at_end"] = has_bytecode(path)
             print(f"bytecode {side:<6} {json.dumps(doc['bytecode'][side])}", flush=True)
-        if TRACED_WORKLOAD in workloads:
-            doc["traced"] = traced_runs(checkouts, seconds)
+        doc["traced"] = traced_runs(checkouts, workloads[0] if args.workload else TRACED_WORKLOAD, seconds)
     args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
-def traced_runs(checkouts: dict, seconds: float) -> dict:
-    """``TRACED_RUNS`` traced runs of ``TRACED_WORKLOAD`` per side, alternating, and their per-layer medians."""
+def traced_runs(checkouts: dict, workload: str, seconds: float) -> dict:
+    """``TRACED_RUNS`` traced runs of ``workload`` per side, alternating, and their per-layer medians."""
     traced = {"parent": [], "change": []}
     for i in range(TRACED_RUNS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            traced[side].append(run_once(checkouts[side], TRACED_WORKLOAD, FIRST_SEED, seconds, trace=1))
+            traced[side].append(run_once(checkouts[side], workload, FIRST_SEED, seconds, trace=1))
     values = {side: {k: statistics.median(r["metrics"][k]["value"] for r in runs) for k in runs[0]["metrics"]}
               for side, runs in traced.items()}
     ratios = {k: values["change"][k] / v if v else None for k, v in values["parent"].items()}
     for name, ratio in ratios.items():
-        print(f"traced {TRACED_WORKLOAD} {name:<44} parent {values['parent'][name]:.4g} "
+        print(f"traced {workload} {name:<44} parent {values['parent'][name]:.4g} "
               f"change {values['change'][name]:.4g} ratio {ratio if ratio is None else round(ratio, 3)}", flush=True)
-    return {"workload": TRACED_WORKLOAD, "seed": FIRST_SEED, "runs": traced, "medians": values, "ratios": ratios}
+    return {"workload": workload, "seed": FIRST_SEED, "runs": traced, "medians": values, "ratios": ratios}
 
 
 if __name__ == "__main__":
