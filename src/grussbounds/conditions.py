@@ -31,7 +31,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _blocks, _by_columns, _distances, _pairing, _per_row, norm, row_distances
+from .space import COMPLEX, Space, _blocks, _distances, _pairing, _per_row, _real_view, norm, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -163,8 +163,9 @@ def _report(encl: Enclosure, xs: np.ndarray, kind: str) -> ConditionReport:
 
 def _slacks(encl: Enclosure, xs: np.ndarray, kind: str) -> np.ndarray:
     """The ``kind`` slacks of every row of validated ``xs``; only that form's are computed."""
-    if kind == "box":  # Re<hi - x_i, x_i - lo>, a row block at a time
-        return _per_row(lambda x: np.real(_pairing(encl.space, encl.hi - x, x - encl.lo)), xs).astype(np.float64)
+    if kind == "box":  # Re<hi - x_i, x_i - lo>, on the real view, a row block at a time
+        space, hi, lo, xs = _real_view(encl.space, encl.hi, encl.lo, xs)
+        return _per_row(lambda x: _pairing(space, hi - x, x - lo), xs)
     return encl.radius - row_distances(encl.space, xs, encl.center)
 
 
@@ -223,60 +224,55 @@ def check_scalar_disc(a, A, alphas) -> ConditionReport:
 def fit_enclosure(space: Space, xs) -> Enclosure:
     """Fit an enclosure whose ball condition holds for every input point.
 
-    Seeds a ball on the farthest-point pair, runs Ritter expansion passes
-    (at most ``MAX_SWEEPS``; they stop at the first fixed point, a ball that
-    recurs after one pass or a cycle of them, with the ball the cap would end
-    on, since every later pass only repeats: see :func:`_ritter`), tightens
-    the radius to the exact maximal distance, and returns antipodes along the
-    seed-pair direction.
+    Seeds a ball on the farthest-point pair, runs Ritter expansion passes (at most ``MAX_SWEEPS``; they stop at the
+    first fixed point, a ball that recurs after one pass or a cycle of them, with the ball the cap would end on,
+    since every later pass only repeats: see :func:`_ritter`), tightens the radius to the exact maximal distance,
+    and returns antipodes along the seed-pair direction.
 
-    The result is validated with the ball condition and inflated about its
-    center by the minimal factor needed to cover all points, which absorbs
-    the rounding of the antipode construction. The inflated antipodes round
-    at their own magnitude, which can leave the farthest row outside by about
-    3 u (||center|| + its distance), u = 2**-53, more than the dead zone from
-    about 1e6 diameters out; then the inflation is redone to reach
-    ``_ANTIPODE_ROUNDING`` times that sum further. A required factor above
-    ``MAX_INFLATION`` raises ``EnclosureFitError``. Both take the farthest
-    distance from the center, which ``_fitted`` keeps as the least slack of the
-    ball report on the rows (which it refers to, weakly), so that :func:`_report`
-    measures nothing for that report until its slacks are read.
+    The result is validated with the ball condition and inflated about its center by the minimal factor needed to
+    cover all points, which absorbs the rounding of the antipode construction. The inflated antipodes round at their
+    own magnitude, which can leave the farthest row outside by about 3 u (||center|| + its distance), u = 2**-53,
+    more than the dead zone from about 1e6 diameters out; then the inflation is redone to reach
+    ``_ANTIPODE_ROUNDING`` times that sum further. A required factor above ``MAX_INFLATION`` raises
+    ``EnclosureFitError``. Both take the farthest distance from the center, which ``_fitted`` keeps as the least
+    slack of the ball report on the rows (which it refers to, weakly), so that :func:`_report` measures nothing for
+    that report until its slacks are read.
 
-    Each pass finds the farthest row from a center with :func:`_farthest`: two seed
-    passes, one per sweep, and one or, after an inflation, two for the report (the
-    sweep that stops the expansion gives the tight radius). On rows of more than one block
-    one full pass, the anchor, bounds how far each row can lie from a later center, and every
-    later pass measures only rows not strictly nearer than a row it is given (:func:`_sweep_rows`).
-    The anchor is a pass from the middle of the rows when a sample of them shows that it prunes
-    the first seed pass (distances from the middle spread, unlike a shell's): a fit of well-spread
-    rows makes that one full pass. Otherwise the first seed pass, from ``xs[0]``, is the anchor.
-    On rows 8 or more real numbers wide, where that test prunes little, a pass it leaves with every
-    row is filtered by one matrix-vector product against the last exact pass (:func:`_filtered_rows`):
-    such a fit makes one exact pass. The first full pass also shows a non-finite entry (:func:`_farthest`).
-    On rows of one block every pass is a full one, one call of the distance kernel. Only the input is validated:
-    ``Enclosure._fit`` holds the fit's own fresh endpoints as they are, with the constructor's checks and errors.
+    Each pass finds the farthest row from a center with :func:`_farthest`: two seed passes, one per sweep, and one
+    or, after an inflation, two for the report (the sweep that stops the expansion gives the tight radius). On rows
+    of more than one block one full pass, the anchor, bounds how far each row can lie from a later center, and every
+    later pass measures only rows not strictly nearer than a row it is given (:func:`_sweep_rows`). The anchor is a
+    pass from the middle of the rows when a sample of them shows that it prunes the first seed pass (distances from
+    the middle spread, unlike a shell's): a fit of well-spread rows makes that one full pass. Otherwise the first
+    seed pass, from ``xs[0]``, is the anchor. On rows 8 or more real numbers wide, where that test prunes little, a
+    pass it leaves with every row is filtered by one matrix-vector product against the last exact pass
+    (:func:`_filtered_rows`): such a fit makes one exact pass. The first full pass also shows a non-finite entry
+    (:func:`_farthest`). On rows of one block every pass is a full one, one call of the distance kernel. Only the
+    input is validated: ``Enclosure._fit`` holds the fit's own fresh endpoints as they are, with the constructor's
+    checks and errors. Complex rows are fitted on their real view, but for the antipode direction's canonical phase.
     """
-    xs = space._rows(xs)
+    given = space._rows(xs)
+    real, xs = _real_view(space, given)
     far, anchor = 0, None
     if _blocks(xs) is not None:  # sample rows: the farthest from xs[0] is its floor, the rest estimate the share kept
         sample = xs[::_SAMPLE]
         c = sample.mean(axis=0)
-        far = _SAMPLE * int(row_distances(space, sample, xs[0]).argmax())
-        thr = _threshold(space, norm(space, xs[far] - xs[0]), norm(space, xs[0] - c))
-        if thr is not None and np.count_nonzero(row_distances(space, sample, c) >= thr) < _PRUNE_SHARE * len(sample):
-            anchor = _farthest(space, xs, c, 0, None)[2]
+        far = _SAMPLE * int(row_distances(real, sample, xs[0]).argmax())
+        thr = _threshold(real, norm(real, xs[far] - xs[0]), norm(real, xs[0] - c))
+        if thr is not None and np.count_nonzero(row_distances(real, sample, c) >= thr) < _PRUNE_SHARE * len(sample):
+            anchor = _farthest(real, xs, c, 0, None)[2]
     central = anchor is not None
-    i1, dmax, anchor = _farthest(space, xs, xs[0], far, anchor)
+    i1, dmax, anchor = _farthest(real, xs, xs[0], far, anchor)
     if dmax == 0.0:
         raise DegenerateInputError("cannot fit an enclosure to identical points")
-    far = _SAMPLE * int(row_distances(space, sample, xs[i1]).argmax()) if central else i1  # i1: a floor of 0 prunes nothing
-    i2, dmax, anchor = _farthest(space, xs, xs[i1], far, anchor)
-    center, radius, far, anchor = _ritter(space, xs, (xs[i1] + xs[i2]) / 2.0, dmax / 2.0, i2, anchor)
+    far = _SAMPLE * int(row_distances(real, sample, xs[i1]).argmax()) if central else i1  # i1: a floor of 0 prunes nothing
+    i2, dmax, anchor = _farthest(real, xs, xs[i1], far, anchor)
+    center, radius, far, anchor = _ritter(real, xs, (xs[i1] + xs[i2]) / 2.0, dmax / 2.0, i2, anchor)
     u = xs[i2] - xs[i1]
-    d = norm(space, u)
+    d = norm(real, u)
     if not (math.isfinite(radius) and math.isfinite(d)):  # the seed pair's distance can overflow alone
         raise ContractViolationError("cannot fit an enclosure: the distances overflow double precision")
-    u = u / d
+    u = u.view(space.dtype) / d  # from here on, vectors of ``space``
     # canonical sign/phase: make the first nonzero component positive real
     k = next(i for i, v in enumerate(u.tolist()) if v)
     if space.is_complex:
@@ -286,9 +282,10 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         u = -u  # u * sign(pivot), to the bit
 
     u *= radius
+    center = center.view(space.dtype)
     fit = Enclosure._fit(space, center - u, center + u)
     c = fit.center
-    far, reach, anchor = _farthest(space, xs, c, far, anchor)
+    far, reach, anchor = _farthest(real, xs, c.view(np.float64), far, anchor)
     slack = 0.0
     for _ in range(2):
         factor = (reach + slack) / fit.radius
@@ -297,10 +294,10 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
         encl, dmax = fit, reach
         if factor > 1.0:
             encl = Enclosure._fit(space, c + (fit.lo - c) * factor, c + (fit.hi - c) * factor)
-            far, dmax, anchor = _farthest(space, xs, encl.center, far, anchor)
+            far, dmax, anchor = _farthest(real, xs, encl.center.view(np.float64), far, anchor)
         least = encl.radius - dmax
         if least >= -COND_TOL * encl.diameter:  # the ball report's verdict
-            object.__setattr__(encl, "_fitted", (weakref.ref(xs), least))  # the rows may be freed with their owner
+            object.__setattr__(encl, "_fitted", (weakref.ref(given), least))  # the rows may be freed with their owner
             return encl
         slack = _ANTIPODE_ROUNDING * (norm(space, c) + reach)  # the antipodes' rounding (see the docstring)
     raise EnclosureFitError("inflated enclosure still fails the ball condition")
@@ -354,8 +351,8 @@ def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor
     """The row farthest from ``center`` (the first of equals), its distance, and the anchor after this pass.
 
     ``anchor`` is [c0, d0, kept, above, base] or None: upper bounds d0 on every row's distance from c0, the rows
-    the last pruned pass kept, every row with d0_i >= ``above`` among them, and, on rows 8 or more real numbers wide
-    (not :func:`_by_columns`), the base: the last exact pass. With an anchor only :func:`_sweep_rows` are measured,
+    the last pruned pass kept, every row with d0_i >= ``above`` among them, and, on rows 8 or more wide (not
+    summed by columns), the base: the last exact pass. With an anchor only :func:`_sweep_rows` are measured,
     with the same result; when that is every row, the base filters them (:func:`_filtered_rows`), and its bounds
     become d0 from ``center``. Otherwise every row is, and on rows of more than one block with a finite farthest
     distance that exact pass is the anchor and the base. The fit does not check its rows finite on entry, and every
@@ -378,24 +375,24 @@ def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor
         raise ContractViolationError("vector entries must be finite")
     if one or not math.isfinite(dmax):
         return j, dmax, None
-    wide = not _by_columns(space, xs) and xs.shape[1] * (1 + space.is_complex) > 1  # 8 or more real numbers
-    return j, dmax, [center, dists, None, math.inf, (center, dists, dmax) if wide else None]
+    return j, dmax, [center, dists, None, math.inf, (center, dists, dmax) if xs.shape[1] >= 8 else None]
 
 
 def _filtered_rows(space: Space, xs: np.ndarray, center: np.ndarray, base: tuple):
     """The rows that can be farthest from ``center``, ascending, and an upper bound on every row's distance from it,
     from one product of the rows against ``center - c_b``; (None, None) when every row is to be measured.
 
-    The base is an exact pass: its center c_b, every row's distance d_i from it, and the largest D. With
-    v = center - c_b, row i's squared distance is e_i = d_i**2 - 2 Re<x_i, v> + (2 Re<c_b, v> + ||v||**2), all n
-    <x_i, v> from one ``xs @ (metric * conj(v))``. In floats e_i is off by at most E = 4 (dim + 8) u S, u = 2**-53,
-    where S = D**2 + 2 (2 ||c_b|| + D) ||v|| + ||v||**2 bounds every term and partial sum. With W <= 2 dim real
-    numbers a row and gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of Numerical Algorithms*, ch. 3):
-    d_i**2 (differences, squares, weights, a sum in any order, root and square) is off by gamma_(W+5) D**2; a real
-    dot product of W terms in any order by gamma_W sum_k m_k |x_ik| |v_k| <= gamma_W ||x_i|| ||v|| (Cauchy-Schwarz
-    in the metric), with ||x_i|| <= ||c_b|| + D, and one u more for the weights; likewise 2 Re<c_b, v>, and
-    ||v||**2 by gamma_(W+5) ||v||**2; the rounding of v itself moves e_i by 2 u S; three additions, u S each. That
-    is about (W + 10) u S <= (2 dim + 10) u S, and E, at least twice it, also covers the rounding of its own inputs.
+    The rows are real (of a complex fit, the real view). The base is an exact pass: its center c_b, every row's
+    distance d_i from it, and the largest D. With v = center - c_b, row i's squared distance is e_i = d_i**2 -
+    2 <x_i, v> + (2 <c_b, v> + ||v||**2), all n <x_i, v> from one ``xs @ (metric * v)``. In floats e_i is off by at
+    most E = 4 (dim + 8) u S, u = 2**-53, where S = D**2 + 2 (2 ||c_b|| + D) ||v|| + ||v||**2 bounds every term and
+    partial sum. With W = dim numbers a row and gamma_k = k u / (1 - k u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3): d_i**2 (differences, squares, weights, a sum in any order, root and square) is
+    off by gamma_(W+5) D**2; a dot product of W terms in any order by gamma_W sum_k m_k |x_ik| |v_k| <=
+    gamma_W ||x_i|| ||v|| (Cauchy-Schwarz in the metric), with ||x_i|| <= ||c_b|| + D, and one u more for the
+    weights; likewise 2 <c_b, v>, and ||v||**2 by gamma_(W+5) ||v||**2; the rounding of v itself moves e_i by
+    2 u S; three additions, u S each. That is about (W + 10) u S, and E, at least twice it, also covers the rounding
+    of its own inputs.
     It holds for any summation order, so for any BLAS thread count.
 
     So U_i = sqrt(max(e_i, 0) + E) (1 + ``_PRUNE_MARGIN``) bounds row i's distance, and the farthest is at least
@@ -411,11 +408,11 @@ def _filtered_rows(space: Space, xs: np.ndarray, center: np.ndarray, base: tuple
     err = 4.0 * (space.dim + 8) * 2.0 ** -53 * size
     if not (np.finfo(np.float64).tiny <= err and 2.0 * size < math.inf):
         return None, None
-    w = np.conj(v) if space.metric is None else np.conj(v) * space.metric
-    bounds = np.real(xs @ w)
+    w = v if space.metric is None else v * space.metric
+    bounds = xs @ w
     bounds *= -2.0
     bounds += db * db
-    bounds += 2.0 * float(np.real(cb @ w)) + moved * moved
+    bounds += 2.0 * float(cb @ w) + moved * moved
     floor = math.sqrt(max(float(bounds.max()) - err, 0.0)) * (1.0 - _PRUNE_MARGIN)
     np.maximum(bounds, 0.0, out=bounds)
     bounds += err

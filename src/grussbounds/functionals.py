@@ -26,8 +26,8 @@ import numpy as np
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
 from .space import (
-    COMPLEX, REAL, ProbabilityVector, Space, _blocks, _by_columns, _distances, _pairing, _per_row, _weighted_sum, norm,
-    row_norms,
+    COMPLEX, REAL, ProbabilityVector, Space, _blocks, _by_columns, _distances, _pairing, _per_row, _real_view,
+    _weighted_sum, norm, row_norms,
 )
 
 
@@ -73,9 +73,9 @@ class WeightedSequence:
 class _Centered:
     """Centered view of one validated sequence, built once per chain, or of a stack of them.
 
-    Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of
-    x_i - center, are ``row_distances``' squares, and ``_pair`` and ``_gruss`` center a row block at a time,
-    so none builds an (n, dim) copy. Every weighted sum over the rows is one ``_weighted_sum``.
+    Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of x_i - center,
+    are ``row_distances``' squares (of the real view), and ``_pair`` and ``_gruss`` center a row block at a time, so
+    none builds an (n, dim) copy. Every weighted sum over the rows is one ``_weighted_sum``.
 
     A stack is (K, n, dim) rows of K candidates with (K, n) or shared (n,) weights; its mean keeps the
     row axis, (K, 1, dim), so that it broadcasts against the rows. Every reduction runs per candidate,
@@ -85,14 +85,16 @@ class _Centered:
 
     def __init__(self, space: Space, w: np.ndarray, raw: np.ndarray, center: np.ndarray | None = None):
         self.space, self.w, self.raw = space, w, raw
-        if center is None:
-            center = _weighted_sum(w, raw, -2)
+        if center is None:  # real weights: the real view's mean, so that the squares are the real view's too
+            center = _weighted_sum(w, _real_view(space, raw)[1], -2)
+            center = center.view(space.dtype) if space.is_complex else center
         self.center = center
         self._sq = None
 
     def sq(self) -> np.ndarray:
         if self._sq is None:
-            self._sq = _per_row(lambda r: _distances(self.space, r, self.center, False), self.raw)
+            space, raw, center = _real_view(self.space, self.raw, self.center)
+            self._sq = _per_row(lambda r: _distances(space, r, center, False), raw)
         return self._sq
 
     def mad(self):
@@ -125,15 +127,15 @@ def _pair(space: Space, w: np.ndarray, cx: _Centered, cy: _Centered):
 def _gruss(ca: _CenteredScalars, cx: _Centered) -> np.ndarray:
     """sum_i w_i dev_i (x_i - cx.center), one ``_weighted_sum`` of the differences (a stack's per candidate).
 
-    Over row blocks it adds one such sum per block, in block order: where :func:`space._by_columns` holds, one
-    column of a block at a time, so that each sum reads a contiguous column.
+    Over row blocks it adds one such sum per block, in block order: where :func:`space._by_columns` holds for the
+    real view of the rows, one column of a block at a time, so that each sum reads a contiguous column.
     """
     wd, x, c = ca.w * ca.dev, cx.raw, cx.center
     blocks = _blocks(x)
     if blocks is None:
         total = _weighted_sum(wd, x - c, -2)
         return total if x.ndim == 2 else total[..., 0, :]
-    by_columns, total = _by_columns(cx.space, x), None
+    by_columns, total = _by_columns(_real_view(cx.space, x)[1]), None
     for lo in blocks:
         xb, wb = x[lo:lo + blocks.step], wd[lo:lo + blocks.step]
         part = (np.array([_weighted_sum(wb, xb[:, k] - c[k], -1) for k in range(x.shape[1])]) if by_columns

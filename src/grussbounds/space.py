@@ -1,14 +1,11 @@
 """Field-generic inner product algebra on finite-dimensional coordinate spaces.
 
-A :class:`Space` fixes the dimension, the scalar field (real or complex) and
-an optional diagonal metric of strictly positive weights. All operations are
-pure functions over immutable values.
+A :class:`Space` fixes the dimension, the scalar field (real or complex) and an optional diagonal metric of strictly
+positive weights. All operations are pure functions over immutable values.
 
-Each kind of array input has one validator, which copies numbers (only) into
-the field, checks shape, nonemptiness and finiteness, and returns it read-only
-(an array that nothing can write to is checked but not copied). A sequence of
-more than one block is checked in the pass that copies it, a block at a time,
-so that it is read once:
+Each kind of array input has one validator, which copies numbers (only) into the field, checks shape, nonemptiness
+and finiteness, and returns it read-only (an array that nothing can write to is checked but not copied). A sequence
+of more than one block is checked in the pass that copies it, a block at a time, so that it is read once:
 
 * ``Space.vector``   one vector, shape ``(dim,)`` (enclosure endpoints, centers);
 * ``Space.matrix``   a sequence of vectors, shape ``(n, dim)`` (xs, ys, zs, gradients);
@@ -16,8 +13,8 @@ so that it is read once:
   scalar is a sequence of one);
 * :class:`ProbabilityVector`  the weights: flat, finite, nonnegative, summing to one.
 
-Convention: the inner product is linear in the first argument and
-conjugate-linear in the second. Every norm is the induced one.
+Convention: the inner product is linear in the first argument and conjugate-linear in the second. Every norm is the
+induced one. What reads only Re<., .> (norms, distances, slacks, fits) runs on a complex space's ``_real_view``.
 
 Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` and what builds on
 them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
@@ -30,6 +27,7 @@ only on its values and the fixed chunking, not on the thread count or on which f
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +87,10 @@ class Space:
         object.__setattr__(self, "is_complex", self.field == COMPLEX)
         object.__setattr__(self, "dtype", np.dtype(np.complex128 if self.is_complex else np.float64))
 
+    @functools.cached_property
+    def _real(self) -> "Space":  # the space of a complex one's real view (see _real_view), made once and kept
+        return Space(2 * self.dim, REAL, None if self.metric is None else np.repeat(self.metric, 2))
+
     def vector(self, coords) -> np.ndarray:
         """Validate coordinates as a finite vector of this space (read-only)."""
         return self._array(coords, (self.dim,), f"coordinates as a {self.field} vector",
@@ -132,14 +134,14 @@ class Space:
         blocks = (_blocks(src) if src.ndim == 2 else range(0, src.size, BLOCK_ELEMS)) if big else None
         if blocks is None:
             a = src if frozen else np.array(src, dtype=self.dtype, order="C", ndmin=len(got))
-            if entries and not np.isfinite(a).all():
+            if entries and not _finite(a):
                 raise ContractViolationError(f"{entries} must be finite")
         else:  # a safe cast keeps each entry finite or not, so then a (narrower) C-contiguous source block is checked
             a, safe = np.empty(got, self.dtype), np.can_cast(src.dtype, self.dtype) and src.flags.c_contiguous
             for lo in blocks:
                 block = a[lo:lo + blocks.step]
                 block[...] = part = src[lo:lo + blocks.step]
-                if not np.isfinite((x := part if safe else block).view(x.real.dtype)).all():  # complex as real pairs
+                if not _finite(part if safe else block):
                     raise ContractViolationError(f"{entries} must be finite")
         a.flags.writeable = False
         return a
@@ -151,6 +153,11 @@ class Space:
         if (self.metric is None) != (other.metric is None):
             return False
         return self.metric is None or bool(np.array_equal(self.metric, other.metric))
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of the C-contiguous ``a`` is finite; complex ones as real pairs (half the time on many)."""
+    return bool(np.isfinite(a.view(a.real.dtype) if a.dtype.kind == "c" else a).all())
 
 
 def _frozen(a, space: Space, ndim: int) -> bool:
@@ -252,10 +259,18 @@ def _conform(space: Space, u) -> np.ndarray:
     return u
 
 
-def _by_columns(space: Space, rows: np.ndarray) -> bool:
-    """Whether ``rows`` (or each of a stack of them), at least ``COLUMN_ROWS`` of them and 2 to 7 real numbers
-    wide, sum column by column."""
-    return rows.ndim >= 2 and rows.shape[-2] >= COLUMN_ROWS and 1 < rows.shape[-1] * (1 + space.is_complex) < 8
+def _real_view(space: Space, *arrays) -> tuple:
+    """``space`` and its ``arrays``, a complex space as its real view: C^d with metric m is R^(2d) with metric
+    (m_1, m_1, ..., m_d, m_d) for Re<., .>, each array the ``.view(np.float64)`` of it as C-ordered complex."""
+    if not space.is_complex:
+        return (space, *arrays)
+    return (space._real, *[np.asarray(a, np.complex128, order="C").view(np.float64) for a in arrays])
+
+
+def _by_columns(rows: np.ndarray) -> bool:
+    """Whether real ``rows`` (or each of a stack of them), at least ``COLUMN_ROWS`` of them and 2 to 7 wide, sum
+    column by column."""
+    return rows.ndim >= 2 and rows.shape[-2] >= COLUMN_ROWS and 1 < rows.shape[-1] < 8
 
 
 def _blocks(rows: np.ndarray) -> range | None:
@@ -325,7 +340,7 @@ def pairing(space: Space, a, b):
 def _pairing(space: Space, a, b, ca=None, cb=None):
     """:func:`pairing` of one row block, or of ``a - ca`` and ``b - cb`` where centers are given; summed by
     columns, each column of the differences is formed in turn, not each row broadcast against a short center."""
-    by_columns = not space.is_complex and _by_columns(space, a) and a.shape == np.shape(b)
+    by_columns = not space.is_complex and _by_columns(a) and a.shape == np.shape(b)
     if ca is not None and not by_columns:
         a, b = a - ca, b - cb
     if space.is_complex:
@@ -362,56 +377,41 @@ def inner(space: Space, u, v) -> float | complex:
 
 def norm(space: Space, u) -> float:
     """Induced norm sqrt(Re inner(u, u)): the root of :func:`pairing`'s square, to the bit :func:`row_norms`'."""
-    u = _conform(space, u)
-    return math.sqrt(_pairing(space, u, u).real)
+    space, u = _real_view(space, _conform(space, u))
+    return math.sqrt(_pairing(space, u, u))
 
 
 def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
-    """Norms of each row of an (n, dim) array (or of one vector), under the space metric.
-
-    The squares are :func:`pairing`'s, summed column by column where it sums that way.
-    """
-    rows = np.asarray(rows, dtype=space.dtype, order="C")
-    return np.sqrt(np.real(pairing(space, rows, rows)))
+    """Norms of each row of an (n, dim) array (or of one vector), under the space metric: the roots of the real
+    view's :func:`pairing` squares, summed column by column where it sums that way."""
+    space, rows = _real_view(space, np.asarray(rows, dtype=space.dtype, order="C"))
+    return np.sqrt(pairing(space, rows, rows))
 
 
 def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
-    """||x_i - c|| for every row x_i of ``rows``, to the bit ``row_norms(space, rows - c)``.
-
-    Where :func:`_by_columns` holds, each column of a block of ``rows - c`` is formed,
-    squared and added in ``pairing``'s order (einsum's on complex rows), so no
-    ``(n, dim)`` array is built; other real rows square ``rows - c`` in place.
-    """
+    """||x_i - c|| for every row x_i of ``rows``, to the bit ``row_norms(space, rows - c)``; on a complex space, of
+    their real view. Where :func:`_by_columns` holds, each column of a block of ``rows - c`` is formed, squared
+    and added in ``pairing``'s order, so no ``(n, dim)`` array is built; other rows square ``rows - c`` in place."""
+    space, rows, c = _real_view(space, rows, c)
     return _per_row(lambda r: _distances(space, r, c), rows)
 
 
 def _distances(space: Space, rows: np.ndarray, c, root: bool = True) -> np.ndarray:
-    """:func:`row_distances` of one row block, or (``root`` false) their squares: the one distance kernel, which
-    :func:`_per_row` calls a block at a time and a caller holding one block calls directly."""
+    """:func:`row_distances` of one row block of a real space, or (``root`` false) their squares: the one distance
+    kernel, which :func:`_per_row` calls a block at a time and a caller holding one block calls directly."""
     m = space.metric
-    if _by_columns(space, rows):
+    if _by_columns(rows):
         sq = None
-        for k in range(rows.shape[-1]):
-            if space.is_complex:  # re * (re * m) + im * (im * m)
-                re, im = rows.real[..., k] - c.real[..., k], rows.imag[..., k] - c.imag[..., k]
-                term = re * re if m is None else re * (re * m[k])
-                term += im * im if m is None else im * (im * m[k])
-            else:  # (d * d) * m
-                term = rows[..., k] - c[..., k]
-                term *= term
-                if m is not None:
-                    term *= m[k]
-            if sq is None:  # the sum starts from +0.0, and +0.0 + term is term: a square is never -0.0
-                sq = term
-            else:
-                sq += term
+        for k in range(rows.shape[-1]):  # (d * d) * m, summed from +0.0: +0.0 + a square is the square
+            term = rows[..., k] - c[..., k]
+            term *= term
+            if m is not None:
+                term *= m[k]
+            sq = term if sq is None else np.add(sq, term, out=sq)
     else:
         d = rows - c
-        if space.is_complex:
-            sq = _pairing(space, d, d).real
-        else:
-            d *= d
-            if m is not None:
-                d *= m
-            sq = np.add.reduce(d, axis=-1)
+        d *= d
+        if m is not None:
+            d *= m
+        sq = np.add.reduce(d, axis=-1)
     return np.sqrt(sq, out=sq) if root else sq

@@ -21,8 +21,12 @@ def reference_pairing(a, b, metric=None):
 
 
 def reference_norms(rows, metric=None):
-    """Row norms as plain numpy expressions over one fresh product."""
-    return np.sqrt(np.real(reference_pairing(rows, rows, metric)))
+    """Row norms as plain numpy expressions over one fresh product; complex rows as their real view, C^d as
+    R^(2d) with each metric weight repeated."""
+    if np.iscomplexobj(rows):
+        rows = np.ascontiguousarray(rows).view(np.float64)
+        metric = None if metric is None else np.repeat(metric, 2)
+    return np.sqrt(reference_pairing(rows, rows, metric))
 
 
 def reference_fit(xs, metric=None, max_sweeps=200):

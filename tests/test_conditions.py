@@ -556,13 +556,14 @@ class TestOneBlockFit:
     @pytest.mark.parametrize("kind", ["real", "complex", "metric"])
     @pytest.mark.parametrize("dim", [1, 3, 8])
     @pytest.mark.parametrize("rows_for", [
-        lambda dim: COLUMN_ROWS - 1, lambda dim: COLUMN_ROWS, lambda dim: BLOCK_ELEMS // dim,
-        lambda dim: BLOCK_ELEMS // dim + 1,
+        lambda width: COLUMN_ROWS - 1, lambda width: COLUMN_ROWS, lambda width: BLOCK_ELEMS // width,
+        lambda width: BLOCK_ELEMS // width + 1,
     ], ids=["column_rows-1", "column_rows", "block", "block+1"])
     def test_matches_the_reference_fit_bit_for_bit(self, rng, monkeypatch, rows_for, dim, kind):
         from grussbounds import conditions
 
-        n = rows_for(dim)
+        width = 2 * dim if kind == "complex" else dim  # real numbers a row: a complex fit runs on the real view
+        n = rows_for(width)
         space = Space(dim, COMPLEX if kind == "complex" else REAL, rng.uniform(0.2, 3.0, dim) if kind == "metric" else None)
         pts = space.matrix(rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if kind == "complex" else 0.0))
         calls, kernel = [], conditions._distances
@@ -570,7 +571,7 @@ class TestOneBlockFit:
         lo, hi, _ = reference_fit(pts, space.metric)
         encl = fit_enclosure(space, pts)
         assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()
-        one = n * dim <= BLOCK_ELEMS or n <= COLUMN_ROWS
+        one = n * width <= BLOCK_ELEMS or n <= COLUMN_ROWS
         assert calls == [n] * len(calls) and (len(calls) >= 4) == one  # two seed passes, a sweep and the report's
 
     def test_a_fit_validates_only_its_input(self, rng, monkeypatch):
@@ -783,8 +784,9 @@ class TestFilteredPass:
     @staticmethod
     def check(space, xs, i, j, k):
         from grussbounds.conditions import _PRUNE_SHARE, _filtered_rows
-        from grussbounds.space import row_distances
+        from grussbounds.space import _real_view, row_distances
 
+        space, xs = _real_view(space, xs)  # a fit filters the real view of complex rows
         n, dim = xs.shape
         cb, center = xs[i], (xs[j] + xs[k]) / 2.0  # a seed pass's base, and a center between rows (or on one)
         db = row_distances(space, xs, cb)

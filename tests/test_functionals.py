@@ -25,7 +25,8 @@ from grussbounds import (
 )
 from grussbounds.functionals import _Centered
 from grussbounds.space import (
-    BLAS_ENTRIES, BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, _blocks, _by_columns, _weighted_sum, norm, row_norms,
+    BLAS_ENTRIES, BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, _blocks, _by_columns, _real_view, _weighted_sum, norm,
+    row_norms,
 )
 from numpy_reference import reference_pairing
 
@@ -229,7 +230,7 @@ class TestVectorGruss:
             parts = []
             for lo in blocks:
                 wb, d = wd[lo:lo + blocks.step], x[lo:lo + blocks.step] - c
-                if _by_columns(space, x):
+                if _by_columns(_real_view(space, x)[1]):  # the real view's width
                     parts.append(np.array([_weighted_sum(wb, d[:, k].copy(), -1) for k in range(dim)]))
                 else:
                     parts.append(_weighted_sum(wb, d, -2))
@@ -268,10 +269,13 @@ class TestWeightedSums:
                 w = random_prob(rng, n).weights
                 a = rng.standard_normal((n, dim) if width == dim else n)
                 a = a + 1j * rng.standard_normal(a.shape) if field == COMPLEX else a
-                parts = [w[lo:lo + step] @ a[lo:lo + step] for lo in range(0, n, step)]
+                rows = _real_view(space, a)[1] if width == dim else a  # a mean of complex rows is their real view's
+                size = BLAS_ENTRIES // (rows.shape[1] if width == dim else 1)
+                parts = [w[lo:lo + size] @ rows[lo:lo + size] for lo in range(0, n, size)]
                 expected = parts[0]
                 for part in parts[1:]:
                     expected = expected + part
+                expected = expected.view(space.dtype) if width == dim else expected
                 stack = np.stack([a, a[::-1]])
                 if width == dim:
                     got, stacked = _Centered(space, w, a).center, _Centered(space, w, stack).center[0, 0]
@@ -345,6 +349,19 @@ class TestVariance:
             p = random_prob(rng, n)
             expected = brute_variance(p.weights, xs, space.metric)
             assert variance(space, p, xs) == pytest.approx(expected, rel=1e-10, abs=1e-12)
+
+
+    @pytest.mark.parametrize("n, dim", [(3000, 5), (40, 3), (3 * COLUMN_ROWS, 2)])
+    def test_complex_squares_are_contiguous_and_sum_as_their_copy(self, rng, n, dim):
+        # the squared distances of complex rows are a contiguous real array, so their weighted sums read only values
+        space = Space(dim, COMPLEX, rng.uniform(0.2, 3.0, dim) if n == 40 else None)
+        for _ in range(20):
+            xs = space.matrix(rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+            p = random_prob(rng, n)
+            sq = _Centered(space, p.weights, xs).sq()
+            assert sq.dtype == np.float64 and sq.flags.c_contiguous
+            assert variance(space, p, xs).hex() == float(_weighted_sum(p.weights, sq.copy(), -1)).hex()
+            assert mad(space, p, xs).hex() == float(_weighted_sum(p.weights, np.sqrt(sq), -1)).hex()
 
 
 class TestMad:

@@ -13,7 +13,11 @@ the rows that BLAS computes were split into chunks that it runs on one thread,
 so that the outputs do not depend on the BLAS thread count, and again when
 every weighted sum of a functional or link (the Chebyshev functional, the
 scalar statistics, ``vector_gruss``, R2.7's square functional and the
-complementary weight) became one ``space._weighted_sum``.
+complementary weight) became one ``space._weighted_sum``, and again when the
+norms, distances, means, variance, mad, slacks and fits of complex rows moved
+onto their real view, whose real kernels sum in another order than einsum.
+Only the complex cases moved; their links and slacks agree with the
+term-by-term complex sums of ``brute.py`` to 1e-12.
 
 ``one_block`` holds the same outputs at n = 2 and 8 (one row block, real,
 complex and with a metric), recorded before the chains were evaluated through
@@ -140,6 +144,52 @@ def test_one_block_outputs_equal_the_recorded_bits(name, n):
 
     assert n < max(COLUMN_ROWS, BLOCK_ELEMS // CASES[name][0])  # one block
     assert outputs(name, n) == json.loads(DATA.read_text())["one_block"][f"{name}/n{n}"]
+
+
+@pytest.mark.parametrize("key", ["cases/complex3", "one_block/complex3/n2", "one_block/complex3/n8"])
+def test_the_complex_outputs_agree_with_the_brute_sums(key):
+    # the recorded complex outputs are the real view's bits; term-by-term complex sums give their links to 1e-12
+    from brute import brute_chebyshev, brute_inner, brute_mean, brute_variance
+
+    recorded = json.loads(DATA.read_text())
+    r = recorded["cases"]["complex3"] if key.startswith("cases") else recorded["one_block"][key.split("/", 1)[1]]
+    space, p, xs, ys, alphas = case_inputs("complex3", r["n"])
+    w, xl, yl, al = p.weights.tolist(), xs.tolist(), ys.tolist(), alphas.tolist()
+    pair = lambda h: complex(float.fromhex(h[0]), float.fromhex(h[1]))
+    lo, hi = [pair(v) for v in r["x_lo"]], [pair(v) for v in r["x_hi"]]
+
+    def diam(a, b):
+        d = [pair(v) - pair(u) for u, v in zip(a, b)]
+        return math.sqrt(brute_inner(d, d).real)
+
+    def mad(rows):
+        mean = brute_mean(w, rows)
+        devs = [[x - m for x, m in zip(row, mean)] for row in rows]
+        return sum(pi * math.sqrt(brute_inner(d, d).real) for pi, d in zip(w, devs))
+
+    abar = sum(pi * complex(a) for pi, a in zip(w, al))
+    amad, avar = (sum(pi * abs(complex(a) - abar) ** k for pi, a in zip(w, al)) for k in (1, 2))
+    dx, dy, disc = diam(r["x_lo"], r["x_hi"]), diam(r["y_lo"], r["y_hi"]), abs(pair(r["disc"][1]) - pair(r["disc"][0]))
+    vx, vy, cheb = brute_variance(w, xl), brute_variance(w, yl), brute_chebyshev(w, xl, yl)
+    expected = {
+        "|chebyshev(p;x,y)|": abs(cheb), "variance(p;x)": vx, "0.5*diam(x)*mad(y) [2.3]": 0.5 * dx * mad(yl),
+        "0.5*diam(x)*std(y) [2.3]": 0.5 * dx * math.sqrt(vy), "0.25*diam(x)*diam(y) [1.4]": 0.25 * dx * dy,
+        "0.5*diam(x)*mad(x) [2.8]": 0.5 * dx * mad(xl), "0.25*diam(x)^2 [1.5]": 0.25 * dx * dx,
+        "0.5*diam(x)*amad(alpha) [2.9]": 0.5 * dx * amad, "0.5*diam(x)*astd(alpha) [2.9]": 0.5 * dx * math.sqrt(avar),
+        "0.25*|A-a|*diam(x) [1.2]": 0.25 * disc * dx,
+    }
+    checked = [(float.fromhex(value), expected[label]) for tag, values in r["chains"].items()
+               for label, value in zip(r["labels"][tag][1:], values) if label in expected]
+    assert len(checked) == 19 and all(got == pytest.approx(want, rel=1e-12) for got, want in checked)
+    assert pair(r["chebyshev_at_center"]) == pytest.approx(cheb, rel=1e-12)
+    encl, center = gb.Enclosure(space, lo, hi), [(a + b) / 2 for a, b in zip(lo, hi)]
+    box, ball = gb.check_box(encl, xs).slacks, gb.check_ball(encl, xs).slacks  # the recorded digests' slacks
+    for i in range(0, len(xl), max(1, len(xl) // 500)):
+        x = xl[i]
+        edge = brute_inner([b - v for b, v in zip(hi, x)], [v - a for v, a in zip(x, lo)]).real
+        dev = [v - c for v, c in zip(x, center)]
+        reach = math.sqrt(brute_inner(dev, dev).real)
+        assert abs(box[i] - edge) <= 1e-12 * dx * dx and abs(ball[i] - (dx / 2 - reach)) <= 1e-12 * dx
 
 
 def test_the_outputs_do_not_depend_on_the_blas_thread_count():

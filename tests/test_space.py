@@ -249,6 +249,22 @@ class TestBlockedValidation:
             validate(a)
         assert str(info.value) == f"{message} must be finite"
 
+    @pytest.mark.parametrize("frozen", [False, True], ids=["fresh", "frozen"])
+    @pytest.mark.parametrize("blocked", [False, True], ids=["one-block", "blocked"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_a_non_finite_real_or_imaginary_part_raises(self, rng, value, part, blocked, frozen):
+        # complex entries are checked as real pairs on every branch: one block or more, copied or read-only
+        space = Space(3, COMPLEX)
+        n = self.blocks_of(space, "rows")[0] if blocked else 40
+        a = random_rows(rng, space, n)
+        getattr(a, part)[n // 2, 1] = value
+        a.flags.writeable = not frozen
+        for validate, values in ((space.matrix, a), (space.vector, a[n // 2])):
+            with pytest.raises(ContractViolationError) as info:
+                validate(values)
+            assert str(info.value) == "vector entries must be finite"
+
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     @pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64, np.uint8])
     def test_casts_give_the_values_np_array_gives(self, rng, field, dtype):
