@@ -111,8 +111,8 @@ class _Stats(dict):
     """The statistics of one chain's validated inputs, each computed on first use and kept.
 
     Keys are (name, kind): ``(seq, "centered")`` the centered view of a sequence, ``(seq, "diff")`` the row
-    norms of its forward differences and ``(seq, "max")`` their largest, ``(encl, "diam")`` an enclosure's
-    diameter (|A - a| for the disc). ``w`` are the weights. The sequences may be stacks of candidates,
+    norms of its forward differences and ``(seq, "max")`` their largest. ``w`` are the weights; the links read
+    each enclosure's diameter (|A - a| for the disc) from ``encls``. The sequences may be stacks of candidates,
     (K, n, dim) rows and (K, n) scalars with (K, n) or shared (n,) weights: a statistic is then an array
     over the leading axis (see :class:`functionals._Centered`), and so is what a link makes of it.
     """
@@ -125,8 +125,6 @@ class _Stats(dict):
         if kind == "centered":
             rows = self.arrays[name]
             value = self[key] = _CenteredScalars(self.w, rows) if name == "alphas" else _Centered(self.space, self.w, rows)
-        elif kind == "diam":
-            value = self[key] = self.encls[name].diameter
         else:  # "diff" or "max", made together
             rows = self.arrays[name]
             if rows.shape[-2] < 2:
@@ -154,15 +152,15 @@ def _spread(encl: str, seq: str, eq: str) -> tuple[Link, Link]:
     d = _diam_label(encl)
     mad, std = ("amad(alpha)", "astd(alpha)") if seq == "alphas" else (f"mad({seq[0]})", f"std({seq[0]})")
     return (
-        Link(f"0.5*{d}*{mad}", eq, lambda s: 0.5 * s[encl, "diam"] * s[seq, "centered"].mad()),
-        Link(f"0.5*{d}*{std}", eq, lambda s: 0.5 * s[encl, "diam"] * np.sqrt(s[seq, "centered"].variance())),
+        Link(f"0.5*{d}*{mad}", eq, lambda s: 0.5 * s.encls[encl].diameter * s[seq, "centered"].mad()),
+        Link(f"0.5*{d}*{std}", eq, lambda s: 0.5 * s.encls[encl].diameter * np.sqrt(s[seq, "centered"].variance())),
     )
 
 
 def _quarter(a: str, b: str, eq: str) -> Link:
     """The classical final link d(a) * d(b) / 4 of two enclosures."""
     label = f"0.25*{_diam_label(a)}^2" if a == b else f"0.25*{_diam_label(a)}*{_diam_label(b)}"
-    return Link(label, eq, lambda s: 0.25 * s[a, "diam"] * s[b, "diam"])
+    return Link(label, eq, lambda s: 0.25 * s.encls[a].diameter * s.encls[b].diameter)
 
 
 def _gated(

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import instancefile
 from .bounds import CHAINS, ENCLOSED_SEQUENCE, BoundChain, _evaluate
-from .conditions import _report, check_ball, check_box, fit_enclosure
+from .conditions import _LINE, _report, check_ball, check_box, fit_enclosure
 from .errors import (
     ContractViolationError,
     DegenerateInputError,
@@ -48,7 +48,6 @@ from .errors import (
     SoundnessError,
 )
 from .instancefile import Instance, instance_document
-from .space import COMPLEX, Space
 
 GRADIENT_CHECK_H = 1e-5
 GRADIENT_CHECK_MAX_ERR = 1e-6
@@ -155,7 +154,7 @@ def _fit_missing(inst: Instance, name: str, fit: bool, fitted: dict):
     found = inst.enclosures.get(name)
     if found is None and fit:
         seq = ENCLOSED_SEQUENCE[name]
-        space, rows = (Space(1, COMPLEX), inst.alphas[:, None]) if name == "disc" else (inst.space, getattr(inst, seq))
+        space, rows = (_LINE, inst.alphas[:, None]) if name == "disc" else (inst.space, getattr(inst, seq))
         with _at(f"$.sequences.{seq}"):
             found = fitted[name] = fit_enclosure(space, rows)
     return found

@@ -31,7 +31,7 @@ from .errors import (
     DegenerateInputError,
     EnclosureFitError,
 )
-from .space import COMPLEX, Space, _blocks, _distances, _pairing, _per_row, _real_view, norm, row_distances
+from .space import COMPLEX, Space, _blocks, _pairing, _per_row, _real_view, norm, row_distances
 
 #: Relative dead-zone width for condition verdicts.
 COND_TOL = 1e-10
@@ -44,6 +44,9 @@ MAX_SWEEPS = 200
 
 #: Scalar discs kept by ``_disc`` (a chain given the same disc on every call builds it once).
 DISC_CACHE_SIZE = 64
+
+#: The complex line every scalar disc lies on, and every disc fit runs on: one space, whose real view is made once.
+_LINE = Space(1, COMPLEX)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +211,7 @@ def _kept_disc(bits: bytes) -> Enclosure:
 def _new_disc(a, A) -> Enclosure:
     if complex(a) == complex(A):
         raise DegenerateInputError("degenerate disc: a == A")
-    return Enclosure(Space(1, COMPLEX), [a], [A])  # which checks that both are finite
+    return Enclosure(_LINE, [a], [A])  # which checks that both are finite
 
 
 def check_scalar_disc(a, A, alphas) -> ConditionReport:
@@ -247,7 +250,7 @@ def fit_enclosure(space: Space, xs) -> Enclosure:
     seed pass, from ``xs[0]``, is the anchor. On rows 8 or more real numbers wide, where that test prunes little, a
     pass it leaves with every row is filtered by one matrix-vector product against the last exact pass
     (:func:`_filtered_rows`): such a fit makes one exact pass. The first full pass also shows a non-finite entry
-    (:func:`_farthest`). On rows of one block every pass is a full one, one call of the distance kernel. Only the
+    (:func:`_farthest`). On rows of one block every pass is a full one, one call of the row kernel. Only the
     input is validated: ``Enclosure._fit`` holds the fit's own fresh endpoints as they are, with the constructor's
     checks and errors. Complex rows are fitted on their real view, but for the antipode direction's canonical phase.
     """
@@ -359,13 +362,13 @@ def _farthest(space: Space, xs: np.ndarray, center: np.ndarray, far: int, anchor
     pass before the first anchor is a full one: a non-finite entry makes its farthest distance NaN or inf, and such
     a distance checks the entries, to tell a bad one from an overflow.
     """
-    one = _blocks(xs) is None  # then every pass is a full one, one call of the distance kernel
+    one = _blocks(xs) is None  # then every pass is a full one, one call of the row kernel
     rows = None if anchor is None else _sweep_rows(space, xs, center, far, anchor)
     if rows is None and anchor is not None and anchor[4] is not None:
         rows, bounds = _filtered_rows(space, xs, center, anchor[4])
         if rows is not None:
             anchor = [center, bounds, None, math.inf, anchor[4]]
-    dists = _distances(space, xs, center) if one else row_distances(  # take: as xs[rows], faster
+    dists = np.sqrt(sq := _pairing(space, xs, ca=center), out=sq) if one else row_distances(  # take: as xs[rows], faster
         space, xs if rows is None else np.take(xs, rows, axis=0), center)
     j = int(dists.argmax())
     if rows is not None:

@@ -26,7 +26,7 @@ import numpy as np
 from .conditions import Enclosure
 from .errors import ContractViolationError, DimensionMismatchError
 from .space import (
-    COMPLEX, REAL, ProbabilityVector, Space, _blocks, _by_columns, _distances, _pairing, _per_row, _real_view,
+    COMPLEX, REAL, ProbabilityVector, Space, _blocks, _by_columns, _pairing, _per_row, _real_view,
     _weighted_sum, norm, row_norms,
 )
 
@@ -74,8 +74,9 @@ class _Centered:
     """Centered view of one validated sequence, built once per chain, or of a stack of them.
 
     Holds the raw rows and their center (the weighted mean unless given). ``sq()``, the squared norms of x_i - center,
-    are ``row_distances``' squares (of the real view), and ``_pair`` and ``_gruss`` center a row block at a time, so
-    none builds an (n, dim) copy. Every weighted sum over the rows is one ``_weighted_sum``.
+    pairs the real view's rows with themselves about it and ``_pair`` two sequences about their centers, both in the
+    one row kernel ``space._pairing``; they and ``_gruss`` center a row block at a time, so none builds an (n, dim)
+    copy. Every weighted sum over the rows is one ``_weighted_sum``.
 
     A stack is (K, n, dim) rows of K candidates with (K, n) or shared (n,) weights; its mean keeps the
     row axis, (K, 1, dim), so that it broadcasts against the rows. Every reduction runs per candidate,
@@ -94,7 +95,7 @@ class _Centered:
     def sq(self) -> np.ndarray:
         if self._sq is None:
             space, raw, center = _real_view(self.space, self.raw, self.center)
-            self._sq = _per_row(lambda r: _distances(space, r, center, False), raw)
+            self._sq = _per_row(lambda r: _pairing(space, r, ca=center), raw)
         return self._sq
 
     def mad(self):

@@ -40,7 +40,7 @@ from .conditions import Enclosure
 from .errors import ContractViolationError, SoundnessError
 from .functionals import WeightedSequence, _Centered
 from .instancefile import instance_document
-from .space import BLOCK_ELEMS, ProbabilityVector, Space, _probability_rows
+from .space import BLOCK_ELEMS, ProbabilityVector, Space, _pairing, _probability_rows
 
 #: Candidate evaluations per restart.
 RESTART_SIZE = 500
@@ -163,7 +163,7 @@ class _Problem:
         # per candidate, the bits of mean(axis=0) and of np.linalg.norm(rows, axis=1).max()
         for key in ("xs", "ys"):
             rows = cand[key] - np.add.reduce(cand[key], axis=-2, keepdims=True) / self.n
-            top = np.sqrt(np.maximum.reduce(np.add.reduce(rows * rows, axis=-1), axis=-1))[..., None, None]
+            top = np.sqrt(np.maximum.reduce(_pairing(self.space, rows), axis=-1))[..., None, None]
             np.divide(rows, top, out=cand[key], where=top > 0.0)
         return cand
 

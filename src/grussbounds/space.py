@@ -16,10 +16,11 @@ of more than one block is checked in the pass that copies it, a block at a time,
 Convention: the inner product is linear in the first argument and conjugate-linear in the second. Every norm is the
 induced one. What reads only Re<., .> (norms, distances, slacks, fits) runs on a complex space's ``_real_view``.
 
-Kernels with one value per row (:func:`pairing` of rows, :func:`row_distances` and what builds on
-them) run over cache-sized blocks of ``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length
-output, with the bits of one whole-array call (their one call up to one block). Every such kernel, here
-or in another module, reaches the blocks through one ``_per_row`` call. Every weighted sum over the rows
+One per-row kernel, ``_pairing``, sums metric_k (a_k - ca_k) conj(b_k - cb_k) over each row; a squared norm or
+distance is the real pairing of the rows with themselves. What gives one value per row (:func:`pairing` of rows,
+:func:`row_norms`, :func:`row_distances` and what builds on them) runs it over cache-sized blocks of
+``max(COLUMN_ROWS, BLOCK_ELEMS // dim)`` rows into one n-length output, with the bits of one whole-array call
+(one call up to one block), here or in another module through one ``_per_row`` call. Every weighted sum over the rows
 (a mean, a functional, a statistic or a coefficient) is one ``_weighted_sum``: BLAS products of chunks that
 it runs on one thread, every whole chunk in one stacked product, added in row order, so that a sum depends
 only on its values and the fixed chunking, not on the thread count or on which functional asked for it.
@@ -253,7 +254,7 @@ class ProbabilityVector:
 
 
 def _conform(space: Space, u) -> np.ndarray:
-    u = np.asarray(u, dtype=space.dtype, order="C")
+    u = np.asarray(_numeric(u, space.field, "coordinates"), dtype=space.dtype, order="C")
     if u.shape != (space.dim,):
         raise DimensionMismatchError(f"vector must have shape ({space.dim},), got {u.shape}")
     return u
@@ -337,31 +338,42 @@ def pairing(space: Space, a, b):
     return _per_row(lambda a, b: _pairing(space, a, b), a, b)
 
 
-def _pairing(space: Space, a, b, ca=None, cb=None):
-    """:func:`pairing` of one row block, or of ``a - ca`` and ``b - cb`` where centers are given; summed by
-    columns, each column of the differences is formed in turn, not each row broadcast against a short center."""
-    by_columns = not space.is_complex and _by_columns(a) and a.shape == np.shape(b)
-    if ca is not None and not by_columns:
-        a, b = a - ca, b - cb
-    if space.is_complex:
-        # einsum skips the complex (n, dim) product
-        b = np.conj(b) if space.metric is None else np.conj(b) * space.metric
-        return np.einsum("...k,...k->...", a, b)
-    if by_columns:
-        total, term, db = np.zeros(a.shape[:-1]), None, None
+def _pairing(space: Space, a, b=None, ca=None, cb=None):
+    """:func:`pairing` of one row block, or of ``a - ca`` and ``b - cb`` where centers are given: the one per-row kernel.
+
+    Without ``b`` (on a real space) it pairs ``a - ca`` with itself, a squared distance, each difference formed once
+    and squared in place. Summed by columns, each column of the differences is formed in turn, not each row broadcast
+    against a short center; squares are never -0.0, so they start from their first column, not from +0.0.
+    """
+    m = space.metric
+    if space.is_complex:  # einsum skips the complex (n, dim) product
+        if ca is not None:
+            a, b = a - ca, b - cb
+        return np.einsum("...k,...k->...", a, np.conj(b) if m is None else np.conj(b) * m)
+    if _by_columns(a) and (b is None or a.shape == b.shape):
+        total, term, db = None if b is None else np.zeros(a.shape[:-1]), None, None
         for k in range(a.shape[-1]):
             if ca is None:
-                term = np.multiply(a[..., k], b[..., k], out=term)
+                term = np.multiply(a[..., k], (a if b is None else b)[..., k], out=term)
             else:
-                term, db = np.subtract(a[..., k], ca[..., k], out=term), np.subtract(b[..., k], cb[..., k], out=db)
-                term *= db
-            if space.metric is not None:
-                term *= space.metric[k]
-            total += term
+                term = np.subtract(a[..., k], ca[..., k], out=term)
+                term *= term if b is None else (db := np.subtract(b[..., k], cb[..., k], out=db))
+            if m is not None:
+                term *= m[k]
+            if total is None:
+                total, term = term, None
+            else:
+                total += term
         return total
-    prod = a * b
-    if space.metric is not None:
-        prod = prod * space.metric
+    if ca is None:
+        prod = a * (a if b is None else b)
+    elif b is None:
+        prod = a - ca
+        prod *= prod
+    else:  # b - cb may broadcast wider than a - ca
+        prod = (a - ca) * (b - cb)
+    if m is not None:  # in place, unless the product is of integers
+        prod = np.multiply(prod, m, out=prod if prod.dtype == m.dtype else None)
     return np.add.reduce(prod, axis=-1)  # .sum(axis=-1) without its Python wrapper
 
 
@@ -378,7 +390,7 @@ def inner(space: Space, u, v) -> float | complex:
 def norm(space: Space, u) -> float:
     """Induced norm sqrt(Re inner(u, u)): the root of :func:`pairing`'s square, to the bit :func:`row_norms`'."""
     space, u = _real_view(space, _conform(space, u))
-    return math.sqrt(_pairing(space, u, u))
+    return math.sqrt(_pairing(space, u))
 
 
 def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
@@ -390,28 +402,7 @@ def row_norms(space: Space, rows: np.ndarray) -> np.ndarray:
 
 def row_distances(space: Space, rows: np.ndarray, c) -> np.ndarray:
     """||x_i - c|| for every row x_i of ``rows``, to the bit ``row_norms(space, rows - c)``; on a complex space, of
-    their real view. Where :func:`_by_columns` holds, each column of a block of ``rows - c`` is formed, squared
-    and added in ``pairing``'s order, so no ``(n, dim)`` array is built; other rows square ``rows - c`` in place."""
+    their real view: the roots, taken in place, of :func:`_pairing` of each row block with itself about ``c``, so
+    that no ``(n, dim)`` array is built where it sums by columns."""
     space, rows, c = _real_view(space, rows, c)
-    return _per_row(lambda r: _distances(space, r, c), rows)
-
-
-def _distances(space: Space, rows: np.ndarray, c, root: bool = True) -> np.ndarray:
-    """:func:`row_distances` of one row block of a real space, or (``root`` false) their squares: the one distance
-    kernel, which :func:`_per_row` calls a block at a time and a caller holding one block calls directly."""
-    m = space.metric
-    if _by_columns(rows):
-        sq = None
-        for k in range(rows.shape[-1]):  # (d * d) * m, summed from +0.0: +0.0 + a square is the square
-            term = rows[..., k] - c[..., k]
-            term *= term
-            if m is not None:
-                term *= m[k]
-            sq = term if sq is None else np.add(sq, term, out=sq)
-    else:
-        d = rows - c
-        d *= d
-        if m is not None:
-            d *= m
-        sq = np.add.reduce(d, axis=-1)
-    return np.sqrt(sq, out=sq) if root else sq
+    return _per_row(lambda r: np.sqrt(sq := _pairing(space, r, ca=c), out=sq), rows)

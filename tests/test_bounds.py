@@ -634,13 +634,14 @@ class TestChainPath:
         from grussbounds import functionals
 
         made = []
-        original = functionals._distances
+        original = functionals._pairing
 
-        def counting(*args):
-            made.append(args[1])
-            return original(*args)
+        def counting(space, a, b=None, ca=None, cb=None):
+            if b is None:  # the squared distances, a pairing of the rows with themselves
+                made.append(a)
+            return original(space, a, b, ca, cb)
 
-        monkeypatch.setattr(functionals, "_distances", counting)
+        monkeypatch.setattr(functionals, "_pairing", counting)
         sp = Space(2)
         encl = Enclosure(sp, [-1.0, 0.0], [1.0, 0.0])
         xs = sample_in_ball(rng, sp, encl, 6)

@@ -658,6 +658,7 @@ class TestFileDisc:
         assert list(fitted) == ["disc"] and chain.hypothesis_verified
         discs = [encl for encl, kind in gated if kind == "disc"]
         assert len(discs) == 1 and discs[0] is fitted["disc"]
+        assert fitted["disc"].space is conditions._LINE  # the one complex line of every disc
 
     @pytest.mark.parametrize("argv", [("check", "--fit"), ("bound", "--which", "2.11", "--fit")])
     def test_fitted_disc_is_not_built_again(self, capsys, tmp_path, no_disc_built, argv):

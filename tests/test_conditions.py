@@ -140,6 +140,13 @@ class TestDiscCache:
             with pytest.raises(error):
                 check_scalar_disc(a, A, [0.5])
 
+    def test_every_disc_lies_on_one_line(self):
+        # one complex line, so one real view of it, past the cache's size and for discs it does not keep
+        from grussbounds.conditions import DISC_CACHE_SIZE, _LINE, _disc
+
+        discs = [_disc(0.0, complex(k, 1.0)) for k in range(DISC_CACHE_SIZE + 2)] + [_disc(np.float64(0.5), 2)]
+        assert all(disc.space is _LINE for disc in discs) and _LINE.is_complex and _LINE.dim == 1
+
     def test_other_types_are_validated_on_every_call(self):
         from grussbounds.conditions import _disc
 
@@ -392,9 +399,9 @@ class TestFitEnclosure:
 
 
 class Passes(list):
-    """The rows of each distance pass (a ``row_distances`` call, or on rows of one block a direct call of the distance
-    kernel), and in ``filtered`` the rows of each pass that one product against the last exact pass filtered (the rows
-    it kept were measured, so they are in the list as well)."""
+    """The rows of each distance pass (a ``row_distances`` call, or on rows of one block a direct call of the row
+    kernel pairing the rows with themselves), and in ``filtered`` the rows of each pass that one product against the
+    last exact pass filtered (the rows it kept were measured, so they are in the list as well)."""
 
     def __init__(self):
         super().__init__()
@@ -406,7 +413,7 @@ def passes(monkeypatch):
     from grussbounds import conditions
 
     rows, measure, filtered = Passes(), conditions.row_distances, conditions._filtered_rows
-    measure_block = conditions._distances
+    kernel = conditions._pairing
 
     def filter_rows(space, xs, center, base):
         kept, bounds = filtered(space, xs, center, base)
@@ -415,7 +422,8 @@ def passes(monkeypatch):
         return kept, bounds
 
     monkeypatch.setattr(conditions, "row_distances", lambda space, xs, c: rows.append(len(xs)) or measure(space, xs, c))
-    monkeypatch.setattr(conditions, "_distances", lambda space, xs, c: rows.append(len(xs)) or measure_block(space, xs, c))
+    monkeypatch.setattr(conditions, "_pairing", lambda space, a, b=None, ca=None, cb=None: (
+        b is None and rows.append(len(a))) or kernel(space, a, b, ca, cb))
     monkeypatch.setattr(conditions, "_filtered_rows", filter_rows)
     return rows
 
@@ -551,7 +559,7 @@ def block_rows(dim):
 
 class TestOneBlockFit:
     """A fit of one block (at most ``BLOCK_ELEMS`` numbers, or at most ``COLUMN_ROWS`` rows) measures every pass by
-    one direct call of the distance kernel and validates only its input, with the bits of the reference fit."""
+    one direct call of the row kernel and validates only its input, with the bits of the reference fit."""
 
     @pytest.mark.parametrize("kind", ["real", "complex", "metric"])
     @pytest.mark.parametrize("dim", [1, 3, 8])
@@ -566,8 +574,9 @@ class TestOneBlockFit:
         n = rows_for(width)
         space = Space(dim, COMPLEX if kind == "complex" else REAL, rng.uniform(0.2, 3.0, dim) if kind == "metric" else None)
         pts = space.matrix(rng.standard_normal((n, dim)) + (1j * rng.standard_normal((n, dim)) if kind == "complex" else 0.0))
-        calls, kernel = [], conditions._distances
-        monkeypatch.setattr(conditions, "_distances", lambda *args: calls.append(len(args[1])) or kernel(*args))
+        calls, kernel = [], conditions._pairing
+        monkeypatch.setattr(conditions, "_pairing", lambda space, a, b=None, ca=None, cb=None: (
+            b is None and calls.append(len(a))) or kernel(space, a, b, ca, cb))
         lo, hi, _ = reference_fit(pts, space.metric)
         encl = fit_enclosure(space, pts)
         assert encl.lo.tobytes() == lo.tobytes() and encl.hi.tobytes() == hi.tobytes()

@@ -16,7 +16,9 @@ from grussbounds import (
 )
 from brute import brute_inner
 from conftest import random_space, random_vector
-from grussbounds.space import BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, pairing, row_distances, row_norms
+from grussbounds.space import (
+    BLOCK_ELEMS, COLUMN_ROWS, COMPLEX, REAL, _pairing, _per_row, pairing, row_distances, row_norms,
+)
 from numpy_reference import reference_norms, reference_pairing
 
 
@@ -377,6 +379,38 @@ class TestRowBlocks:
         assert calls == [(block_rows(3), 3), (block_rows(3), 3), (1, 3)]
 
 
+class TestSelfPairing:
+    """``_pairing`` of rows with themselves about a center (a squared distance) gives the bits of pairing them with a
+    copy of themselves about a copy of it, in every branch of the kernel, a row equal to its center giving +0.0."""
+
+    @pytest.mark.parametrize(
+        "rows_for", [lambda s: COLUMN_ROWS - 1, lambda s: COLUMN_ROWS, lambda s: 2 * s + 7],
+        ids=["column_rows-1", "column_rows", "blocked"],
+    )
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim", [*range(1, 9), 32])
+    def test_rows_about_a_center(self, rng, dim, with_metric, rows_for):
+        space = Space(dim, REAL, rng.uniform(0.2, 3.0, dim) if with_metric else None)
+        a, c = random_rows(rng, space, rows_for(block_rows(dim))), random_vector(rng, space, 10.0)
+        a[1] = c
+        own = _per_row(lambda r: _pairing(space, r, ca=c), a)
+        assert same_bits(own, _per_row(lambda r, s: _pairing(space, r, s, c, c.copy()), a, a.copy()))
+        assert same_bits(_per_row(lambda r: _pairing(space, r), a), _per_row(lambda r, s: _pairing(space, r, s), a, a.copy()))
+        assert own[1] == 0.0 and not np.signbit(own[1])
+
+    @pytest.mark.parametrize("n", [COLUMN_ROWS - 1, COLUMN_ROWS])
+    @pytest.mark.parametrize("with_metric", [False, True])
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_a_stack_about_its_centers(self, rng, dim, with_metric, n):
+        space = Space(dim, REAL, rng.uniform(0.2, 3.0, dim) if with_metric else None)
+        a, c = rng.standard_normal((4, n, dim)), rng.standard_normal((4, 1, dim))
+        a[2, 5] = c[2, 0]
+        own = _pairing(space, a, ca=c)
+        assert same_bits(own, _pairing(space, a, a.copy(), c, c.copy()))
+        assert same_bits(_pairing(space, a), _pairing(space, a, a.copy()))
+        assert own.shape == (4, n) and own[2, 5] == 0.0 and not np.signbit(own[2, 5])
+
+
 class TestLayout:
     """``row_norms`` and ``pairing`` give the bits of C-ordered rows whatever the layout of the rows they are
     given, and take C-contiguous rows, views among them, as they are."""
@@ -427,6 +461,16 @@ class TestNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             norm(Space(2), [1.0])
+
+    @pytest.mark.parametrize("coords", [np.array([1j]), ["1"], [True], [1j]], ids=["complex_array", "str", "bool", "complex"])
+    def test_coordinates_that_are_not_real_numbers_are_rejected(self, coords):
+        # as Space.vector rejects them, not cast to 0.0 or 1.0 or left to a bare TypeError
+        space = Space(1)
+        for call in (lambda u: norm(space, u), lambda u: inner(space, u, [1.0]), lambda u: inner(space, [1.0], u)):
+            with pytest.raises(DimensionMismatchError, match="not real numbers"):
+                call(coords)
+        with pytest.raises(DimensionMismatchError, match="not real numbers"):
+            space.vector(coords)
 
 
 class TestProbabilityVector:
